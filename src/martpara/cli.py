@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--arity", type=int, default=2)
         sp.add_argument("--depth", type=int, default=3)
         sp.add_argument("--sparsity", type=float, default=0.2)
-        sp.add_argument("--p", type=float, default=2.0)
+        # the counterexample needs p > 2; 4 is the exponent of criterion 1
+        sp.add_argument("--p", type=float, default=4.0 if name == "counterexample" else 2.0)
         sp.add_argument("--q", type=float, default=2.0)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output file (default: stdout)")

@@ -111,6 +111,17 @@ class NonnegativeCoefficients(EdgeCoefficients):
                 raise ValueError(f"negative coefficient at level {d}")
 
 
+_MEAN_ZERO_RTOL = 1e-9  # default tolerance of the Symbol check, relative to sum |b| nu
+
+
+def _mean_zero_excess(lvl: np.ndarray, child_mass: np.ndarray, rel_tol: float):
+    """Per-atom integral of the component, its tolerance, and where the
+    integral exceeds the tolerance (the check :class:`Symbol` applies)."""
+    sums = (lvl * child_mass).sum(axis=1)
+    caps = rel_tol * (np.abs(lvl) * child_mass).sum(axis=1)
+    return sums, caps, np.abs(sums) > caps
+
+
 class Symbol:
     """Edge coefficients whose components are martingale differences w.r.t. nu.
 
@@ -119,7 +130,7 @@ class Symbol:
     the symbol as plain coefficients.
     """
 
-    def __init__(self, beta: EdgeCoefficients, nu: Measure, rel_tol: float = 1e-9):
+    def __init__(self, beta: EdgeCoefficients, nu: Measure, rel_tol: float = _MEAN_ZERO_RTOL):
         if beta.lattice is not nu.lattice and beta.lattice != nu.lattice:
             raise ValueError("coefficients and reference measure live on different lattices")
         self.beta = beta
@@ -127,9 +138,7 @@ class Symbol:
         lat = beta.lattice
         for d in range(lat.depth):
             child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
-            sums = (beta.level(d) * child_mass).sum(axis=1)
-            caps = rel_tol * (np.abs(beta.level(d)) * child_mass).sum(axis=1)
-            bad = np.abs(sums) > caps
+            sums, caps, bad = _mean_zero_excess(beta.level(d), child_mass, rel_tol)
             if np.any(bad):
                 i = int(np.nonzero(bad)[0][0])
                 raise ValueError(
@@ -281,23 +290,35 @@ def project_mean_zero(beta: EdgeCoefficients, nu: Measure) -> Symbol:
     """Smallest correction of the coefficients making every component
     nu-mean-zero; slots under massless children are left untouched (they do
     not enter the constraint).  An atom with a single massed child gets 0
-    there."""
+    there.
+
+    Where sibling coefficients nearly agree, the corrected values are tiny
+    while the rounding error of ``c - mean`` is that of the original values,
+    so :class:`Symbol` would reject the result.  At those atoms only, the
+    correction is recomputed from the differences to the coefficient of the
+    heaviest child: those are exact for nearby values, so the rounding error
+    scales with the corrected values (and equal siblings give exactly 0).
+    """
     lat = beta.lattice
     levels = []
     for d in range(lat.depth):
-        lvl = beta.level(d).copy()
+        lvl = beta.level(d)
         child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
         active = child_mass > 0
-        n_active = active.sum(axis=1)
-        sums = (lvl * child_mass).sum(axis=1)
+        n_active = active.sum(axis=1, keepdims=True)
         totals = child_mass.sum(axis=1)
-        means = safe_divide(sums, totals)
-        for i in range(lvl.shape[0]):
-            if n_active[i] == 1:
-                lvl[i, active[i]] = 0.0
-            elif n_active[i] > 1:
-                lvl[i, active[i]] -= means[i]
-        levels.append(lvl)
+        means = safe_divide((lvl * child_mass).sum(axis=1), totals)
+        out = np.where(active & (n_active > 1), lvl - means[:, None], lvl)
+        out[active & (n_active == 1)] = 0.0
+        bad = _mean_zero_excess(out, child_mass, _MEAN_ZERO_RTOL)[2]
+        if np.any(bad):
+            rows = np.nonzero(bad)[0]
+            c, m, act = lvl[rows], child_mass[rows], active[rows]
+            ref = c[np.arange(len(rows)), m.argmax(axis=1)]
+            dev = np.where(act, c - ref[:, None], 0.0)
+            dbar = (dev * m).sum(axis=1) / totals[rows]
+            out[rows] = np.where(act, dev - dbar[:, None], c)
+        levels.append(out)
     return Symbol(EdgeCoefficients(lat, levels), nu)
 
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from martpara.lattice import Atom, Lattice
+from martpara.normest import _operator_matrix
 
 
 def leaves_of(lat: Lattice, atom: Atom) -> range:
@@ -253,4 +254,75 @@ def naive_carleson_constant(lat: Lattice, weights, mu_mass) -> float:
                     return math.inf
                 continue
             best = max(best, total / den)
+    return best
+
+
+def naive_grid_oracle(op, resolution: float = 1e-2) -> float:
+    """Max Rayleigh ratio over a dense angular grid of directions, the
+    reference for ``grid_oracle_norm``: the same grid, scanned in chunks of
+    200k directions with the full ratio evaluated at every point.  The
+    operator matrix comes from the production ``_operator_matrix``, so this
+    checks the scan, not the applies.
+
+    Directions are hyperspherical angles with step ``resolution`` on the
+    nonnegative orthant, combined with all sign patterns (first coordinate
+    fixed positive; antipodal points give the same ratio).  Restricted to at
+    most 4 leaves because the grid is exhaustive.
+    """
+    lat = op.lattice
+    if lat.n_leaves > 4:
+        raise ValueError(f"oracle supports at most 4 leaves, got {lat.n_leaves}")
+    if resolution > 1e-2:
+        raise ValueError(f"resolution must be <= 1e-2, got {resolution}")
+    alive_idx = np.nonzero(op.mu.leaf_mass > 0.0)[0]
+    k = len(alive_idx)
+    if k == 0:
+        raise ValueError("the input measure is identically zero")
+    mat, membership = _operator_matrix(op, alive_idx)
+    w = op.mu.leaf_mass[alive_idx]
+    v = op.nu.leaf_mass
+
+    def ratios(X: np.ndarray) -> np.ndarray:
+        den = (w[:, None] * np.abs(X) ** op.p).sum(axis=0) ** (1.0 / op.p)
+        out = mat @ X
+        if op.kind == "vector_paraproduct":
+            chain = membership @ np.abs(out) ** op.q
+            num = (v[:, None] * chain ** (op.p / op.q)).sum(axis=0) ** (1.0 / op.p)
+        else:
+            num = (v[:, None] * np.abs(out) ** op.p).sum(axis=0) ** (1.0 / op.p)
+        res = np.zeros_like(num)
+        np.divide(num, den, out=res, where=den > 0)
+        return res
+
+    if k == 1:
+        X = np.ones((1, 1))
+        return float(ratios(X).max())
+
+    npts = int(np.ceil((np.pi / 2.0) / resolution)) + 1
+    theta = np.linspace(0.0, np.pi / 2.0, npts)
+    if op.positive_only:
+        signs = np.ones((k, 1))
+    else:
+        patterns = []
+        for bits in range(2 ** (k - 1)):
+            s = [1.0] + [1.0 if (bits >> b) & 1 == 0 else -1.0 for b in range(k - 1)]
+            patterns.append(s)
+        signs = np.array(patterns).T  # (k, n_pat)
+
+    best = 0.0
+    chunk = 200_000
+    total = npts ** (k - 1)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        idx = np.unravel_index(np.arange(lo, hi), (npts,) * (k - 1))
+        mags = np.ones((k, hi - lo))
+        sin_prod = np.ones(hi - lo)
+        for a in range(k - 1):
+            ang = theta[idx[a]]
+            mags[a] = sin_prod * np.cos(ang)
+            sin_prod = sin_prod * np.sin(ang)
+        mags[k - 1] = sin_prod
+        for pat in range(signs.shape[1]):
+            X = mags * signs[:, pat][:, None]
+            best = max(best, float(ratios(X).max()))
     return best

@@ -104,6 +104,13 @@ def test_counterexample_subcommand(capsys):
     assert len(lines) == 6  # n = 2..6
 
 
+def test_counterexample_default_p(capsys):
+    code, out = run_cli(["counterexample", "--nmax", "4"], capsys)
+    assert code == 0
+    _, flagged = run_cli(["counterexample", "--p", "4", "--nmax", "4"], capsys)
+    assert out == flagged
+
+
 def test_embedding_subcommand(capsys):
     code, out = run_cli(
         ["embedding", "--arity", "2", "--depth", "3", "--seed", "6", "--trials", "5",

@@ -15,9 +15,12 @@ from martpara import (
     grid_oracle_norm,
     necessity_report,
     norm_lower_bound,
+    project_mean_zero,
 )
+from martpara.suite import _tiny_operators
 
 from helpers import random_setup
+from oracles import naive_grid_oracle
 
 LIGHT = AscentConfig(starts=8, max_iter=60, ascend_top=6, seed=0)
 
@@ -94,6 +97,42 @@ def test_oracle_rejects_big_instances():
         grid_oracle_norm(op, 1e-2)
     with pytest.raises(ValueError):
         grid_oracle_norm(haar_op(), 0.5)
+
+
+def assert_matches_naive_grid(op):
+    """The block-wise scan returns the naive scan's value to relative 1e-15."""
+    got, want = grid_oracle_norm(op, 1e-2), naive_grid_oracle(op, 1e-2)
+    assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
+# every kind on the 2- and 3-leaf instances, two 4-leaf operators (the naive
+# 4-leaf scans take 0.5-5 s each, so only two of the twelve)
+_AGREEMENT_OPS = [
+    (label, op) for label, op in _tiny_operators()
+    if label.split("/")[0] in ("2u", "2a", "3u") or label in ("2x2z/positive", "4a/paraproduct")
+]
+
+
+@pytest.mark.parametrize("label,op", _AGREEMENT_OPS, ids=[label for label, _ in _AGREEMENT_OPS])
+def test_grid_oracle_matches_naive_scan(label, op):
+    assert_matches_naive_grid(op)
+
+
+@pytest.mark.parametrize("mu_leaf", [[0.4, 0.0, 0.8, 0.6], [0.0, 0.0, 0.5, 0.0]])
+@pytest.mark.parametrize("kind", ["vector_paraproduct", "paraproduct"])
+def test_grid_oracle_matches_naive_scan_on_dead_leaves(mu_leaf, kind):
+    """Massless mu leaves leave the grid on the alive ones (``alive_idx``);
+    one alive leaf takes the single-point path."""
+    lat = build_lattice(2, 2)
+    rng = np.random.default_rng(3)
+    mu = Measure(lat, mu_leaf)
+    nu = Measure(lat, 0.1 + rng.random(4))
+    beta = EdgeCoefficients(lat, [rng.standard_normal((lat.level_size(d), 2)) for d in range(2)])
+    if kind == "paraproduct":
+        op = OperatorHandle(kind=kind, p=2.0, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
+    else:
+        op = OperatorHandle(kind=kind, p=4.0, q=2.0, mu=mu, nu=nu, beta=beta)
+    assert_matches_naive_grid(op)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 9])

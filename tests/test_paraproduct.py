@@ -62,6 +62,44 @@ def test_symbol_mean_zero_validation(binary_uniform):
     Symbol(EdgeCoefficients.from_dict(lat, {(0, 0, 0): 5.0}), half)
 
 
+@pytest.mark.parametrize("row,masses", [
+    ([1.0, 1.0 + 1e-13], [0.3, 0.9]),
+    ([0.1, 0.1], [0.1, 0.7]),
+    ([1.0, 1.0 + 1e-13, 5.0], [0.3, 0.9, 1e-20]),
+])
+def test_project_mean_zero_nearly_equal_siblings(row, masses):
+    """Nearly equal siblings under unequal masses leave tiny corrected values
+    whose rounding error is that of the originals; the result must still pass
+    the Symbol check, and equal siblings must become exactly 0."""
+    lat = build_lattice(len(row), 1)
+    nu = Measure(lat, masses)
+    got = project_mean_zero(EdgeCoefficients(lat, [np.array([row])]), nu).beta.level(0)[0]
+    assert abs(np.dot(got, masses)) <= 1e-9 * np.dot(np.abs(got), masses)
+    if row[0] == row[1]:
+        assert np.all(got == 0.0)
+    # the correction moves every massed slot by the same amount
+    shift = got - np.array(row)
+    assert np.allclose(shift, shift[0], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_project_mean_zero_subtracts_the_mean(seed):
+    """Where the plain correction passes the Symbol check, the result is the
+    per-atom correction of this loop to the bit."""
+    lat, mu, nu, beta, _ = random_setup(3, 3, seed=seed, sparsity=0.3)
+    sym = project_mean_zero(beta, nu)
+    for d in range(lat.depth):
+        want = beta.level(d).copy()
+        mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
+        for i in range(lat.level_size(d)):
+            active = mass[i] > 0
+            if active.sum() == 1:
+                want[i, active] = 0.0
+            elif active.sum() > 1:
+                want[i, active] -= (want[i] * mass[i]).sum() / mass[i].sum()
+        assert np.array_equal(sym.beta.level(d), want)
+
+
 def test_paraproduct_examples(binary_uniform):
     lat, mu = binary_uniform
     sym = Symbol(haar_beta(lat), mu)
