@@ -1,13 +1,12 @@
 """Two-weight testing constants, paraproducts and stopping decompositions on
 finite uniform-arity trees."""
 
-from .lattice import Atom, Lattice, build_lattice, parent_children, subtree
+from .lattice import Atom, Lattice, build_lattice
 from .measure import (
     Exponents,
     Measure,
     atom_averages,
     atom_integrals,
-    atom_mass,
     average,
     conjugate,
     leaf_function,
@@ -35,7 +34,6 @@ from .paraproduct import (
     project_mean_zero,
     sequence_norm,
     shifted_apply,
-    symbol_component,
     vector_paraproduct,
 )
 from .testing import (

@@ -14,6 +14,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 MAX_DEPTH = 16
+#: largest arity**depth accepted; leaf arrays are allocated at this length
+MAX_LEAVES = 2 ** 24
 
 
 class Atom(NamedTuple):
@@ -151,12 +153,6 @@ def build_lattice(arity: int, depth: int, max_depth: int = MAX_DEPTH) -> Lattice
         raise ValueError(f"arity must be >= 2, got {arity}")
     if not 1 <= depth <= max_depth:
         raise ValueError(f"depth must be in [1, {max_depth}], got {depth}")
+    if arity ** depth > MAX_LEAVES:
+        raise ValueError(f"arity**depth = {arity}**{depth} exceeds {MAX_LEAVES} leaves")
     return Lattice(arity=arity, depth=depth)
-
-
-def parent_children(lattice: Lattice, atom: Atom) -> tuple[Optional[Atom], list[Atom]]:
-    return lattice.parent_children(atom)
-
-
-def subtree(lattice: Lattice, top: Atom) -> list[Atom]:
-    return lattice.subtree(top)

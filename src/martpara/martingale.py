@@ -33,23 +33,17 @@ def martingale_difference(f, atom: Atom, m: Measure) -> np.ndarray:
     return out
 
 
-def _child_jumps(f, m: Measure) -> list[np.ndarray]:
+def _child_jumps(avg: list[np.ndarray], arity: int) -> list[np.ndarray]:
     """Per-generation arrays (d = 1..depth) of the difference value taken on
-    each atom by its parent's martingale difference."""
-    avg = atom_averages(f, m)
-    lat = m.lattice
-    return [avg[d] - np.repeat(avg[d - 1], lat.arity) for d in range(1, lat.depth + 1)]
+    each atom by its parent's martingale difference, from the averages."""
+    return [avg[d] - np.repeat(avg[d - 1], arity) for d in range(1, len(avg))]
 
 
 def square_function(f, m: Measure) -> np.ndarray:
     """Pointwise l2 size of all martingale differences: (sum over internal
     atoms of |difference|^2)^(1/2), evaluated on leaves."""
-    lat = m.lattice
-    jumps = _child_jumps(f, m)
-    acc = np.zeros(1)
-    for d in range(1, lat.depth + 1):
-        acc = np.repeat(acc, lat.arity) + jumps[d - 1] ** 2
-    return np.sqrt(acc)
+    jumps = _child_jumps(atom_averages(f, m), m.lattice.arity)
+    return np.sqrt(m.lattice.chain_sum([None] + [j ** 2 for j in jumps]))
 
 
 def reconstruct(f, m: Measure) -> np.ndarray:
@@ -57,12 +51,8 @@ def reconstruct(f, m: Measure) -> np.ndarray:
 
     Agrees with ``f`` on every positive-mass leaf.
     """
-    lat = m.lattice
     avg = atom_averages(f, m)
-    run = avg[0].copy()
-    for d in range(1, lat.depth + 1):
-        run = np.repeat(run, lat.arity) + (avg[d] - np.repeat(avg[d - 1], lat.arity))
-    return run
+    return m.lattice.chain_sum([avg[0]] + _child_jumps(avg, m.lattice.arity))
 
 
 def maximal_function(f, m: Measure) -> np.ndarray:

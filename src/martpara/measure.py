@@ -34,9 +34,14 @@ class Measure:
             raise ValueError("leaf masses must be finite")
         if np.any(arr < 0):
             raise ValueError("leaf masses must be nonnegative")
+        # masses are nonnegative, so every atom's mass is at most the total
+        with np.errstate(over="ignore"):
+            level_mass = lattice.block_sums(arr)
+        if not np.isfinite(level_mass[0][0]):
+            raise ValueError("leaf masses must have a finite total")
         self.lattice = lattice
         self.leaf_mass = arr
-        self.level_mass = lattice.block_sums(arr)
+        self.level_mass = level_mass
         arr.setflags(write=False)
         for lvl in self.level_mass:
             lvl.setflags(write=False)
@@ -91,10 +96,6 @@ def atom_averages(f, m: Measure) -> list[np.ndarray]:
     """Per-generation arrays of averages, 0 on zero-mass atoms."""
     ints = atom_integrals(f, m)
     return [safe_divide(ints[d], m.level_mass[d]) for d in range(m.lattice.depth + 1)]
-
-
-def atom_mass(m: Measure, atom: Atom) -> float:
-    return m.mass(atom)
 
 
 def average(f, atom: Atom, m: Measure) -> float:

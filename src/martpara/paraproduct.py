@@ -1,7 +1,9 @@
 """Paraproduct-type operators on a two-weight lattice.
 
 The operators come in four flavours, all evaluated in O(atoms) by one
-bottom-up integral pass plus one top-down accumulation pass:
+bottom-up integral pass plus one top-down accumulation pass.  The latter is
+one kernel, ``_edge_chain``: each child atom's edge coefficient times its
+parent's value (``_edge_terms``), summed along every leaf's ancestor chain.
 
 * ``paraproduct_apply``     -- sum over internal atoms of (mu-average of f) * b_I,
   where b_I are the mean-zero components of a :class:`Symbol`;
@@ -84,11 +86,6 @@ class EdgeCoefficients:
 
     def scaled(self, t: float) -> "EdgeCoefficients":
         return type(self)(self.lattice, [t * lvl for lvl in self._levels])
-
-    def abs_pow(self, q: float) -> "NonnegativeCoefficients":
-        return NonnegativeCoefficients(
-            self.lattice, [np.abs(lvl) ** q for lvl in self._levels]
-        )
 
     def total_abs(self) -> float:
         return float(sum(np.abs(lvl).sum() for lvl in self._levels))
@@ -190,31 +187,30 @@ class SequenceField:
         return self.lattice.chain_sum(per_depth)
 
 
-def symbol_component(beta: EdgeCoefficients, atom: Atom) -> np.ndarray:
-    """b_I as a leaf function (works for raw coefficients and symbols alike)."""
-    return beta.component(atom)
+def _edge_terms(
+    levels: Sequence[np.ndarray], parent_vals: Sequence[np.ndarray]
+) -> list[Optional[np.ndarray]]:
+    """Per generation (None at the root), each child atom's edge coefficient
+    times the value attached to its parent."""
+    return [None] + [(c * v[:, None]).reshape(-1) for c, v in zip(levels, parent_vals)]
+
+
+def _edge_chain(
+    lat: Lattice, levels: Sequence[np.ndarray], parent_vals: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Leaf array of the edge terms summed along each leaf's ancestor chain."""
+    return lat.chain_sum(_edge_terms(levels, parent_vals))
 
 
 def paraproduct_apply(symbol: Symbol, f, mu: Measure) -> np.ndarray:
     """Two-weight paraproduct: sum over internal atoms of (mu-average of f)
     times the symbol component, evaluated pointwise on leaves."""
-    lat = symbol.lattice
-    avg = atom_averages(f, mu)
-    per_depth: list[Optional[np.ndarray]] = [None]
-    for e in range(1, lat.depth + 1):
-        per_depth.append(symbol.beta.child_values(e) * np.repeat(avg[e - 1], lat.arity))
-    return lat.chain_sum(per_depth)
+    return _edge_chain(symbol.lattice, symbol.beta._levels, atom_averages(f, mu))
 
 
 def vector_paraproduct(beta: EdgeCoefficients, f, mu: Measure) -> SequenceField:
     """Sequence field s_I = (mu-average of f over parent of I) * coefficient."""
-    lat = beta.lattice
-    avg = atom_averages(f, mu)
-    levels = [
-        beta.child_values(e) * np.repeat(avg[e - 1], lat.arity)
-        for e in range(1, lat.depth + 1)
-    ]
-    return SequenceField(lat, levels)
+    return SequenceField(beta.lattice, _edge_terms(beta._levels, atom_averages(f, mu))[1:])
 
 
 def sequence_norm(s: SequenceField, p: float, q: float, nu: Measure) -> float:
@@ -230,14 +226,9 @@ def power_apply(beta: EdgeCoefficients, f, q: float, mu: Measure) -> np.ndarray:
     """Nonlinear majorant: sum over internal atoms of |average|^q |b_I|^q."""
     if q <= 1:
         raise ValueError(f"q must be > 1, got {q}")
-    lat = beta.lattice
-    avg = atom_averages(f, mu)
-    per_depth: list[Optional[np.ndarray]] = [None]
-    for e in range(1, lat.depth + 1):
-        per_depth.append(
-            np.abs(beta.child_values(e)) ** q * np.repeat(np.abs(avg[e - 1]) ** q, lat.arity)
-        )
-    return lat.chain_sum(per_depth)
+    levels = [np.abs(c) ** q for c in beta._levels]
+    avg_q = [np.abs(a) ** q for a in atom_averages(f, mu)[:-1]]
+    return _edge_chain(beta.lattice, levels, avg_q)
 
 
 def shifted_apply(beta: EdgeCoefficients, g, q: float, mu: Measure) -> np.ndarray:
@@ -245,38 +236,20 @@ def shifted_apply(beta: EdgeCoefficients, g, q: float, mu: Measure) -> np.ndarra
     sum over internal atoms of (mu-average of g) * |b_I|^q."""
     if q <= 1:
         raise ValueError(f"q must be > 1, got {q}")
-    lat = beta.lattice
-    avg = atom_averages(g, mu)
-    per_depth: list[Optional[np.ndarray]] = [None]
-    for e in range(1, lat.depth + 1):
-        per_depth.append(
-            np.abs(beta.child_values(e)) ** q * np.repeat(avg[e - 1], lat.arity)
-        )
-    return lat.chain_sum(per_depth)
+    levels = [np.abs(c) ** q for c in beta._levels]
+    return _edge_chain(beta.lattice, levels, atom_averages(g, mu))
 
 
 def positive_apply(alpha: NonnegativeCoefficients, f, mu: Measure) -> np.ndarray:
     """General shifted positive operator: sum over internal atoms of
     (integral of f over the atom) * coefficient step function."""
-    lat = alpha.lattice
-    ints = atom_integrals(f, mu)
-    per_depth: list[Optional[np.ndarray]] = [None]
-    for e in range(1, lat.depth + 1):
-        per_depth.append(alpha.child_values(e) * np.repeat(ints[e - 1], lat.arity))
-    return lat.chain_sum(per_depth)
+    return _edge_chain(alpha.lattice, alpha._levels, atom_integrals(f, mu))
 
 
 def bilinear_form(beta: EdgeCoefficients, f, g, mu: Measure) -> np.ndarray:
     """Bilinear version of the q=2 majorant: sum of (avg f)(avg g)|b_I|^2."""
-    lat = beta.lattice
-    avg_f = atom_averages(f, mu)
-    avg_g = atom_averages(g, mu)
-    per_depth: list[Optional[np.ndarray]] = [None]
-    for e in range(1, lat.depth + 1):
-        per_depth.append(
-            beta.child_values(e) ** 2 * np.repeat(avg_f[e - 1] * avg_g[e - 1], lat.arity)
-        )
-    return lat.chain_sum(per_depth)
+    products = [a * b for a, b in zip(atom_averages(f, mu)[:-1], atom_averages(g, mu))]
+    return _edge_chain(beta.lattice, [c ** 2 for c in beta._levels], products)
 
 
 def pairing(h, g, nu: Measure) -> float:

@@ -80,8 +80,7 @@ def stopping_generation(
             continue  # maximal: do not descend
         stack.extend(reversed(lat.children(atom)))
 
-    inside = {a for a in members if lat.contains(top, a)}
-    exhausted = {a for a in inside if not any(lat.contains(s, a) for s in selected)}
+    exhausted = exhausted_members(lat, members, selected, top)
     for a in exhausted:
         if _avg(avgs, a) > threshold * (1.0 + 1e-12):
             raise RuntimeError(f"exhausted atom {a!r} exceeds the stopping threshold")

@@ -4,8 +4,12 @@ Every constant is a supremum over all atoms J of a ratio
 
     ( integral over J of (chain sum restricted to J)^power  ) / mass(J).
 
-The chain sums for all J are produced in O(atoms * depth) by accumulating
-suffix sums along leaf ancestor chains, so no per-J rescan is needed.
+One kernel, ``_cut_ratios``, serves every constant: it accumulates the
+per-depth terms into suffix sums along leaf ancestor chains (the chain of
+each cut depth), so the chain sums for all J come in O(atoms * depth) with no
+per-J rescan, and it returns each J's ratio; ``_sup`` turns the ratios into
+the constant.  The edge-chain kernel of :mod:`martpara.paraproduct` plays
+the same part for the operators.
 
 Degenerate two-weight pairs are legitimate inputs: a zero-mass J whose
 numerator is positive makes the constant +inf (``math.inf``), which compares
@@ -23,55 +27,44 @@ from .measure import Measure, conjugate, safe_divide
 from .paraproduct import EdgeCoefficients, NonnegativeCoefficients, Symbol
 
 
-def _sup_ratio(
+def _cut_ratios(
     lat: Lattice,
-    numerators: list[np.ndarray],
-    denom_levels: list[np.ndarray],
-) -> float:
-    """sup over atoms of numerator/denominator with the +inf convention."""
-    best = 0.0
-    for d in range(lat.depth + 1):
-        num, den = numerators[d], denom_levels[d]
-        if np.any((den == 0.0) & (num > 0.0)):
-            return math.inf
-        ratios = safe_divide(num, den)
-        if ratios.size:
-            best = max(best, float(ratios.max()))
-    return best
+    terms: list[np.ndarray],
+    power: float,
+    weight: np.ndarray,
+    denom: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
+    """Cut chains and ratios of every atom J, per depth.
 
-
-def _child_attached_numerators(
-    lat: Lattice, child_vals: list[np.ndarray], power: float, weight: np.ndarray
-) -> list[np.ndarray]:
-    """Numerators for sums whose terms sit on child atoms (generations 1..N).
-
-    For the cut at generation d the leaf value is the chain sum over
-    generations > d; the numerator of atom J at depth d integrates
-    (chain sum)^power against ``weight`` over J's leaf block.
+    ``terms[e]`` holds the terms of the internal atoms at depth e: one value
+    per child atom (child-attached) or one per atom (parent-attached); each
+    is spread to the leaves by its length.  ``chain[d]`` sums the spread
+    terms of all internal depths e >= d, and the ratio of J at depth d is
+    the integral over J of |chain[d]|^power * weight divided by denom[d][J].
+    Returns ``None`` when a massless J carries a positive numerator.
     """
-    suffix = [np.zeros(lat.n_leaves) for _ in range(lat.depth + 1)]
+    chain = [None] * lat.depth + [np.zeros(lat.n_leaves)]
     for d in range(lat.depth - 1, -1, -1):
-        suffix[d] = suffix[d + 1] + lat.spread(child_vals[d + 1], d + 1)
-    numerators = []
+        chain[d] = chain[d + 1] + np.repeat(terms[d], lat.n_leaves // terms[d].size)
+    ratios = []
     for d in range(lat.depth + 1):
-        integrand = suffix[d] ** power * weight
-        numerators.append(lat.block_sums(integrand)[d])
-    return numerators
+        # in place: two fewer leaf-sized temporaries per depth
+        integrand = np.abs(chain[d])
+        integrand **= power
+        integrand *= weight
+        num, den = lat.block_sums(integrand)[d], denom[d]
+        if np.any((den == 0.0) & (num > 0.0)):
+            return None
+        ratios.append(safe_divide(num, den))
+    return chain, ratios
 
 
-def _parent_attached_numerators(
-    lat: Lattice, parent_vals: list[np.ndarray], power: float, weight: np.ndarray
-) -> list[np.ndarray]:
-    """Same as above for sums whose terms sit on internal atoms (0..N-1);
-    the cut at depth d includes the atom J itself when J is internal."""
-    suffix = [np.zeros(lat.n_leaves) for _ in range(lat.depth + 1)]
-    for d in range(lat.depth - 1, -1, -1):
-        suffix[d] = suffix[d + 1] + lat.spread(parent_vals[d], d)
-    numerators = []
-    for d in range(lat.depth + 1):
-        integrand = suffix[d] ** power * weight
-        numerators.append(lat.block_sums(integrand)[d])
-    return numerators
+def _sup(cuts: tuple[list[np.ndarray], list[np.ndarray]] | None, p: float) -> float:
+    """(sup over atoms of the ratios)^(1/p); +inf where :func:`_cut_ratios`
+    found a massless J with a positive numerator."""
+    if cuts is None:
+        return math.inf
+    return max([0.0] + [float(ratios.max()) for ratios in cuts[1]]) ** (1.0 / p)
 
 
 def direct_testing_symbol(symbol: Symbol, p: float, mu: Measure) -> float:
@@ -81,18 +74,9 @@ def direct_testing_symbol(symbol: Symbol, p: float, mu: Measure) -> float:
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
     lat = symbol.lattice
-    nu = symbol.nu
-    child_vals = [None] + [symbol.beta.child_values(e) for e in range(1, lat.depth + 1)]
     # signed chain: accumulate the raw values, take |.|^p afterwards
-    suffix = [np.zeros(lat.n_leaves) for _ in range(lat.depth + 1)]
-    for d in range(lat.depth - 1, -1, -1):
-        suffix[d] = suffix[d + 1] + lat.spread(child_vals[d + 1], d + 1)
-    numerators = []
-    for d in range(lat.depth + 1):
-        integrand = np.abs(suffix[d]) ** p * nu.leaf_mass
-        numerators.append(lat.block_sums(integrand)[d])
-    sup = _sup_ratio(lat, numerators, mu.level_mass)
-    return sup ** (1.0 / p) if math.isfinite(sup) else math.inf
+    terms = [symbol.beta.child_values(e) for e in range(1, lat.depth + 1)]
+    return _sup(_cut_ratios(lat, terms, p, symbol.nu.leaf_mass, mu.level_mass), p)
 
 
 def direct_testing(
@@ -105,12 +89,8 @@ def direct_testing(
     if p <= 1 or q <= 1:
         raise ValueError(f"p and q must be > 1, got p={p}, q={q}")
     lat = beta.lattice
-    child_vals = [None] + [
-        np.abs(beta.child_values(e)) ** q for e in range(1, lat.depth + 1)
-    ]
-    numerators = _child_attached_numerators(lat, child_vals, p / q, nu.leaf_mass)
-    sup = _sup_ratio(lat, numerators, mu.level_mass)
-    return sup ** (1.0 / p) if math.isfinite(sup) else math.inf
+    terms = [np.abs(beta.child_values(e)) ** q for e in range(1, lat.depth + 1)]
+    return _sup(_cut_ratios(lat, terms, p / q, nu.leaf_mass, mu.level_mass), p)
 
 
 def _adjoint_parent_terms(
@@ -153,9 +133,7 @@ def adjoint_testing(
     terms = _adjoint_parent_terms(beta, q, mu, nu)
     if terms is None:
         return math.inf
-    numerators = _parent_attached_numerators(lat, terms, r_prime, mu.leaf_mass)
-    sup = _sup_ratio(lat, numerators, nu.level_mass)
-    return sup ** (1.0 / r_prime) if math.isfinite(sup) else math.inf
+    return _sup(_cut_ratios(lat, terms, r_prime, mu.leaf_mass, nu.level_mass), r_prime)
 
 
 def adjoint_witness_data(
@@ -172,19 +150,11 @@ def adjoint_witness_data(
     terms = _adjoint_parent_terms(beta, q, mu, nu)
     if terms is None:
         return math.inf, []
-    suffix = [np.zeros(lat.n_leaves) for _ in range(lat.depth + 1)]
-    for d in range(lat.depth - 1, -1, -1):
-        suffix[d] = suffix[d + 1] + lat.spread(terms[d], d)
+    cuts = _cut_ratios(lat, terms, r_prime, mu.leaf_mass, nu.level_mass)
+    if cuts is None:
+        return math.inf, []
     scored: list[tuple[float, Atom, np.ndarray]] = []
-    best = 0.0
-    for d in range(lat.depth + 1):
-        integrand = suffix[d] ** r_prime * mu.leaf_mass
-        nums = lat.block_sums(integrand)[d]
-        dens = nu.level_mass[d]
-        if np.any((dens == 0.0) & (nums > 0.0)):
-            return math.inf, []
-        ratios = safe_divide(nums, dens)
-        best = max(best, float(ratios.max()) if ratios.size else 0.0)
+    for d, (chain, ratios) in enumerate(zip(*cuts)):
         order = np.argsort(ratios)[::-1][:top]
         for i in order:
             if ratios[i] <= 0.0:
@@ -192,11 +162,11 @@ def adjoint_witness_data(
             atom = Atom(d, int(i))
             profile = np.zeros(lat.n_leaves)
             sl = lat.leaf_slice(atom)
-            profile[sl] = suffix[d][sl]
+            profile[sl] = chain[sl]
             scored.append((float(ratios[i]), atom, profile))
     scored.sort(key=lambda t: -t[0])
     witnesses = [(atom, profile) for _, atom, profile in scored[:top]]
-    return best ** (1.0 / r_prime), witnesses
+    return _sup(cuts, r_prime), witnesses
 
 
 def positive_operator_testing(
@@ -216,20 +186,14 @@ def positive_operator_testing(
     p_prime = conjugate(p)
     lat = alpha.lattice
 
-    child_vals = [None] + [
+    child_terms = [
         alpha.child_values(e) * np.repeat(mu.level_mass[e - 1], lat.arity)
         for e in range(1, lat.depth + 1)
     ]
-    nums_direct = _child_attached_numerators(lat, child_vals, p, nu.leaf_mass)
-    sup_direct = _sup_ratio(lat, nums_direct, mu.level_mass)
-
-    parent_vals = [
+    parent_terms = [
         (alpha.level(d) * nu.level_mass[d + 1].reshape(-1, lat.arity)).sum(axis=1)
         for d in range(lat.depth)
     ]
-    nums_adj = _parent_attached_numerators(lat, parent_vals, p_prime, mu.leaf_mass)
-    sup_adj = _sup_ratio(lat, nums_adj, nu.level_mass)
-
-    b = sup_direct ** (1.0 / p) if math.isfinite(sup_direct) else math.inf
-    b_star = sup_adj ** (1.0 / p_prime) if math.isfinite(sup_adj) else math.inf
+    b = _sup(_cut_ratios(lat, child_terms, p, nu.leaf_mass, mu.level_mass), p)
+    b_star = _sup(_cut_ratios(lat, parent_terms, p_prime, mu.leaf_mass, nu.level_mass), p_prime)
     return b, b_star

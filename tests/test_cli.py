@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,35 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+#: Each file under tests/data/cli holds a line ``exit <code>`` followed by
+#: the exact stdout of one invocation: identical flags must give identical bytes.
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+GOLDEN = {
+    "testing_2x3_p4_q2": ["testing", "--arity", "2", "--depth", "3", "--seed", "1",
+                          "--trials", "3", "--p", "4", "--q", "2"],
+    "testing_3x2_p3_q1.5": ["testing", "--arity", "3", "--depth", "2", "--seed", "5",
+                            "--trials", "2", "--p", "3", "--q", "1.5", "--sparsity", "0.3"],
+    "testing_2x4_p2_q2": ["testing", "--arity", "2", "--depth", "4", "--seed", "9",
+                          "--trials", "2", "--p", "2", "--q", "2"],
+    "mirror_p2": ["mirror", "--arity", "2", "--depth", "3", "--seed", "4", "--p", "2"],
+    "mirror_p3": ["mirror", "--arity", "3", "--depth", "2", "--seed", "7", "--p", "3"],
+    "embedding": ["embedding", "--arity", "2", "--depth", "3", "--seed", "6",
+                  "--trials", "5", "--p", "2"],
+    "counterexample_nmax8": ["counterexample", "--nmax", "8"],
+    **{
+        f"norm_{kind}": ["norm", "--depth", "2", "--p", "4", "--q", "2", "--kind", kind]
+        for kind in ("vector_paraproduct", "shifted", "positive", "paraproduct")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_is_byte_identical(name, capsys):
+    code = main(GOLDEN[name])
+    got = f"exit {code}\n".encode() + capsys.readouterr().out.encode()
+    assert got == (GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
 def test_generate_and_round_trip(tmp_path, capsys):
@@ -151,6 +181,15 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "mu" in err
+
+
+def test_oversized_input_exits_2(tmp_path, capsys):
+    assert main(["testing", "--arity", "1000", "--depth", "6"]) == 2
+    assert "leaves" in capsys.readouterr().err
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"arity": 2, "depth": 1, "mu": [1e308, 1e308], "nu": [1, 1], "beta": {}}')
+    assert main(["testing", "--instance", str(huge)]) == 2
+    assert "mu" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():

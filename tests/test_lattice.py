@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from martpara.lattice import Atom, build_lattice, parent_children, subtree
+from martpara.lattice import MAX_LEAVES, Atom, build_lattice
 
 lattice_params = st.tuples(st.integers(2, 4), st.integers(1, 4))
 
@@ -11,6 +11,7 @@ def test_build_sizes():
     assert build_lattice(2, 1).n_atoms == 3
     assert build_lattice(3, 2).n_atoms == 13
     assert build_lattice(3, 2).n_leaves == 9
+    assert build_lattice(2 ** 12, 2).n_leaves == MAX_LEAVES
 
 
 def test_build_rejects_bad_params():
@@ -20,21 +21,26 @@ def test_build_rejects_bad_params():
         build_lattice(2, 17)
     with pytest.raises(ValueError):
         build_lattice(2, 0)
+    # rejected before any leaf array is allocated
+    with pytest.raises(ValueError, match="leaves"):
+        build_lattice(1000, 6)
+    with pytest.raises(ValueError, match="leaves"):
+        build_lattice(2 ** 12 + 1, 2)
 
 
 def test_parent_children_binary_depth1():
     lat = build_lattice(2, 1)
-    parent, kids = parent_children(lat, lat.root)
+    parent, kids = lat.parent_children(lat.root)
     assert parent is None
     assert kids == [Atom(1, 0), Atom(1, 1)]
-    parent, kids = parent_children(lat, Atom(1, 1))
+    parent, kids = lat.parent_children(Atom(1, 1))
     assert parent == lat.root
     assert kids == []
 
 
 def test_parent_children_ternary_index_arithmetic():
     lat = build_lattice(3, 2)
-    parent, kids = parent_children(lat, Atom(1, 1))
+    parent, kids = lat.parent_children(Atom(1, 1))
     assert parent == lat.root
     assert kids == [Atom(2, 3), Atom(2, 4), Atom(2, 5)]
 
@@ -42,18 +48,18 @@ def test_parent_children_ternary_index_arithmetic():
 def test_invalid_atom_rejected():
     lat = build_lattice(2, 2)
     with pytest.raises(ValueError):
-        parent_children(lat, Atom(3, 0))
+        lat.parent_children(Atom(3, 0))
     with pytest.raises(ValueError):
-        parent_children(lat, Atom(1, 2))
+        lat.parent_children(Atom(1, 2))
 
 
 def test_subtree_examples():
     lat = build_lattice(2, 1)
-    assert subtree(lat, lat.root) == [Atom(0, 0), Atom(1, 0), Atom(1, 1)]
+    assert lat.subtree(lat.root) == [Atom(0, 0), Atom(1, 0), Atom(1, 1)]
     lat = build_lattice(2, 2)
-    assert subtree(lat, Atom(1, 0)) == [Atom(1, 0), Atom(2, 0), Atom(2, 1)]
+    assert lat.subtree(Atom(1, 0)) == [Atom(1, 0), Atom(2, 0), Atom(2, 1)]
     lat = build_lattice(3, 2)
-    assert len(subtree(lat, lat.root)) == 13
+    assert len(lat.subtree(lat.root)) == 13
 
 
 @given(lattice_params)
@@ -73,7 +79,7 @@ def test_subtree_size_formula(params, raw_index):
     d = raw_index % (depth + 1)
     atom = Atom(d, raw_index % lat.level_size(d))
     expected = sum(arity ** k for k in range(depth - d + 1))
-    assert len(subtree(lat, atom)) == expected
+    assert len(lat.subtree(atom)) == expected
 
 
 @given(lattice_params)

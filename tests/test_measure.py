@@ -9,7 +9,6 @@ from martpara import (
     Measure,
     average,
     atom_averages,
-    atom_mass,
     build_lattice,
     lp_norm,
 )
@@ -27,12 +26,12 @@ from oracles import naive_average, naive_mass
 
 def test_atom_mass_examples(binary_uniform):
     lat, mu = binary_uniform
-    assert atom_mass(mu, lat.root) == 1.0
+    assert mu.mass(lat.root) == 1.0
     null = Measure(lat, [0.0, 0.0])
-    assert atom_mass(null, lat.root) == 0.0
+    assert null.mass(lat.root) == 0.0
     lat3 = build_lattice(3, 1)
     m3 = Measure(lat3, [0.2, 0.3, 0.5])
-    assert atom_mass(m3, lat3.root) == pytest.approx(1.0)
+    assert m3.mass(lat3.root) == pytest.approx(1.0)
 
 
 def test_average_examples(binary_uniform):
@@ -59,6 +58,8 @@ def test_measure_rejects_bad_input():
         Measure(lat, [-1.0, 2.0])
     with pytest.raises(ValueError):
         Measure(lat, [np.inf, 0.0])
+    with pytest.raises(ValueError, match="finite total"):
+        Measure(lat, [1e308, 1e308])
 
 
 def test_additivity_check():

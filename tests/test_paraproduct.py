@@ -18,7 +18,6 @@ from martpara import (
     project_mean_zero,
     sequence_norm,
     shifted_apply,
-    symbol_component,
     vector_paraproduct,
 )
 from martpara.lattice import Atom
@@ -42,13 +41,13 @@ def haar_beta(lat):
 def test_symbol_component_examples(binary_uniform):
     lat, mu = binary_uniform
     beta = haar_beta(lat)
-    assert np.allclose(symbol_component(beta, lat.root), [1.0, -1.0])
-    assert np.allclose(symbol_component(EdgeCoefficients(lat), lat.root), 0.0)
+    assert np.allclose(beta.component(lat.root), [1.0, -1.0])
+    assert np.allclose(EdgeCoefficients(lat).component(lat.root), 0.0)
     lat3 = build_lattice(3, 1)
     b3 = EdgeCoefficients.from_dict(lat3, {(0, 0, 0): 2.0, (0, 0, 2): -1.0})
-    assert np.allclose(symbol_component(b3, lat3.root), [2.0, 0.0, -1.0])
+    assert np.allclose(b3.component(lat3.root), [2.0, 0.0, -1.0])
     with pytest.raises(ValueError):
-        symbol_component(beta, Atom(1, 0))
+        beta.component(Atom(1, 0))
 
 
 def test_symbol_mean_zero_validation(binary_uniform):
