@@ -9,6 +9,10 @@ Two constructions are implemented:
   internal atoms whose average weakly exceeds twice the reference average
   (criterion checked on parents, always against the original top atom).
 
+Both run as one top-down sweep over per-level arrays: every atom inherits
+its parent's owner, the smallest processed atom containing it, and a
+selected atom becomes the owner of its subtree.
+
 ``proof_mirror`` replays the bilinear estimate of the shifted positive
 operator as a ledger of checkable identities and inequalities with explicit
 constants.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -49,7 +53,7 @@ def _avg(avgs: list[np.ndarray], atom: Atom) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plain construction
+# one generation
 # ---------------------------------------------------------------------------
 
 def stopping_generation(
@@ -60,41 +64,16 @@ def stopping_generation(
     Returns the maximal atoms of the collection inside ``top`` whose average
     strictly exceeds twice the average over ``top``, together with the
     exhausted part of the collection (members inside ``top`` not lying inside
-    any selected atom).  The construction guarantees are re-checked on every
-    call: exhausted members stay below the threshold and the selected atoms
-    cover less than half of ``top``'s mass.
+    any selected atom).  The construction guarantees are checked: exhausted
+    members stay below the threshold and the selected atoms cover less than
+    half of ``top``'s mass.  This is the first step of
+    ``stopping_forest(collection, f, mu, [top])``.
     """
-    lat = mu.lattice
-    f = _check_nonnegative(lat, f)
-    top = lat.check_atom(top)
-    members = {lat.check_atom(a) for a in collection}
-    avgs = atom_averages(f, mu)
-    threshold = 2.0 * _avg(avgs, top)
+    _check_nonnegative(mu.lattice, f)  # a bad f is reported before a bad top
+    top = mu.lattice.check_atom(top)
+    forest = _grow_forest(False, collection, f, mu, [top])
+    return forest.selected[top], forest.exhausted[top]
 
-    selected: set[Atom] = set()
-    stack = [top]
-    while stack:
-        atom = stack.pop()
-        if atom in members and _avg(avgs, atom) > threshold:
-            selected.add(atom)
-            continue  # maximal: do not descend
-        stack.extend(reversed(lat.children(atom)))
-
-    exhausted = exhausted_members(lat, members, selected, top)
-    for a in exhausted:
-        if _avg(avgs, a) > threshold * (1.0 + 1e-12):
-            raise RuntimeError(f"exhausted atom {a!r} exceeds the stopping threshold")
-    mass_top = mu.mass(top)
-    if mass_top > 0.0:
-        covered = sum(mu.mass(s) for s in selected)
-        if covered > 0.5 * mass_top * (1.0 + 1e-12):
-            raise RuntimeError("selected atoms cover at least half of the top atom")
-    return selected, exhausted
-
-
-# ---------------------------------------------------------------------------
-# modified construction (criterion on parents, anchored at the original top)
-# ---------------------------------------------------------------------------
 
 def modified_stopping_generation(
     members: Iterable[Atom], f, mu: Measure, top: Atom
@@ -105,56 +84,31 @@ def modified_stopping_generation(
     whose average weakly exceeds twice the average over the *original* ``top``;
     the children of such an atom that belong to the collection stop, the other
     children are scanned further (still against the original threshold).
+    This is the first step of ``modified_stopping_forest(members, f, mu, [top])``.
 
     A top atom carrying no f-mass yields an empty set: zero averages make the
     weak criterion vacuous and the corresponding bilinear terms vanish anyway.
     """
-    lat = mu.lattice
-    f = _check_nonnegative(lat, f)
-    top = lat.check_atom(top)
-    members = {lat.check_atom(a) for a in members}
-    avgs = atom_averages(f, mu)
-    top_avg = _avg(avgs, top)
-    if top_avg == 0.0:
-        return set()
-    threshold = 2.0 * top_avg
-
-    selected: set[Atom] = set()
-    stack = [top]
-    while stack:
-        atom = stack.pop()
-        if lat.is_leaf(atom):
-            continue
-        kids = lat.children(atom)
-        if any(k in members for k in kids) and _avg(avgs, atom) >= threshold:
-            for k in kids:
-                if k in members:
-                    selected.add(k)
-                else:
-                    stack.append(k)
-        else:
-            stack.extend(reversed(kids))
-
-    mass_top = mu.mass(top)
-    if mass_top > 0.0:
-        covered = sum(mu.mass(s) for s in selected)
-        if covered > 0.5 * mass_top * (1.0 + 1e-12):
-            raise RuntimeError("stopping atoms cover more than half of the top atom")
-    for a in exhausted_members(lat, members, selected, top):
-        if a == top or a.depth == 0:
-            continue
-        parent = lat.parent(a)
-        if _avg(avgs, parent) > threshold * (1.0 + 1e-12):
-            raise RuntimeError(f"parent of exhausted atom {a!r} exceeds the threshold")
-    return selected
+    _check_nonnegative(mu.lattice, f)  # a bad f is reported before a bad top
+    top = mu.lattice.check_atom(top)
+    return _grow_forest(True, members, f, mu, [top]).selected[top]
 
 
 def exhausted_members(
     lat: Lattice, members: set[Atom], selected: set[Atom], top: Atom
 ) -> set[Atom]:
-    """Members inside ``top`` not contained in any selected atom."""
-    inside = {a for a in members if lat.contains(top, a)}
-    return {a for a in inside if not any(lat.contains(s, a) for s in selected)}
+    """Members inside ``top`` not contained in any selected atom, found by
+    walking up from each member to the root."""
+    out = set()
+    for a in members:
+        if not lat.contains(top, a):
+            continue
+        cur = a
+        while cur not in selected and cur.depth > 0:
+            cur = Atom(cur.depth - 1, cur.index // lat.arity)
+        if cur not in selected:
+            out.add(a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +120,7 @@ class StoppingForest:
     """Stopping atoms of all generations below a disjoint root collection.
 
     ``selected[J]`` / ``exhausted[J]`` record one construction step for every
-    processed atom J (roots and stopping atoms); ``union_indicator[J]`` is the
-    leaf indicator of the union of J's selected atoms.
+    processed atom J (roots and stopping atoms).
     """
 
     lattice: Lattice
@@ -175,7 +128,6 @@ class StoppingForest:
     generations: list[set[Atom]] = field(default_factory=list)
     selected: dict[Atom, set[Atom]] = field(default_factory=dict)
     exhausted: dict[Atom, set[Atom]] = field(default_factory=dict)
-    union_indicator: dict[Atom, np.ndarray] = field(default_factory=dict)
 
     @property
     def stopping_atoms(self) -> set[Atom]:
@@ -192,29 +144,169 @@ class StoppingForest:
         return {a: m.mass(a) for a in self.stopping_atoms}
 
 
-def _check_disjoint_roots(lat: Lattice, roots: set[Atom]) -> None:
-    ordered = sorted(roots)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if lat.contains(a, b) or lat.contains(b, a):
-                raise ValueError(f"roots {a!r} and {b!r} overlap")
+# ---------------------------------------------------------------------------
+# the owner sweep
+# ---------------------------------------------------------------------------
+
+def _sweep(lat: Lattice, seeds: list[Atom], avgs=None, pick=None):
+    """One top-down pass giving every atom its owner.
+
+    Each atom inherits its parent's owner, the smallest processed atom
+    containing it, and becomes its own owner when it is a seed or when
+    ``pick(d, owner_avg)`` selects it among the depth-``d`` atoms that have an
+    owner (``owner_avg``: the average of each one's inherited owner).  Owners
+    are numbered: the seeds in the given order, then the picked atoms in
+    (depth, index) order.  Returns the per-level owner ids (-1 outside every
+    seed), the owner atoms, per owner the owner it inherited (-1 for seeds)
+    and, when ``avgs`` is given, per owner its average.
+    """
+    seeds_at: list[list[tuple[int, int]]] = [[] for _ in range(lat.depth + 1)]
+    for k, s in enumerate(seeds):
+        seeds_at[s.depth].append((s.index, k))
+    tops = list(seeds)
+    source = [np.full(len(tops), -1)]
+    top_avg = None if avgs is None else np.array([_avg(avgs, s) for s in seeds])
+    owner: list[np.ndarray] = []
+    for d in range(lat.depth + 1):
+        inherited = np.repeat(owner[-1], lat.arity) if d else np.full(1, -1)
+        own = inherited.copy()
+        for i, k in seeds_at[d]:
+            own[i] = k
+        if pick is not None and d:
+            inside = inherited >= 0
+            picked = np.flatnonzero(inside & pick(d, top_avg[np.where(inside, inherited, 0)]))
+            own[picked] = np.arange(len(tops), len(tops) + picked.size)
+            source.append(inherited[picked])
+            top_avg = np.concatenate([top_avg, avgs[d][picked]])
+            tops.extend(Atom(d, i) for i in picked.tolist())
+        owner.append(own)
+    return owner, tops, np.concatenate(source), top_avg
 
 
-def _grow_forest(step, lat: Lattice, roots: Iterable[Atom]) -> StoppingForest:
+def _check_disjoint_roots(lat: Lattice, ordered: list[Atom]) -> None:
+    """A root inside another inherits an owner; name the first such pair in
+    sorted order, as a pairwise scan would."""
+    owner, *_ = _sweep(lat, ordered)
+    pairs = []
+    for r in ordered:
+        k = owner[r.depth - 1][r.index // lat.arity] if r.depth else -1
+        if k >= 0:
+            pairs.append((ordered[k], r))
+    if pairs:
+        a, b = min(pairs)
+        raise ValueError(f"roots {a!r} and {b!r} overlap")
+
+
+def _scan_positions(lat: Lattice, flipped: list[np.ndarray]) -> list[np.ndarray]:
+    """Per level, a sort key for each atom in a depth-first scan that visits
+    the children of ``flipped`` atoms last to first: the index of its
+    leftmost leaf once those children are numbered in reverse.  An ancestor
+    shares its key with the descendants the scan meets first, so sorting by
+    (key, depth) gives the scan order."""
+    digit = np.arange(lat.arity)
+    pos = [np.zeros(1, dtype=np.int64)]
+    for d in range(1, lat.depth + 1):
+        rev = np.repeat(flipped[d - 1], lat.arity)
+        k = np.tile(digit, lat.level_size(d - 1))
+        pos.append(np.repeat(pos[-1], lat.arity) * lat.arity + np.where(rev, lat.arity - 1 - k, k))
+    return [p * lat.arity ** (lat.depth - d) for d, p in enumerate(pos)]
+
+
+def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
+                 roots: Iterable[Atom]) -> StoppingForest:
+    """Both constructions in one sweep from a disjoint root collection.
+
+    A member becomes a stopping atom, the owner of what lies below it, when
+    (plain) its own average strictly exceeds twice its owner's, or
+    (modified) its parent's average weakly exceeds twice its owner's, a
+    nonzero one.  ``selected[J]`` are the atoms whose parent's owner is J,
+    ``exhausted[J]`` the members owned by J; the guarantees are checked on
+    all of them at once.  Generations and set contents are then filled in
+    the order in which scanning top after top (sorted, generation by
+    generation) from each top down would find them; the ledger sums of
+    :func:`proof_mirror` add in that order.
+    """
+    lat = mu.lattice
     roots = {lat.check_atom(r) for r in roots}
-    _check_disjoint_roots(lat, roots)
+    ordered = sorted(roots)
+    _check_disjoint_roots(lat, ordered)
     forest = StoppingForest(lattice=lat, roots=roots)
-    queue = sorted(roots)
+    if not roots:
+        return forest
+    f = _check_nonnegative(lat, f)
+    member_atoms = [lat.check_atom(a) for a in members]
+    member = [np.zeros(lat.level_size(d), dtype=bool) for d in range(lat.depth + 1)]
+    for a in member_atoms:
+        member[a.depth][a.index] = True
+    avgs = atom_averages(f, mu)
+    arity = lat.arity
+
+    def value(d: int) -> np.ndarray:
+        """The averages compared with twice the owner's at depth d."""
+        return np.repeat(avgs[d - 1], arity) if modified else avgs[d]
+
+    def pick(d: int, owner_avg: np.ndarray) -> np.ndarray:
+        if modified:
+            return member[d] & (value(d) >= 2.0 * owner_avg) & (owner_avg != 0.0)
+        return member[d] & (value(d) > 2.0 * owner_avg)
+
+    owner, tops, source, top_avg = _sweep(lat, ordered, avgs, pick)
+    n_roots = len(ordered)
+
+    # members that stay with their owner stay below its threshold
+    for d in range(1, lat.depth + 1):
+        inherited = np.repeat(owner[d - 1], arity)
+        owner_avg = top_avg[np.where(inherited >= 0, inherited, 0)]
+        stays = member[d] & (inherited >= 0) & (owner[d] == inherited)
+        if modified:
+            stays &= owner_avg != 0.0
+        over = np.flatnonzero(stays & (value(d) > 2.0 * owner_avg * (1.0 + 1e-12)))
+        if over.size:
+            a = Atom(d, int(over[0]))
+            raise RuntimeError(
+                f"parent of exhausted atom {a!r} exceeds the threshold" if modified
+                else f"exhausted atom {a!r} exceeds the stopping threshold"
+            )
+    # the atoms selected under a top cover at most half of its mass
+    top_mass = np.array([mu.level_mass[t.depth][t.index] for t in tops])
+    covered = np.bincount(source[n_roots:], weights=top_mass[n_roots:], minlength=len(tops))
+    if np.any((top_mass > 0.0) & (covered > 0.5 * top_mass * (1.0 + 1e-12))):
+        raise RuntimeError(
+            "stopping atoms cover more than half of the top atom" if modified
+            else "selected atoms cover at least half of the top atom"
+        )
+
+    # scan order: the plain scan meets a stopping atom itself, in leaf order;
+    # the modified one adds the member children of a stopping parent in index
+    # order when it meets the parent and then visits the other children last
+    # to first
+    picked = np.array(tops[n_roots:], dtype=np.int64).reshape(-1, 2)
+    depth, index = picked[:, 0], picked[:, 1]
+    flipped = [np.zeros(lat.level_size(d), dtype=bool) for d in range(lat.depth)]
+    if modified:
+        depth, index = depth - 1, index // arity
+        for d in range(lat.depth):
+            flipped[d][index[depth == d]] = True
+    pos = np.concatenate(_scan_positions(lat, flipped))
+    level_start = np.cumsum([0] + [lat.level_size(d) for d in range(lat.depth)])
+    order = np.lexsort((picked[:, 1], depth, pos[level_start[depth] + index], source[n_roots:]))
+
+    found: list[list[Atom]] = [[] for _ in tops]
+    for i in order.tolist():
+        found[source[n_roots + i]].append(tops[n_roots + i])
+    exhausted: list[set[Atom]] = [set() for _ in tops]
+    for a in member_atoms:
+        k = owner[a.depth][a.index]
+        if k >= 0:
+            exhausted[k].add(a)
+    id_of = {t: k for k, t in enumerate(tops)}
+    queue = ordered
     while queue:
         next_gen: list[Atom] = []
         for top in queue:
-            selected, exhausted = step(top)
+            selected = set(found[id_of[top]])
             forest.selected[top] = selected
-            forest.exhausted[top] = exhausted
-            ind = np.zeros(lat.n_leaves)
-            for s in selected:
-                ind[lat.leaf_slice(s)] = 1.0
-            forest.union_indicator[top] = ind
+            forest.exhausted[top] = exhausted[id_of[top]]
             next_gen.extend(selected)
         if next_gen:
             forest.generations.append(set(next_gen))
@@ -231,26 +323,14 @@ def stopping_forest(
     (strictly below 2 on positive-mass atoms); re-check with
     :func:`carleson_constant` on ``forest.carleson_weights(mu)``.
     """
-    members = set(collection)
-
-    def step(top: Atom):
-        return stopping_generation(members, f, mu, top)
-
-    return _grow_forest(step, mu.lattice, roots)
+    return _grow_forest(False, set(collection), f, mu, roots)
 
 
 def modified_stopping_forest(
     members: Iterable[Atom], f, mu: Measure, roots: Iterable[Atom]
 ) -> StoppingForest:
     """Iterate the modified construction from a disjoint root collection."""
-    members = set(members)
-    lat = mu.lattice
-
-    def step(top: Atom):
-        selected = modified_stopping_generation(members, f, mu, top)
-        return selected, exhausted_members(lat, members, selected, top)
-
-    return _grow_forest(step, lat, roots)
+    return _grow_forest(True, set(members), f, mu, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +406,9 @@ def split_collections(
     for d in range(lat.depth + 1):
         lhs = avg_f[d] ** p * mu.level_mass[d]
         rhs = avg_g[d] ** p_prime * nu.level_mass[d]
-        for i in range(lat.level_size(d)):
-            (first if lhs[i] >= rhs[i] else second).add(Atom(d, i))
+        in_first = lhs >= rhs
+        first.update(Atom(d, i) for i in np.flatnonzero(in_first).tolist())
+        second.update(Atom(d, i) for i in np.flatnonzero(~in_first).tolist())
     return first, second
 
 
@@ -426,15 +507,12 @@ def _assign_to_forest(
 ) -> dict[Atom, set[Atom]]:
     """Group atoms by the smallest processed forest atom containing each; this
     reproduces the exhausted-collection partition of the decomposition."""
-    processed = forest.processed
-    groups: dict[Atom, set[Atom]] = {top: set() for top in processed}
+    owner, tops, *_ = _sweep(lat, sorted(forest.processed))
+    groups: dict[Atom, set[Atom]] = {top: set() for top in tops}
     for a in atoms:
-        cur: Optional[Atom] = a
-        while cur is not None and cur not in processed:
-            cur = lat.parent(cur)
-        if cur is None:
-            continue  # outside every root; contributes nothing here
-        groups[cur].add(a)
+        k = owner[a.depth][a.index]
+        if k >= 0:  # outside every root otherwise; contributes nothing here
+            groups[tops[k]].add(a)
     return groups
 
 
@@ -487,9 +565,10 @@ def _mirror_half(
         )
         contrib = float(np.sum(local * pair_fn * pair_measure.leaf_mass))
         local_sum += contrib
-        inner = float(
-            np.sum(local * pair_fn * pair_measure.leaf_mass * forest.union_indicator[top])
-        )
+        union = np.zeros(lat.n_leaves)  # indicator of the atoms selected under top
+        for s in forest.selected[top]:
+            union[lat.leaf_slice(s)] = 1.0
+        inner = float(np.sum(local * pair_fn * pair_measure.leaf_mass * union))
         per_plain[top] = contrib - inner
         per_stopped[top] = inner
 

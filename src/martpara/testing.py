@@ -113,6 +113,23 @@ def _adjoint_parent_terms(
     return terms
 
 
+def _adjoint_cuts(
+    beta: EdgeCoefficients, p: float, q: float, mu: Measure, nu: Measure
+) -> tuple[tuple[list[np.ndarray], list[np.ndarray]] | None, float]:
+    """Checks p and q, then returns the cut chains and ratios of the adjoint
+    constant (``None`` when it is +inf) and its exponent r'."""
+    if q <= 1:
+        raise ValueError(f"q must be > 1, got {q}")
+    if p <= q:
+        raise ValueError(f"adjoint testing needs p > q, got p={p}, q={q}")
+    r = p / q
+    r_prime = r / (r - 1.0)
+    terms = _adjoint_parent_terms(beta, q, mu, nu)
+    if terms is None:
+        return None, r_prime
+    return _cut_ratios(beta.lattice, terms, r_prime, mu.leaf_mass, nu.level_mass), r_prime
+
+
 def adjoint_testing(
     beta: EdgeCoefficients, p: float, q: float, mu: Measure, nu: Measure
 ) -> float:
@@ -123,17 +140,7 @@ def adjoint_testing(
     with t_I = (nu(I)/mu(I)) * nu-average over I of |b_I|^q, i.e.
     mass_mu(I)^(-1) int_I |b_I|^q d nu.
     """
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
-    if p <= q:
-        raise ValueError(f"adjoint testing needs p > q, got p={p}, q={q}")
-    r = p / q
-    r_prime = r / (r - 1.0)
-    lat = beta.lattice
-    terms = _adjoint_parent_terms(beta, q, mu, nu)
-    if terms is None:
-        return math.inf
-    return _sup(_cut_ratios(lat, terms, r_prime, mu.leaf_mass, nu.level_mass), r_prime)
+    return _sup(*_adjoint_cuts(beta, p, q, mu, nu))
 
 
 def adjoint_witness_data(
@@ -141,18 +148,12 @@ def adjoint_witness_data(
 ) -> tuple[float, list[tuple[Atom, np.ndarray]]]:
     """Adjoint constant together with the atoms attaining the largest ratios
     and their restricted chain-sum leaf profiles (used as certificate inputs
-    by the norm estimator)."""
-    if p <= q:
-        raise ValueError(f"adjoint testing needs p > q, got p={p}, q={q}")
-    r = p / q
-    r_prime = r / (r - 1.0)
-    lat = beta.lattice
-    terms = _adjoint_parent_terms(beta, q, mu, nu)
-    if terms is None:
-        return math.inf, []
-    cuts = _cut_ratios(lat, terms, r_prime, mu.leaf_mass, nu.level_mass)
+    by the norm estimator).  Takes the same inputs as :func:`adjoint_testing`
+    and rejects the same ones."""
+    cuts, r_prime = _adjoint_cuts(beta, p, q, mu, nu)
     if cuts is None:
         return math.inf, []
+    lat = beta.lattice
     scored: list[tuple[float, Atom, np.ndarray]] = []
     for d, (chain, ratios) in enumerate(zip(*cuts)):
         order = np.argsort(ratios)[::-1][:top]

@@ -1,8 +1,10 @@
 """Naive reference implementations, straight from the definitions.
 
-Everything here is plain Python loops over subtree leaves and atoms; no
-shared kernels with the production code.  These are the independent oracles
-the vectorized implementations are checked against.
+Everything here is plain Python loops over subtree leaves and atoms; the
+few pieces shared with the production code (the grid oracle's operator
+matrix, the stopping oracles' averages) say so where they are used.  These
+are the independent oracles the vectorized implementations are checked
+against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import math
 import numpy as np
 
 from martpara.lattice import Atom, Lattice
+from martpara.measure import Measure, atom_averages
 from martpara.normest import _operator_matrix
+from martpara.stopping import StoppingForest, _avg, _check_nonnegative
 
 
 def leaves_of(lat: Lattice, atom: Atom) -> range:
@@ -326,3 +330,139 @@ def naive_grid_oracle(op, resolution: float = 1e-2) -> float:
             X = mags * signs[:, pat][:, None]
             best = max(best, float(ratios(X).max()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# stopping constructions: the set-based originals, one generation per scan
+# ---------------------------------------------------------------------------
+#
+# These rescan the whole collection for every generation.  They share
+# ``atom_averages`` with the production code on purpose: the comparison is of
+# the constructions (and of the order in which they insert atoms into sets,
+# which the ledger sums of ``proof_mirror`` follow), not of the averages.
+
+
+def naive_stopping_generation(collection, f, mu: Measure, top: Atom):
+    """Maximal members inside ``top`` whose average strictly exceeds twice
+    top's average, found by a depth-first scan; returns (selected, exhausted)."""
+    lat = mu.lattice
+    f = _check_nonnegative(lat, f)
+    top = lat.check_atom(top)
+    members = {lat.check_atom(a) for a in collection}
+    avgs = atom_averages(f, mu)
+    threshold = 2.0 * _avg(avgs, top)
+
+    selected: set[Atom] = set()
+    stack = [top]
+    while stack:
+        atom = stack.pop()
+        if atom in members and _avg(avgs, atom) > threshold:
+            selected.add(atom)
+            continue  # maximal: do not descend
+        stack.extend(reversed(lat.children(atom)))
+
+    exhausted = naive_exhausted_members(lat, members, selected, top)
+    for a in exhausted:
+        if _avg(avgs, a) > threshold * (1.0 + 1e-12):
+            raise RuntimeError(f"exhausted atom {a!r} exceeds the stopping threshold")
+    mass_top = mu.mass(top)
+    if mass_top > 0.0:
+        covered = sum(mu.mass(s) for s in selected)
+        if covered > 0.5 * mass_top * (1.0 + 1e-12):
+            raise RuntimeError("selected atoms cover at least half of the top atom")
+    return selected, exhausted
+
+
+def naive_modified_stopping_generation(members, f, mu: Measure, top: Atom) -> set:
+    """Member children of maximal internal atoms whose average weakly exceeds
+    twice top's average; the other children are scanned further."""
+    lat = mu.lattice
+    f = _check_nonnegative(lat, f)
+    top = lat.check_atom(top)
+    members = {lat.check_atom(a) for a in members}
+    avgs = atom_averages(f, mu)
+    top_avg = _avg(avgs, top)
+    if top_avg == 0.0:
+        return set()
+    threshold = 2.0 * top_avg
+
+    selected: set[Atom] = set()
+    stack = [top]
+    while stack:
+        atom = stack.pop()
+        if lat.is_leaf(atom):
+            continue
+        kids = lat.children(atom)
+        if any(k in members for k in kids) and _avg(avgs, atom) >= threshold:
+            for k in kids:
+                if k in members:
+                    selected.add(k)
+                else:
+                    stack.append(k)
+        else:
+            stack.extend(reversed(kids))
+
+    mass_top = mu.mass(top)
+    if mass_top > 0.0:
+        covered = sum(mu.mass(s) for s in selected)
+        if covered > 0.5 * mass_top * (1.0 + 1e-12):
+            raise RuntimeError("stopping atoms cover more than half of the top atom")
+    for a in naive_exhausted_members(lat, members, selected, top):
+        if a == top or a.depth == 0:
+            continue
+        parent = lat.parent(a)
+        if _avg(avgs, parent) > threshold * (1.0 + 1e-12):
+            raise RuntimeError(f"parent of exhausted atom {a!r} exceeds the threshold")
+    return selected
+
+
+def naive_exhausted_members(lat: Lattice, members, selected, top: Atom) -> set:
+    """Members inside ``top`` not contained in any selected atom (pairwise scan)."""
+    inside = {a for a in members if lat.contains(top, a)}
+    return {a for a in inside if not any(lat.contains(s, a) for s in selected)}
+
+
+def _naive_check_disjoint_roots(lat: Lattice, roots) -> None:
+    ordered = sorted(roots)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if lat.contains(a, b) or lat.contains(b, a):
+                raise ValueError(f"roots {a!r} and {b!r} overlap")
+
+
+def naive_grow_forest(step, lat: Lattice, roots) -> StoppingForest:
+    """Run ``step(top) -> (selected, exhausted)`` generation by generation,
+    tops in sorted order, from a disjoint root collection."""
+    roots = {lat.check_atom(r) for r in roots}
+    _naive_check_disjoint_roots(lat, roots)
+    forest = StoppingForest(lattice=lat, roots=roots)
+    queue = sorted(roots)
+    while queue:
+        next_gen: list[Atom] = []
+        for top in queue:
+            selected, exhausted = step(top)
+            forest.selected[top] = selected
+            forest.exhausted[top] = exhausted
+            next_gen.extend(selected)
+        if next_gen:
+            forest.generations.append(set(next_gen))
+        queue = sorted(set(next_gen))
+    return forest
+
+
+def naive_stopping_forest(collection, f, mu: Measure, roots) -> StoppingForest:
+    members = set(collection)
+    return naive_grow_forest(
+        lambda top: naive_stopping_generation(members, f, mu, top), mu.lattice, roots
+    )
+
+
+def naive_modified_stopping_forest(members, f, mu: Measure, roots) -> StoppingForest:
+    members = set(members)
+    lat = mu.lattice
+
+    def step(top: Atom):
+        selected = naive_modified_stopping_generation(members, f, mu, top)
+        return selected, naive_exhausted_members(lat, members, selected, top)
+
+    return naive_grow_forest(step, lat, roots)

@@ -26,6 +26,12 @@ GOLDEN = {
                           "--trials", "2", "--p", "2", "--q", "2"],
     "mirror_p2": ["mirror", "--arity", "2", "--depth", "3", "--seed", "4", "--p", "2"],
     "mirror_p3": ["mirror", "--arity", "3", "--depth", "2", "--seed", "7", "--p", "3"],
+    # 2^8 leaves; f is a random multiplicative cascade and nu is tilted by
+    # g^-1.5 (g is drawn by `mirror` from --seed), so the modified half has 9
+    # stopping atoms in 3 generations and the plain half 105 in 4: adding the
+    # ledger's sums in another order changes its last bits
+    "mirror_2x8_p3": ["mirror", "--instance", str(GOLDEN_DIR / "mirror_2x8_p3.json"),
+                      "--seed", "27", "--p", "3"],
     "embedding": ["embedding", "--arity", "2", "--depth", "3", "--seed", "6",
                   "--trials", "5", "--p", "2"],
     "counterexample_nmax8": ["counterexample", "--nmax", "8"],

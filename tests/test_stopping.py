@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,10 +22,19 @@ from martpara import (
     stopping_forest,
     stopping_generation,
 )
+import martpara.stopping
 from martpara.lattice import Atom
+from martpara.stopping import exhausted_members
 
 from helpers import random_setup
-from oracles import naive_carleson_constant
+from oracles import (
+    naive_carleson_constant,
+    naive_exhausted_members,
+    naive_modified_stopping_forest,
+    naive_modified_stopping_generation,
+    naive_stopping_forest,
+    naive_stopping_generation,
+)
 
 
 def depth2_setup():
@@ -223,3 +233,160 @@ def test_proof_mirror_equal_split_has_empty_second_half():
     assert report.second == set()
     assert report.t2 == 0.0
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# the sweep against the set-based scans of tests/oracles.py
+# ---------------------------------------------------------------------------
+
+def pareto(rng, lat):
+    """Heavy-tailed positive leaf values (tail index 1.5): deep forests."""
+    return (1.0 - rng.random(lat.n_leaves)) ** (-1.0 / 1.5)
+
+
+def cascade(rng, lat):
+    """A random multiplicative cascade: each atom splits its value among its
+    children by strongly uneven weights, so averages keep doubling downward."""
+    f = np.ones(1)
+    for _ in range(lat.depth):
+        w = rng.random((f.size, lat.arity)) ** 4
+        f = (f[:, None] * w / w.mean(axis=1, keepdims=True)).reshape(-1)
+    return f
+
+
+def forest_corpus():
+    """(mu, f, members, roots): arity 2-4, masses with 0/30/60 % zero leaves,
+    heavy-tailed f with and without zeros and a cascade, all atoms or a
+    random half, the root or two disjoint depth-1 roots."""
+    for k, (arity, depth) in enumerate(((2, 8), (3, 5), (4, 4))):
+        for j, sparsity in enumerate((0.0, 0.3, 0.6)):
+            seed = 3 * k + j
+            lat, mu, _, _, _ = random_setup(arity, depth, seed=seed, sparsity=sparsity)
+            rng = np.random.default_rng(100 + seed)
+            tailed = pareto(rng, lat)
+            zeros = np.where(rng.random(lat.n_leaves) < 0.3, 0.0, tailed)
+            half = {a for a in lat.atoms() if rng.random() < 0.5}
+            for f in (tailed, zeros, cascade(rng, lat)):
+                for members in (set(lat.atoms()), half):
+                    for roots in ([lat.root], [Atom(1, 0), Atom(1, arity - 1)]):
+                        yield mu, f, members, roots
+
+
+def forest_layout(forest):
+    """Everything a forest holds, iteration order included (the exhausted
+    sets only as sets: nothing iterates them in order)."""
+    return (
+        list(forest.roots),
+        [list(gen) for gen in forest.generations],
+        [(top, list(sel)) for top, sel in forest.selected.items()],
+        list(forest.exhausted.items()),
+        list(forest.stopping_atoms),
+        list(forest.processed),
+    )
+
+
+def test_forests_equal_the_set_based_scans():
+    deep = 0
+    for mu, f, members, roots in forest_corpus():
+        for build, naive in ((stopping_forest, naive_stopping_forest),
+                             (modified_stopping_forest, naive_modified_stopping_forest)):
+            forest = build(members, f, mu, roots)
+            assert forest_layout(forest) == forest_layout(naive(members, f, mu, roots))
+            deep += len(forest.generations) >= 3
+    assert deep >= 30  # the corpus reaches past the second generation
+
+
+def test_generations_equal_the_set_based_scans():
+    for mu, f, members, roots in list(forest_corpus())[::4]:
+        forest = stopping_forest(members, f, mu, roots)
+        for top in sorted(forest.processed)[:3]:
+            selected, exhausted = stopping_generation(members, f, mu, top)
+            ref_selected, ref_exhausted = naive_stopping_generation(members, f, mu, top)
+            assert list(selected) == list(ref_selected)
+            assert exhausted == ref_exhausted
+            lat = mu.lattice
+            assert exhausted_members(lat, members, selected, top) == ref_exhausted
+            other = forest.selected.get(lat.root, set())  # selected under another top
+            assert exhausted_members(lat, members, other, top) == naive_exhausted_members(
+                lat, members, other, top
+            )
+            assert list(modified_stopping_generation(members, f, mu, top)) == list(
+                naive_modified_stopping_generation(members, f, mu, top)
+            )
+
+
+def outcome(fn, *args, view=forest_layout):
+    try:
+        return view(fn(*args))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_invalid_inputs_raise_as_the_set_based_scans():
+    lat, mu, _ = depth2_setup()
+    f = np.array([8.0, 4.0, 1.0, 0.0])
+    atoms = set(lat.atoms())
+    cases = [
+        (atoms, -f, [lat.root]),                                   # negative f
+        (atoms | {Atom(2, 4)}, f, [lat.root]),                     # member outside
+        (atoms, f, [Atom(3, 0)]),                                  # root outside
+        (atoms, f, [Atom(1, 1), Atom(2, 0), Atom(1, 0), Atom(2, 3)]),  # overlap
+        (atoms | {Atom(2, 4)}, -f, [lat.root, Atom(1, 0)]),        # roots first
+        (atoms | {Atom(0, 1)}, -f, []),                            # no roots: no step
+    ]
+    for members, g, roots in cases:
+        for build, naive in ((stopping_forest, naive_stopping_forest),
+                             (modified_stopping_forest, naive_modified_stopping_forest)):
+            got = outcome(build, members, g, mu, roots)
+            assert got == outcome(naive, members, g, mu, roots)
+    assert outcome(stopping_forest, atoms, f, mu, [Atom(1, 1), Atom(2, 0), Atom(1, 0)]) == (
+        ValueError, "roots Atom(depth=1, index=0) and Atom(depth=2, index=0) overlap"
+    )
+    with pytest.raises(ValueError, match="not in lattice"):
+        modified_stopping_forest(atoms, f, mu, [Atom(1, 2)])
+    for step, naive in ((stopping_generation, naive_stopping_generation),
+                        (modified_stopping_generation, naive_modified_stopping_generation)):
+        for members, g, top in ((atoms, -f, Atom(3, 0)), (atoms, f, Atom(2, 9)),
+                                ([(2, 0), (2, 5), (2, 6)], f, lat.root)):
+            got = outcome(step, members, g, mu, top, view=lambda r: r)
+            assert got == outcome(naive, members, g, mu, top, view=lambda r: r)
+
+
+def test_two_root_forest():
+    lat, mu, _, _, _ = random_setup(2, 6, seed=3, sparsity=0.0)
+    f = pareto(np.random.default_rng(3), lat)
+    roots = [Atom(2, 3), Atom(1, 0)]
+    for build, naive in ((stopping_forest, naive_stopping_forest),
+                         (modified_stopping_forest, naive_modified_stopping_forest)):
+        forest = build(set(lat.atoms()), f, mu, roots)
+        assert forest.roots == set(roots) and forest.stopping_atoms
+        assert all(lat.contains(Atom(1, 0), a) or lat.contains(Atom(2, 3), a)
+                   for a in forest.stopping_atoms)
+        assert forest_layout(forest) == forest_layout(naive(set(lat.atoms()), f, mu, roots))
+
+
+def mirror_case(arity, depth, seed, p, draw=pareto):
+    lat, mu, nu, beta, _ = random_setup(arity, depth, seed=seed, sparsity=0.0)
+    rng = np.random.default_rng(seed + 5)
+    alpha = NonnegativeCoefficients(lat, [np.abs(beta.level(d)) for d in range(lat.depth)])
+    f, g = draw(rng, lat), draw(rng, lat)
+    return normalize_for_mirror(alpha, f, g, p, mu, nu) + (p, mu, nu)
+
+
+def test_proof_mirror_ledger_is_byte_identical_to_the_set_based_forests(monkeypatch):
+    cases = [mirror_case(a, d, seed, p, draw) for a, d in ((2, 8), (3, 5)) for seed in range(3)
+             for p in (1.5, 2.0, 3.0) for draw in (pareto, cascade)]
+    ours = [json.dumps(proof_mirror(*case).as_dicts()) for case in cases]
+    monkeypatch.setattr(martpara.stopping, "stopping_forest", naive_stopping_forest)
+    monkeypatch.setattr(martpara.stopping, "modified_stopping_forest",
+                        naive_modified_stopping_forest)
+    for case, got in zip(cases, ours):
+        assert got == json.dumps(proof_mirror(*case).as_dicts())
+
+
+def test_proof_mirror_at_2_to_the_14_leaves():
+    alpha, f, g, p, mu, nu = mirror_case(2, 14, seed=0, p=3.0)
+    report = proof_mirror(alpha, f, g, p, mu, nu)
+    assert report.passed, [c.name for c in report.checks if not c.ok]
+    assert len(report.half1.forest.generations) >= 2
+    assert len(report.half2.forest.generations) >= 2

@@ -14,6 +14,7 @@ from martpara import (
     build_lattice,
     direct_testing,
     direct_testing_symbol,
+    generate_random_instance,
     positive_operator_testing,
 )
 from martpara.testing import adjoint_witness_data
@@ -185,3 +186,17 @@ def test_adjoint_witness_data_consistency():
         outside[sl] = False
         assert np.all(profile[outside] == 0.0)
         assert np.all(profile >= 0.0)
+
+
+def test_adjoint_witness_data_rejects_what_adjoint_testing_rejects():
+    """At p = 2, q = 0.5 the witness data used to certify a constant (2.916)
+    that adjoint_testing refuses."""
+    inst = generate_random_instance(2, 3, seed=1, sparsity=0.0)
+    for p, q in ((2.0, 0.5), (2.0, 1.0), (2.0, 2.0), (2.0, 3.0)):
+        with pytest.raises(ValueError) as ref:
+            adjoint_testing(inst.beta, p, q, inst.mu, inst.nu)
+        with pytest.raises(ValueError) as got:
+            adjoint_witness_data(inst.beta, p, q, inst.mu, inst.nu)
+        assert str(got.value) == str(ref.value)
+    value, _ = adjoint_witness_data(inst.beta, 4.0, 2.0, inst.mu, inst.nu)
+    assert value == adjoint_testing(inst.beta, 4.0, 2.0, inst.mu, inst.nu)
