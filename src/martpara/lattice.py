@@ -58,9 +58,6 @@ class Lattice:
     def is_leaf(self, atom: Atom) -> bool:
         return atom[0] == self.depth
 
-    def is_internal(self, atom: Atom) -> bool:
-        return atom[0] < self.depth
-
     # -- navigation ----------------------------------------------------------
     @property
     def root(self) -> Atom:
@@ -103,10 +100,6 @@ class Lattice:
         atom = self.check_atom(atom)
         width = self.arity ** (self.depth - atom.depth)
         return slice(atom.index * width, (atom.index + 1) * width)
-
-    def ancestor(self, leaf_pos: int, d: int) -> Atom:
-        """Depth-``d`` atom containing leaf number ``leaf_pos``."""
-        return Atom(d, leaf_pos // self.arity ** (self.depth - d))
 
     def contains(self, outer: Atom, inner: Atom) -> bool:
         if inner.depth < outer.depth:

@@ -32,8 +32,8 @@ from .measure import Measure, lp_norm, safe_divide
 from .paraproduct import (
     EdgeCoefficients,
     NonnegativeCoefficients,
-    SequenceField,
     Symbol,
+    _edge_terms_adjoint,
     paraproduct_apply,
     positive_apply,
     sequence_norm,
@@ -90,12 +90,6 @@ class OperatorHandle:
     def positive_only(self) -> bool:
         return self.kind in ("shifted", "positive")
 
-    @property
-    def output_space(self) -> str:
-        if self.kind == "vector_paraproduct":
-            return f"g({self.p},{self.q};nu)"
-        return f"L^{self.p}(nu)"
-
     # -- evaluation ----------------------------------------------------------
     def apply(self, x: np.ndarray):
         if self.kind == "paraproduct":
@@ -120,13 +114,19 @@ class OperatorHandle:
             return 0.0
         return self.output_norm(self.apply(x)) / den
 
-    # coefficient arrays seen by the linear map (sign carried for paraproduct)
-    def _coeff_level(self, d: int) -> np.ndarray:
+    # edge coefficients of the linear map: signed for the paraproduct and the
+    # vector kind, |b_I|^q for the shifted kind
+    def _edge_levels(self) -> list[np.ndarray]:
         if self.kind == "paraproduct":
-            return self.symbol.beta.level(d)
-        if self.kind == "positive":
-            return self.alpha.level(d)
-        return np.abs(self.beta.level(d)) ** self.q
+            coeffs = self.symbol.beta
+        elif self.kind == "positive":
+            coeffs = self.alpha
+        else:
+            coeffs = self.beta
+        levels = [coeffs.level(d) for d in range(self.lattice.depth)]
+        if self.kind == "shifted":
+            return [np.abs(c) ** self.q for c in levels]
+        return levels
 
 
 @dataclass
@@ -152,57 +152,17 @@ class NormEstimate:
 
 
 # ---------------------------------------------------------------------------
-# analytic gradients of log(output norm) and log(input norm)
+# analytic gradient of the log Rayleigh ratio
 # ---------------------------------------------------------------------------
 
-def _grad_log_input(op: OperatorHandle, x: np.ndarray, den: float) -> np.ndarray:
-    p = op.p
-    return (
-        op.mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den ** p
-    )
-
-
-def _grad_log_output_pointwise(op: OperatorHandle, x: np.ndarray, h: np.ndarray, val: float) -> np.ndarray:
-    """Gradient of log ||T x||_{L^p(nu)} for the three pointwise kinds."""
-    lat = op.lattice
-    s = op.p
-    u = op.nu.leaf_mass * np.abs(h) ** (s - 1.0) * np.sign(h) / val ** s
-    u_sums = lat.block_sums(u)
-    per_depth: list[Optional[np.ndarray]] = [None] * (lat.depth + 1)
-    if op.kind == "positive":
-        scale = [np.ones_like(op.mu.level_mass[d]) for d in range(lat.depth)]
-    else:
-        scale = [
-            safe_divide(np.ones_like(op.mu.level_mass[d]), op.mu.level_mass[d])
-            for d in range(lat.depth)
-        ]
-    for d in range(lat.depth):
-        coeff = op._coeff_level(d)
-        inner = (coeff * u_sums[d + 1].reshape(-1, lat.arity)).sum(axis=1)
-        per_depth[d] = inner * scale[d]
-    return op.mu.leaf_mass * lat.chain_sum(per_depth)
-
-
-def _grad_log_output_sequence(op: OperatorHandle, x: np.ndarray, s_field: SequenceField, val: float) -> np.ndarray:
-    """Gradient of log of the sequence norm of the vector paraproduct."""
-    lat = op.lattice
-    p, q = op.p, op.q
-    chain_q = s_field.q_power_chain(q)
-    # nu-weighted G^{p-q} with a zero guard where the chain vanishes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
-    t_leaf = op.nu.leaf_mass * gpq
-    t_sums = lat.block_sums(t_leaf)
-    per_depth: list[Optional[np.ndarray]] = [None] * (lat.depth + 1)
-    for d in range(lat.depth):
-        sv = s_field.level(d + 1).reshape(-1, lat.arity)
-        psi = np.abs(sv) ** (q - 1.0) * np.sign(sv) * t_sums[d + 1].reshape(-1, lat.arity)
-        inner = (op.beta.level(d) * psi).sum(axis=1)
-        per_depth[d] = safe_divide(inner, op.mu.level_mass[d])
-    return op.mu.leaf_mass * lat.chain_sum(per_depth) / val ** p
-
-
 def _value_and_grad(op: OperatorHandle, x: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    """Rayleigh ratio at x and the gradient of its log (``None`` where the
+    ratio vanishes).
+
+    The output side is pulled back through the transpose of the edge chain,
+    ``_edge_terms_adjoint``, and then through the averaging of x, i.e.
+    ``chain_sum`` times the mu leaf masses.
+    """
     den = op.input_norm(x)
     if den == 0.0:
         return 0.0, None
@@ -210,11 +170,31 @@ def _value_and_grad(op: OperatorHandle, x: np.ndarray) -> tuple[float, Optional[
     val = op.output_norm(out)
     if val == 0.0:
         return 0.0, None
+    lat, p, mu = op.lattice, op.p, op.mu
     if op.kind == "vector_paraproduct":
-        g_out = _grad_log_output_sequence(op, x, out, val)
+        q = op.q
+        chain_q = out.q_power_chain(q)
+        # nu-weighted G^{p-q} with a zero guard where the chain vanishes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
+        t_sums = lat.block_sums(op.nu.leaf_mass * gpq)
+        psi = [
+            np.abs(out.level(d)) ** (q - 1.0) * np.sign(out.level(d)) * t_sums[d]
+            for d in range(1, lat.depth + 1)
+        ]
+        inner = _edge_terms_adjoint(op._edge_levels(), psi)
+        per_depth = [safe_divide(v, m) for v, m in zip(inner, mu.level_mass)]
+        g_out = mu.leaf_mass * lat.chain_sum(per_depth) / val ** p
     else:
-        g_out = _grad_log_output_pointwise(op, x, out, val)
-    return val / den, g_out - _grad_log_input(op, x, den)
+        u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val ** p
+        per_depth = _edge_terms_adjoint(op._edge_levels(), lat.block_sums(u)[1:])
+        if op.kind != "positive":  # the operator reads averages, not integrals
+            per_depth = [
+                v * safe_divide(np.ones_like(m), m) for v, m in zip(per_depth, mu.level_mass)
+            ]
+        g_out = mu.leaf_mass * lat.chain_sum(per_depth)
+    g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den ** p
+    return val / den, g_out - g_in
 
 
 def _project(op: OperatorHandle, x: np.ndarray, alive: np.ndarray) -> np.ndarray:

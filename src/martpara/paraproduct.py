@@ -4,6 +4,9 @@ The operators come in four flavours, all evaluated in O(atoms) by one
 bottom-up integral pass plus one top-down accumulation pass.  The latter is
 one kernel, ``_edge_chain``: each child atom's edge coefficient times its
 parent's value (``_edge_terms``), summed along every leaf's ancestor chain.
+Its transpose, ``_edge_terms_adjoint``, contracts child values with the
+coefficients back onto the parents; the norm gradients, the adjoint testing
+terms and the lemma weights of the decomposition replay all go through it.
 
 * ``paraproduct_apply``     -- sum over internal atoms of (mu-average of f) * b_I,
   where b_I are the mean-zero components of a :class:`Symbol`;
@@ -86,9 +89,6 @@ class EdgeCoefficients:
 
     def scaled(self, t: float) -> "EdgeCoefficients":
         return type(self)(self.lattice, [t * lvl for lvl in self._levels])
-
-    def total_abs(self) -> float:
-        return float(sum(np.abs(lvl).sum() for lvl in self._levels))
 
     def to_dict(self) -> dict[tuple[int, int, int], float]:
         out = {}
@@ -193,6 +193,15 @@ def _edge_terms(
     """Per generation (None at the root), each child atom's edge coefficient
     times the value attached to its parent."""
     return [None] + [(c * v[:, None]).reshape(-1) for c, v in zip(levels, parent_vals)]
+
+
+def _edge_terms_adjoint(
+    levels: Sequence[np.ndarray], child_vals: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Transpose of :func:`_edge_terms`: per internal generation, each atom's
+    edge coefficients times the values attached to its children, summed over
+    the children (``child_vals[d]`` lives at generation d + 1)."""
+    return [(c * w.reshape(c.shape)).sum(axis=1) for c, w in zip(levels, child_vals)]
 
 
 def _edge_chain(

@@ -37,7 +37,7 @@ from .measure import (
     lp_norm,
     safe_divide,
 )
-from .paraproduct import NonnegativeCoefficients, pairing, positive_apply
+from .paraproduct import NonnegativeCoefficients, _edge_terms_adjoint, pairing, positive_apply
 from .testing import positive_operator_testing
 
 
@@ -681,9 +681,11 @@ def proof_mirror(
 
     # Carleson sequence of the direct-term lemma: one weight per internal atom
     lemma_weights: dict[Atom, float] = {}
-    for d in range(lat.depth):
-        nu_child = nu.level_mass[d + 1].reshape(-1, lat.arity)
-        w = (alpha.level(d) ** p * nu_child).sum(axis=1) * mu.level_mass[d] ** p
+    integs = _edge_terms_adjoint(
+        [alpha.level(d) ** p for d in range(lat.depth)], nu.level_mass[1:]
+    )
+    for d, integ in enumerate(integs):
+        w = integ * mu.level_mass[d] ** p
         for i in np.nonzero(w)[0]:
             lemma_weights[Atom(d, int(i))] = float(w[i])
     checks.append(

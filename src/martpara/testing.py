@@ -9,7 +9,8 @@ per-depth terms into suffix sums along leaf ancestor chains (the chain of
 each cut depth), so the chain sums for all J come in O(atoms * depth) with no
 per-J rescan, and it returns each J's ratio; ``_sup`` turns the ratios into
 the constant.  The edge-chain kernel of :mod:`martpara.paraproduct` plays
-the same part for the operators.
+the same part for the operators; its transpose, ``_edge_terms_adjoint``,
+integrates the coefficients against nu for the adjoint terms.
 
 Degenerate two-weight pairs are legitimate inputs: a zero-mass J whose
 numerator is positive makes the constant +inf (``math.inf``), which compares
@@ -24,7 +25,7 @@ import numpy as np
 
 from .lattice import Atom, Lattice
 from .measure import Measure, conjugate, safe_divide
-from .paraproduct import EdgeCoefficients, NonnegativeCoefficients, Symbol
+from .paraproduct import EdgeCoefficients, NonnegativeCoefficients, Symbol, _edge_terms_adjoint
 
 
 def _cut_ratios(
@@ -95,20 +96,17 @@ def direct_testing(
 
 def _adjoint_parent_terms(
     beta: EdgeCoefficients, q: float, mu: Measure, nu: Measure
-) -> list[np.ndarray]:
+) -> list[np.ndarray] | None:
     """Per internal atom, the constant mass(I)^(-1) * int_I |b_I|^q d nu.
 
     A massless atom whose component still carries nu-mass has no finite
     term; the caller turns that into +inf.
     """
-    lat = beta.lattice
+    levels = [np.abs(beta.level(d)) ** q for d in range(beta.lattice.depth)]
     terms = []
-    for d in range(lat.depth):
-        nu_child = nu.level_mass[d + 1].reshape(-1, lat.arity)
-        integ = (np.abs(beta.level(d)) ** q * nu_child).sum(axis=1)
-        dead = (mu.level_mass[d] == 0.0) & (integ > 0.0)
-        if np.any(dead):
-            return None  # type: ignore[return-value]
+    for d, integ in enumerate(_edge_terms_adjoint(levels, nu.level_mass[1:])):
+        if np.any((mu.level_mass[d] == 0.0) & (integ > 0.0)):
+            return None
         terms.append(safe_divide(integ, mu.level_mass[d]))
     return terms
 
@@ -191,10 +189,9 @@ def positive_operator_testing(
         alpha.child_values(e) * np.repeat(mu.level_mass[e - 1], lat.arity)
         for e in range(1, lat.depth + 1)
     ]
-    parent_terms = [
-        (alpha.level(d) * nu.level_mass[d + 1].reshape(-1, lat.arity)).sum(axis=1)
-        for d in range(lat.depth)
-    ]
+    parent_terms = _edge_terms_adjoint(
+        [alpha.level(d) for d in range(lat.depth)], nu.level_mass[1:]
+    )
     b = _sup(_cut_ratios(lat, child_terms, p, nu.leaf_mass, mu.level_mass), p)
     b_star = _sup(_cut_ratios(lat, parent_terms, p_prime, mu.leaf_mass, nu.level_mass), p_prime)
     return b, b_star

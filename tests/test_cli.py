@@ -199,6 +199,8 @@ def test_oversized_input_exits_2(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["testing", "--bogus"])
-    assert exc.value.code == 2
+    # --kind is a flag of norm only: other subcommands reject it
+    for argv in (["testing", "--bogus"], ["counterexample", "--kind", "positive"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -17,6 +17,7 @@ from martpara import (
     norm_lower_bound,
     project_mean_zero,
 )
+from martpara.normest import _value_and_grad
 from martpara.suite import _tiny_operators
 
 from helpers import random_setup
@@ -62,6 +63,41 @@ def test_all_dead_measure_is_an_error():
     )
     with pytest.raises(ValueError):
         norm_lower_bound(op, LIGHT)
+
+
+def _handle(kind, p, q, mu, nu, beta):
+    if kind == "paraproduct":
+        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
+    if kind == "positive":
+        alpha = NonnegativeCoefficients(beta.lattice, [np.abs(c) for c in beta._levels])
+        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=alpha)
+    return OperatorHandle(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
+
+
+@pytest.mark.parametrize("p,q", [(3.0, 1.5), (1.5, 3.0), (4.0, 2.0)])
+@pytest.mark.parametrize("kind", ["paraproduct", "vector_paraproduct", "shifted", "positive"])
+def test_value_and_grad_matches_central_differences(kind, p, q):
+    """The analytic gradient of the log ratio against central differences,
+    on 8- and 9-leaf trees with massless leaves in both measures; on
+    mu-massless leaves the gradient is exactly 0."""
+    h = 1e-6
+    massless = 0
+    for arity, depth in ((2, 3), (3, 2)):
+        for seed in range(3):
+            lat, mu, nu, beta, x = random_setup(arity, depth, seed, sparsity=0.3)
+            op = _handle(kind, p, q, mu, nu, beta)
+            val, grad = _value_and_grad(op, x)
+            assert val == pytest.approx(op.ratio(x), rel=1e-15)
+            fd = np.empty(lat.n_leaves)
+            for j in range(lat.n_leaves):
+                e = np.zeros(lat.n_leaves)
+                e[j] = h
+                fd[j] = (np.log(op.ratio(x + e)) - np.log(op.ratio(x - e))) / (2.0 * h)
+            err = np.max(np.abs(grad - fd))
+            assert err <= 1e-6 * np.max(np.abs(grad)), (arity, depth, seed, err)
+            assert np.all(grad[mu.leaf_mass == 0.0] == 0.0)
+            massless += int(np.sum(mu.leaf_mass == 0.0))
+    assert massless > 0
 
 
 def test_handle_validation():
