@@ -236,7 +236,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand][0](args)
-    except (InstanceFormatError, FileNotFoundError, ValueError) as exc:
+    except (InstanceFormatError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -65,6 +65,8 @@ def instance_from_json(text: str) -> Instance:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InstanceFormatError("expected a JSON object at the top level")
     for key in ("arity", "depth", "mu", "nu", "beta"):
         if key not in payload:
             raise InstanceFormatError(f"missing field {key!r}")
@@ -96,7 +98,10 @@ def instance_from_json(text: str) -> Instance:
         raise InstanceFormatError(f"bad field 'beta': {exc}") from exc
     f = None
     if "f" in payload:
-        arr = np.asarray(payload["f"], dtype=float)
+        try:
+            arr = np.asarray(payload["f"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InstanceFormatError(f"bad field 'f': {exc}") from exc
         if arr.shape != (lattice.n_leaves,) or not np.all(np.isfinite(arr)):
             raise InstanceFormatError("bad field 'f': wrong length or non-finite entries")
         f = arr

@@ -15,7 +15,12 @@ selected atom becomes the owner of its subtree.
 
 ``proof_mirror`` replays the bilinear estimate of the shifted positive
 operator as a ledger of checkable identities and inequalities with explicit
-constants.
+constants.  Its two halves run through one per-half routine that reads
+every per-atom quantity from per-level edge terms built once: coefficient x
+f-integral over the parent (``_edge_terms``), coefficient x g-integral over
+the atom, and their product, the pairing term.  A processed atom's local
+function is the masked sum of these terms over the atoms it owns in one
+owner sweep of the processed atoms.
 """
 
 from __future__ import annotations
@@ -37,7 +42,13 @@ from .measure import (
     lp_norm,
     safe_divide,
 )
-from .paraproduct import NonnegativeCoefficients, _edge_terms_adjoint, pairing, positive_apply
+from .paraproduct import (
+    NonnegativeCoefficients,
+    _edge_terms,
+    _edge_terms_adjoint,
+    pairing,
+    positive_apply,
+)
 from .testing import positive_operator_testing
 
 
@@ -497,98 +508,6 @@ def normalize_for_mirror(
     return alpha, f / nf, g / ng
 
 
-def _edge_coefficient(lat: Lattice, alpha: NonnegativeCoefficients, atom: Atom) -> float:
-    parent = lat.parent(atom)
-    return float(alpha.level(parent.depth)[parent.index, atom.index % lat.arity])
-
-
-def _assign_to_forest(
-    lat: Lattice, forest: StoppingForest, atoms: set[Atom]
-) -> dict[Atom, set[Atom]]:
-    """Group atoms by the smallest processed forest atom containing each; this
-    reproduces the exhausted-collection partition of the decomposition."""
-    owner, tops, *_ = _sweep(lat, sorted(forest.processed))
-    groups: dict[Atom, set[Atom]] = {top: set() for top in tops}
-    for a in atoms:
-        k = owner[a.depth][a.index]
-        if k >= 0:  # outside every root otherwise; contributes nothing here
-            groups[tops[k]].add(a)
-    return groups
-
-
-def _mirror_half(
-    lat: Lattice,
-    alpha: NonnegativeCoefficients,
-    members: set[Atom],
-    forest: StoppingForest,
-    *,
-    ints_f: list[np.ndarray],
-    ints_g: list[np.ndarray],
-    avg_ref: list[np.ndarray],
-    ref_measure: Measure,
-    ref_exp: float,
-    pair_fn: np.ndarray,
-    pair_measure: Measure,
-    local_on_child: bool,
-    label: str,
-    checks: list[InequalityCheck],
-) -> HalfReport:
-    """Assemble the local step functions of one half and check their norms.
-
-    With ``local_on_child`` the local function of a processed atom J collects
-    coefficient * (f-integral over the parent) on each assigned member atom;
-    otherwise it collects coefficient * (g-integral over the member) on the
-    member's parent.  Either way it is supported inside J and its
-    ``ref_exp``-norm w.r.t. the pairing measure is checked against
-    2 * avg_ref(J) * ref_mass(J)^(1/ref_exp).
-    """
-    stopping = forest.stopping_atoms
-    nonroot = {a for a in members if a.depth > 0}
-    groups = _assign_to_forest(lat, forest, nonroot - stopping)
-
-    per_plain: dict[Atom, float] = {}
-    per_stopped: dict[Atom, float] = {}
-    local_sum = 0.0
-    for top in sorted(forest.processed):
-        local = np.zeros(lat.n_leaves)
-        for a in sorted(groups[top]):
-            parent = lat.parent(a)
-            coef = _edge_coefficient(lat, alpha, a)
-            if local_on_child:
-                local[lat.leaf_slice(a)] += coef * float(ints_f[parent.depth][parent.index])
-            else:
-                local[lat.leaf_slice(parent)] += coef * float(ints_g[a.depth][a.index])
-        norm_val = lp_norm(local, ref_exp, pair_measure)
-        bound = 2.0 * _avg(avg_ref, top) * ref_measure.mass(top) ** (1.0 / ref_exp)
-        checks.append(
-            InequalityCheck(f"{label}-local-norm({top.depth},{top.index})", norm_val, bound)
-        )
-        contrib = float(np.sum(local * pair_fn * pair_measure.leaf_mass))
-        local_sum += contrib
-        union = np.zeros(lat.n_leaves)  # indicator of the atoms selected under top
-        for s in forest.selected[top]:
-            union[lat.leaf_slice(s)] = 1.0
-        inner = float(np.sum(local * pair_fn * pair_measure.leaf_mass * union))
-        per_plain[top] = contrib - inner
-        per_stopped[top] = inner
-
-    stopping_sum = 0.0
-    for atom in sorted(stopping):
-        parent = lat.parent(atom)
-        stopping_sum += (
-            _edge_coefficient(lat, alpha, atom)
-            * float(ints_f[parent.depth][parent.index])
-            * float(ints_g[atom.depth][atom.index])
-        )
-    return HalfReport(
-        forest=forest,
-        local_sum=local_sum,
-        stopping_sum=stopping_sum,
-        per_atom_plain=per_plain,
-        per_atom_stopped=per_stopped,
-    )
-
-
 def proof_mirror(
     alpha: NonnegativeCoefficients,
     f,
@@ -622,152 +541,144 @@ def proof_mirror(
     first, second = split_collections(f, g, p, mu, nu)
     pairing_value = pairing(positive_apply(alpha, f, mu), g, nu)
 
+    # per-level terms, entry d at the depth-d atoms: each non-root atom's edge
+    # coefficient times the f-integral over its parent (edge_f) and times the
+    # g-integral over itself (edge_g), and their product, its pairing term.
+    # Per-atom reads go through Python floats (``tolist``), so that every
+    # ``** p`` below is a Python power.
     ints_f = atom_integrals(f, mu)
     ints_g = atom_integrals(g, nu)
-    avg_f = atom_averages(f, mu)
-    avg_g = atom_averages(g, nu)
-    root = lat.root
-
-    def half_total(atoms: set[Atom]) -> float:
-        return sum(
-            _edge_coefficient(lat, alpha, a)
-            * float(ints_f[a.depth - 1][a.index // lat.arity])
-            * float(ints_g[a.depth][a.index])
-            for a in sorted(atoms)
-            if a.depth > 0
-        )
-
-    t1 = half_total(first)
-    t2 = half_total(second)
-
-    checks: list[InequalityCheck] = []
-    checks.append(
-        InequalityCheck(
-            "pairing-identity",
-            abs(t1 + t2 - pairing_value),
-            1e-10 * max(abs(pairing_value), 1.0),
-        )
-    )
-
-    # ---- first half: modified construction w.r.t. (mu, f) -------------------
-    forest1 = modified_stopping_forest(first, f, mu, [root])
-    half1 = _mirror_half(
-        lat, alpha, first, forest1,
-        ints_f=ints_f, ints_g=ints_g,
-        avg_ref=avg_f, ref_measure=mu, ref_exp=p,
-        pair_fn=g, pair_measure=nu,
-        local_on_child=True,
-        label="t1",
-        checks=checks,
-    )
-    checks.append(
-        InequalityCheck(
-            "t1-splitting-identity", abs(t1 - half1.total), 1e-10 * max(abs(t1), 1.0)
-        )
-    )
-    checks.append(
-        InequalityCheck(
-            "t1-plain-sum", sum(half1.per_atom_plain.values()),
-            2.0 ** (1.0 + 1.0 / p) * p_prime,
-        )
-    )
-    checks.append(
-        InequalityCheck(
-            "t1-stopped-sum", sum(half1.per_atom_stopped.values()), 4.0 * p_prime ** p
-        )
-    )
-    embed1 = sum(_avg(avg_f, J) ** p * mu.mass(J) for J in forest1.processed)
-    checks.append(InequalityCheck("t1-embedding", embed1, 2.0 * p_prime ** p))
+    levels = [alpha.level(d) for d in range(lat.depth)]
+    edge_f = _edge_terms(levels, ints_f)
+    edge_g = [None] + [c.reshape(-1) * v for c, v in zip(levels, ints_g[1:])]
+    terms = [[]] + [(t * v).tolist() for t, v in zip(edge_f[1:], ints_g[1:])]
+    coef = [[]] + [c.reshape(-1).tolist() for c in levels]
+    avg_f = [a.tolist() for a in atom_averages(f, mu)]
+    avg_g = [a.tolist() for a in atom_averages(g, nu)]
+    mass_mu = [m.tolist() for m in mu.level_mass]
+    mass_nu = [m.tolist() for m in nu.level_mass]
 
     # Carleson sequence of the direct-term lemma: one weight per internal atom
     lemma_weights: dict[Atom, float] = {}
-    integs = _edge_terms_adjoint(
-        [alpha.level(d) ** p for d in range(lat.depth)], nu.level_mass[1:]
-    )
+    integs = _edge_terms_adjoint([c ** p for c in levels], nu.level_mass[1:])
     for d, integ in enumerate(integs):
         w = integ * mu.level_mass[d] ** p
         for i in np.nonzero(w)[0]:
             lemma_weights[Atom(d, int(i))] = float(w[i])
-    checks.append(
-        InequalityCheck(
-            "carleson-sequence", carleson_constant(lemma_weights, mu), 1.0 + 1e-12
-        )
-    )
     lemma_embed = sum(w * abs(_avg(avg_f, a)) ** p for a, w in lemma_weights.items())
-    checks.append(InequalityCheck("lemma-embedding-bound", lemma_embed, p_prime ** p))
+    lemma = [
+        InequalityCheck("carleson-sequence", carleson_constant(lemma_weights, mu), 1.0 + 1e-12),
+        InequalityCheck("lemma-embedding-bound", lemma_embed, p_prime ** p),
+    ]
 
-    def direct_chain(forest: StoppingForest, avg_other, other_exp, other_measure, label):
-        s2 = 0.0
-        x_term = 0.0
-        y_term = 0.0
-        for atom in forest.stopping_atoms:
-            parent = lat.parent(atom)
-            a = _edge_coefficient(lat, alpha, atom)
-            s2 += (
-                a
-                * float(ints_f[parent.depth][parent.index])
-                * float(ints_g[atom.depth][atom.index])
-            )
-            x_term += (
-                _avg(avg_f, parent) ** p * a ** p * mu.mass(parent) ** p * nu.mass(atom)
-            )
-            y_term += _avg(avg_other, atom) ** other_exp * other_measure.mass(atom)
-        checks.append(
-            InequalityCheck(
-                f"{label}-direct-hoelder",
-                s2,
-                x_term ** (1.0 / p) * y_term ** (1.0 / p_prime),
-            )
-        )
-        checks.append(
-            InequalityCheck(f"{label}-direct-lemma", x_term, lemma_embed + 1e-12)
-        )
-        return s2
+    def half(label, members, forest, own, other, on_parent, direct_bound, interlude):
+        """One half of the splitting: its total, its report and its checks.
 
-    # first half uses the splitting condition on its stopping atoms:
-    # avg_g^{p'} nu <= avg_f^p mu there, so the y-factor is the f-version
-    s2_first = direct_chain(forest1, avg_f, p, mu, "t1")
-    checks.append(
-        InequalityCheck("t1-direct-bound", s2_first, 2.0 ** (1.0 / p_prime) * p_prime ** p)
-    )
+        ``own`` is (averages, atom masses, exponent e) of the function and
+        measure the construction ran on, ``other`` (function, measure, e') of
+        the ones it pairs with.  A member owned by a processed atom J (the
+        smallest one containing it, not itself) puts its local term into J's
+        local function: edge_f on its own leaves, or with ``on_parent``
+        edge_g on its parent's leaves.  Its e-norm w.r.t. the other measure
+        is checked against 2 avg(J) mass(J)^(1/e).  The direct terms of the
+        stopping atoms are bounded via the lemma with the own function's
+        y-factor: in the first half the splitting condition gives
+        avg_g^{p'} nu <= avg_f^p mu on them.
+        """
+        avg_own, mass_own, e = own
+        fn_other, m_other, e_conj = other
+        processed = sorted(forest.processed)
+        owner, tops, *_ = _sweep(lat, processed)
+        owned = [np.zeros(lat.level_size(d), dtype=bool) for d in range(lat.depth + 1)]
+        for a in members:
+            owned[a.depth][a.index] = True
+        for a in processed:
+            owned[a.depth][a.index] = False
+        local_terms = edge_g if on_parent else edge_f
+        local_terms = [None] + [np.where(o, t, 0.0) for o, t in zip(owned[1:], local_terms[1:])]
 
-    # ---- second half: plain construction w.r.t. (nu, g) ---------------------
-    forest2 = stopping_forest(second, g, nu, [root])
-    half2 = _mirror_half(
-        lat, alpha, second, forest2,
-        ints_f=ints_f, ints_g=ints_g,
-        avg_ref=avg_g, ref_measure=nu, ref_exp=p_prime,
-        pair_fn=f, pair_measure=mu,
-        local_on_child=False,
-        label="t2",
-        checks=checks,
-    )
-    checks.append(
-        InequalityCheck(
-            "t2-splitting-identity", abs(t2 - half2.total), 1e-10 * max(abs(t2), 1.0)
-        )
-    )
-    checks.append(
-        InequalityCheck(
-            "t2-plain-sum", sum(half2.per_atom_plain.values()),
-            2.0 ** (1.0 + 1.0 / p_prime) * p,
-        )
-    )
-    checks.append(
-        InequalityCheck(
-            "t2-stopped-sum", sum(half2.per_atom_stopped.values()), 4.0 * p ** p_prime
-        )
-    )
-    embed2 = sum(_avg(avg_g, J) ** p_prime * nu.mass(J) for J in forest2.processed)
-    checks.append(InequalityCheck("t2-embedding", embed2, 2.0 * p ** p_prime))
+        checks: list[InequalityCheck] = []
+        per_plain: dict[Atom, float] = {}
+        per_stopped: dict[Atom, float] = {}
+        local_sum = 0.0
+        for k, top in enumerate(tops):
+            # J's terms, down its subtree, added along each leaf's ancestor
+            # chain in the order of the sorted atoms: by depth, and on the
+            # parent's leaves siblings one child slot at a time
+            lo, hi = top.index, top.index + 1
+            run = np.zeros(1)
+            for d in range(top.depth + 1, lat.depth + 1):
+                lo, hi = lo * lat.arity, hi * lat.arity
+                mine = np.where(owner[d][lo:hi] == k, local_terms[d][lo:hi], 0.0)
+                if on_parent:
+                    for col in mine.reshape(-1, lat.arity).T:
+                        run = run + col
+                    run = np.repeat(run, lat.arity)
+                else:
+                    run = np.repeat(run, lat.arity) + mine
+            local = np.zeros(lat.n_leaves)
+            local[lo:hi] = run
+            checks.append(InequalityCheck(
+                f"{label}-local-norm({top.depth},{top.index})", lp_norm(local, e, m_other),
+                2.0 * _avg(avg_own, top) * _avg(mass_own, top) ** (1.0 / e),
+            ))
+            # indicator of the atoms selected under J: its leaves it does not own
+            union = np.zeros(lat.n_leaves)
+            union[lo:hi] = owner[-1][lo:hi] != k
+            weighted = local * fn_other * m_other.leaf_mass
+            contrib = float(np.sum(weighted))
+            inner = float(np.sum(weighted * union))
+            local_sum += contrib
+            per_plain[top] = contrib - inner
+            per_stopped[top] = inner
 
-    s2_second = direct_chain(forest2, avg_g, p_prime, nu, "t2")
-    checks.append(
-        InequalityCheck(
-            "t2-direct-bound", s2_second, 2.0 ** (1.0 / p_prime) * p_prime * p
-        )
-    )
+        # sum() and += loops are not interchangeable: from Python 3.12 on,
+        # sum() of floats is compensated, and the ledger bytes are pinned by
+        # the per-atom oracle in tests/oracles.py
+        stopping = forest.stopping_atoms
+        stopping_sum = 0.0
+        for a in sorted(stopping):
+            stopping_sum += terms[a.depth][a.index]
+        report = HalfReport(forest, local_sum, stopping_sum, per_plain, per_stopped)
+        total = sum(terms[a.depth][a.index] for a in sorted(members) if a.depth > 0)
+        embed = sum(_avg(avg_own, J) ** e * _avg(mass_own, J) for J in forest.processed)
+        checks += [
+            InequalityCheck(f"{label}-splitting-identity", abs(total - report.total),
+                            1e-10 * max(abs(total), 1.0)),
+            InequalityCheck(f"{label}-plain-sum", sum(per_plain.values()),
+                            2.0 ** (1.0 + 1.0 / e) * e_conj),
+            InequalityCheck(f"{label}-stopped-sum", sum(per_stopped.values()), 4.0 * e_conj ** e),
+            InequalityCheck(f"{label}-embedding", embed, 2.0 * e_conj ** e),
+            *interlude,
+        ]
+        s2 = x_term = y_term = 0.0
+        for d, i in stopping:
+            up, j = d - 1, i // lat.arity
+            s2 += terms[d][i]
+            x_term += avg_f[up][j] ** p * coef[d][i] ** p * mass_mu[up][j] ** p * mass_nu[d][i]
+            y_term += avg_own[d][i] ** e * mass_own[d][i]
+        checks += [
+            InequalityCheck(f"{label}-direct-hoelder", s2,
+                            x_term ** (1.0 / p) * y_term ** (1.0 / p_prime)),
+            InequalityCheck(f"{label}-direct-lemma", x_term, lemma_embed + 1e-12),
+            InequalityCheck(f"{label}-direct-bound", s2, direct_bound),
+        ]
+        return total, report, checks
 
+    root = [lat.root]
+    t1, half1, checks1 = half(
+        "t1", first, modified_stopping_forest(first, f, mu, root), (avg_f, mass_mu, p),
+        (g, nu, p_prime), on_parent=False,
+        direct_bound=2.0 ** (1.0 / p_prime) * p_prime ** p, interlude=lemma,
+    )
+    t2, half2, checks2 = half(
+        "t2", second, stopping_forest(second, g, nu, root), (avg_g, mass_nu, p_prime),
+        (f, mu, p), on_parent=True,
+        direct_bound=2.0 ** (1.0 / p_prime) * p_prime * p, interlude=[],
+    )
+    identity = InequalityCheck(
+        "pairing-identity", abs(t1 + t2 - pairing_value), 1e-10 * max(abs(pairing_value), 1.0)
+    )
     return DecompositionReport(
         first=first,
         second=second,
@@ -776,5 +687,5 @@ def proof_mirror(
         t2=t2,
         half1=half1,
         half2=half2,
-        checks=checks,
+        checks=[identity] + checks1 + checks2,
     )

@@ -14,9 +14,31 @@ import math
 import numpy as np
 
 from martpara.lattice import Atom, Lattice
-from martpara.measure import Measure, atom_averages
+from martpara.measure import (
+    Measure,
+    atom_averages,
+    atom_integrals,
+    conjugate,
+    lp_norm,
+)
 from martpara.normest import _operator_matrix
-from martpara.stopping import StoppingForest, _avg, _check_nonnegative
+from martpara.paraproduct import (
+    NonnegativeCoefficients,
+    _edge_terms_adjoint,
+    pairing,
+    positive_apply,
+)
+from martpara.stopping import (
+    DecompositionReport,
+    HalfReport,
+    InequalityCheck,
+    StoppingForest,
+    _avg,
+    _check_nonnegative,
+    carleson_constant,
+    split_collections,
+)
+from martpara.testing import positive_operator_testing
 
 
 def leaves_of(lat: Lattice, atom: Atom) -> range:
@@ -466,3 +488,186 @@ def naive_modified_stopping_forest(members, f, mu: Measure, roots) -> StoppingFo
         return selected, naive_exhausted_members(lat, members, selected, top)
 
     return naive_grow_forest(step, lat, roots)
+
+
+# ---------------------------------------------------------------------------
+# the decomposition replay: the per-atom ledger on the set-based forests
+# ---------------------------------------------------------------------------
+#
+# Each half is written out on its own and every per-atom quantity is read
+# atom by atom through ``Lattice.parent``.  It shares the report classes,
+# ``split_collections``, ``carleson_constant`` and the lemma weights (through
+# ``_edge_terms_adjoint``, whose numpy powers a loop would not reproduce) with
+# the production code: the comparison is of the ledger sums and their order.
+
+
+def _naive_edge_coefficient(lat: Lattice, alpha, atom: Atom) -> float:
+    parent = lat.parent(atom)
+    return float(alpha.level(parent.depth)[parent.index, atom.index % lat.arity])
+
+
+def _naive_assign_to_forest(lat: Lattice, forest: StoppingForest, atoms) -> dict:
+    """Group atoms by the smallest processed forest atom containing each,
+    found by walking up from the atom."""
+    processed = forest.processed
+    groups: dict[Atom, set[Atom]] = {top: set() for top in sorted(processed)}
+    for a in atoms:
+        cur = a
+        while cur not in processed and cur.depth > 0:
+            cur = lat.parent(cur)
+        if cur in processed:  # outside every root otherwise; contributes nothing
+            groups[cur].add(a)
+    return groups
+
+
+def _naive_mirror_half(lat, alpha, members, forest, *, ints_f, ints_g, avg_ref, ref_measure,
+                       ref_exp, pair_fn, pair_measure, local_on_child, label, checks):
+    stopping = forest.stopping_atoms
+    nonroot = {a for a in members if a.depth > 0}
+    groups = _naive_assign_to_forest(lat, forest, nonroot - stopping)
+
+    per_plain: dict[Atom, float] = {}
+    per_stopped: dict[Atom, float] = {}
+    local_sum = 0.0
+    for top in sorted(forest.processed):
+        local = np.zeros(lat.n_leaves)
+        for a in sorted(groups[top]):
+            parent = lat.parent(a)
+            coef = _naive_edge_coefficient(lat, alpha, a)
+            if local_on_child:
+                local[lat.leaf_slice(a)] += coef * float(ints_f[parent.depth][parent.index])
+            else:
+                local[lat.leaf_slice(parent)] += coef * float(ints_g[a.depth][a.index])
+        norm_val = lp_norm(local, ref_exp, pair_measure)
+        bound = 2.0 * _avg(avg_ref, top) * ref_measure.mass(top) ** (1.0 / ref_exp)
+        checks.append(
+            InequalityCheck(f"{label}-local-norm({top.depth},{top.index})", norm_val, bound)
+        )
+        contrib = float(np.sum(local * pair_fn * pair_measure.leaf_mass))
+        local_sum += contrib
+        union = np.zeros(lat.n_leaves)
+        for s in forest.selected[top]:
+            union[lat.leaf_slice(s)] = 1.0
+        inner = float(np.sum(local * pair_fn * pair_measure.leaf_mass * union))
+        per_plain[top] = contrib - inner
+        per_stopped[top] = inner
+
+    stopping_sum = 0.0
+    for atom in sorted(stopping):
+        parent = lat.parent(atom)
+        stopping_sum += (
+            _naive_edge_coefficient(lat, alpha, atom)
+            * float(ints_f[parent.depth][parent.index])
+            * float(ints_g[atom.depth][atom.index])
+        )
+    return HalfReport(forest, local_sum, stopping_sum, per_plain, per_stopped)
+
+
+def naive_proof_mirror(alpha: NonnegativeCoefficients, f, g, p: float, mu: Measure,
+                       nu: Measure) -> DecompositionReport:
+    """The decomposition replay with each half written out, atom by atom, on
+    ``naive_modified_stopping_forest`` and ``naive_stopping_forest``."""
+    lat = mu.lattice
+    f = _check_nonnegative(lat, f)
+    g = _check_nonnegative(lat, g)
+    if p <= 1:
+        raise ValueError(f"p must be > 1, got {p}")
+    p_prime = conjugate(p)
+    tol = 1e-9
+    if abs(lp_norm(f, p, mu) - 1.0) > tol or abs(lp_norm(g, p_prime, nu) - 1.0) > tol:
+        raise ValueError("f and g must have unit norms; normalize first")
+    b, b_star = positive_operator_testing(alpha, p, mu, nu)
+    if max(b, b_star) > 1.0 + tol:
+        raise ValueError("testing constants exceed 1; rescale the coefficients first")
+
+    first, second = split_collections(f, g, p, mu, nu)
+    pairing_value = pairing(positive_apply(alpha, f, mu), g, nu)
+    ints_f = atom_integrals(f, mu)
+    ints_g = atom_integrals(g, nu)
+    avg_f = atom_averages(f, mu)
+    avg_g = atom_averages(g, nu)
+    root = lat.root
+
+    def half_total(atoms) -> float:
+        return sum(
+            _naive_edge_coefficient(lat, alpha, a)
+            * float(ints_f[a.depth - 1][a.index // lat.arity])
+            * float(ints_g[a.depth][a.index])
+            for a in sorted(atoms)
+            if a.depth > 0
+        )
+
+    t1 = half_total(first)
+    t2 = half_total(second)
+    checks = [InequalityCheck("pairing-identity", abs(t1 + t2 - pairing_value),
+                              1e-10 * max(abs(pairing_value), 1.0))]
+
+    # first half: modified construction w.r.t. (mu, f)
+    forest1 = naive_modified_stopping_forest(first, f, mu, [root])
+    half1 = _naive_mirror_half(
+        lat, alpha, first, forest1, ints_f=ints_f, ints_g=ints_g, avg_ref=avg_f,
+        ref_measure=mu, ref_exp=p, pair_fn=g, pair_measure=nu, local_on_child=True,
+        label="t1", checks=checks,
+    )
+    checks.append(InequalityCheck("t1-splitting-identity", abs(t1 - half1.total),
+                                  1e-10 * max(abs(t1), 1.0)))
+    checks.append(InequalityCheck("t1-plain-sum", sum(half1.per_atom_plain.values()),
+                                  2.0 ** (1.0 + 1.0 / p) * p_prime))
+    checks.append(InequalityCheck("t1-stopped-sum", sum(half1.per_atom_stopped.values()),
+                                  4.0 * p_prime ** p))
+    embed1 = sum(_avg(avg_f, J) ** p * mu.mass(J) for J in forest1.processed)
+    checks.append(InequalityCheck("t1-embedding", embed1, 2.0 * p_prime ** p))
+
+    lemma_weights: dict[Atom, float] = {}
+    integs = _edge_terms_adjoint(
+        [alpha.level(d) ** p for d in range(lat.depth)], nu.level_mass[1:]
+    )
+    for d, integ in enumerate(integs):
+        w = integ * mu.level_mass[d] ** p
+        for i in np.nonzero(w)[0]:
+            lemma_weights[Atom(d, int(i))] = float(w[i])
+    checks.append(InequalityCheck("carleson-sequence", carleson_constant(lemma_weights, mu),
+                                  1.0 + 1e-12))
+    lemma_embed = sum(w * abs(_avg(avg_f, a)) ** p for a, w in lemma_weights.items())
+    checks.append(InequalityCheck("lemma-embedding-bound", lemma_embed, p_prime ** p))
+
+    def direct_chain(forest, avg_other, other_exp, other_measure, label):
+        s2 = 0.0
+        x_term = 0.0
+        y_term = 0.0
+        for atom in forest.stopping_atoms:
+            parent = lat.parent(atom)
+            a = _naive_edge_coefficient(lat, alpha, atom)
+            s2 += (a * float(ints_f[parent.depth][parent.index])
+                   * float(ints_g[atom.depth][atom.index]))
+            x_term += _avg(avg_f, parent) ** p * a ** p * mu.mass(parent) ** p * nu.mass(atom)
+            y_term += _avg(avg_other, atom) ** other_exp * other_measure.mass(atom)
+        checks.append(InequalityCheck(f"{label}-direct-hoelder", s2,
+                                      x_term ** (1.0 / p) * y_term ** (1.0 / p_prime)))
+        checks.append(InequalityCheck(f"{label}-direct-lemma", x_term, lemma_embed + 1e-12))
+        return s2
+
+    s2_first = direct_chain(forest1, avg_f, p, mu, "t1")
+    checks.append(InequalityCheck("t1-direct-bound", s2_first,
+                                  2.0 ** (1.0 / p_prime) * p_prime ** p))
+
+    # second half: plain construction w.r.t. (nu, g)
+    forest2 = naive_stopping_forest(second, g, nu, [root])
+    half2 = _naive_mirror_half(
+        lat, alpha, second, forest2, ints_f=ints_f, ints_g=ints_g, avg_ref=avg_g,
+        ref_measure=nu, ref_exp=p_prime, pair_fn=f, pair_measure=mu, local_on_child=False,
+        label="t2", checks=checks,
+    )
+    checks.append(InequalityCheck("t2-splitting-identity", abs(t2 - half2.total),
+                                  1e-10 * max(abs(t2), 1.0)))
+    checks.append(InequalityCheck("t2-plain-sum", sum(half2.per_atom_plain.values()),
+                                  2.0 ** (1.0 + 1.0 / p_prime) * p))
+    checks.append(InequalityCheck("t2-stopped-sum", sum(half2.per_atom_stopped.values()),
+                                  4.0 * p ** p_prime))
+    embed2 = sum(_avg(avg_g, J) ** p_prime * nu.mass(J) for J in forest2.processed)
+    checks.append(InequalityCheck("t2-embedding", embed2, 2.0 * p ** p_prime))
+
+    s2_second = direct_chain(forest2, avg_g, p_prime, nu, "t2")
+    checks.append(InequalityCheck("t2-direct-bound", s2_second,
+                                  2.0 ** (1.0 / p_prime) * p_prime * p))
+    return DecompositionReport(first, second, pairing_value, t1, t2, half1, half2, checks)

@@ -187,6 +187,15 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "mu" in err
+    # exit 1 is kept for property violations: none of these may reach it
+    for text, hint in (("5", "top level"), ("null", "top level"),
+                       ('{"arity": 2, "depth": 1, "mu": [1, 1], "nu": [1, 1], "beta": {},'
+                        ' "f": {"a": 1}}', "'f'")):
+        bad.write_text(text)
+        assert main(["testing", "--instance", str(bad)]) == 2
+        assert hint in capsys.readouterr().err
+    assert main(["testing", "--instance", str(tmp_path)]) == 2  # a directory
+    assert "directory" in capsys.readouterr().err.lower()
 
 
 def test_oversized_input_exits_2(tmp_path, capsys):

@@ -137,6 +137,13 @@ def test_instance_rejects_malformed():
         instance_from_json(
             json.dumps({"arity": 2, "depth": 1, "mu": [1, 1], "nu": [-1, 1], "beta": {}})
         )
+    for top_level in ("5", "null", "[1, 2]"):
+        with pytest.raises(InstanceFormatError, match="top level"):
+            instance_from_json(top_level)
+    good = {"arity": 2, "depth": 1, "mu": [1, 1], "nu": [1, 1], "beta": {}}
+    for bad_f in ({"a": 1}, [[1], [1, 2]], [1, 2, 3]):
+        with pytest.raises(InstanceFormatError, match="'f'"):
+            instance_from_json(json.dumps({**good, "f": bad_f}))
 
 
 def test_generator_determinism_and_sparsity():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from martpara import (
     stopping_forest,
     stopping_generation,
 )
-import martpara.stopping
+import martpara.cli
 from martpara.lattice import Atom
 from martpara.stopping import exhausted_members
 
@@ -32,6 +33,7 @@ from oracles import (
     naive_exhausted_members,
     naive_modified_stopping_forest,
     naive_modified_stopping_generation,
+    naive_proof_mirror,
     naive_stopping_forest,
     naive_stopping_generation,
 )
@@ -198,6 +200,7 @@ def test_proof_mirror_random(seed, p):
     for check in report.checks:
         assert check.ok, f"{check.name}: lhs={check.lhs} rhs={check.rhs}"
     assert report.passed
+    assert ledger_view(report) == ledger_view(naive_proof_mirror(alpha, f, g, p, mu, nu))
 
 
 def test_proof_mirror_validates_inputs():
@@ -365,23 +368,54 @@ def test_two_root_forest():
         assert forest_layout(forest) == forest_layout(naive(set(lat.atoms()), f, mu, roots))
 
 
-def mirror_case(arity, depth, seed, p, draw=pareto):
-    lat, mu, nu, beta, _ = random_setup(arity, depth, seed=seed, sparsity=0.0)
+def mirror_case(arity, depth, seed, p, draw=pareto, sparsity=0.0):
+    lat, mu, nu, beta, _ = random_setup(arity, depth, seed=seed, sparsity=sparsity)
     rng = np.random.default_rng(seed + 5)
     alpha = NonnegativeCoefficients(lat, [np.abs(beta.level(d)) for d in range(lat.depth)])
     f, g = draw(rng, lat), draw(rng, lat)
     return normalize_for_mirror(alpha, f, g, p, mu, nu) + (p, mu, nu)
 
 
-def test_proof_mirror_ledger_is_byte_identical_to_the_set_based_forests(monkeypatch):
-    cases = [mirror_case(a, d, seed, p, draw) for a, d in ((2, 8), (3, 5)) for seed in range(3)
-             for p in (1.5, 2.0, 3.0) for draw in (pareto, cascade)]
-    ours = [json.dumps(proof_mirror(*case).as_dicts()) for case in cases]
-    monkeypatch.setattr(martpara.stopping, "stopping_forest", naive_stopping_forest)
-    monkeypatch.setattr(martpara.stopping, "modified_stopping_forest",
-                        naive_modified_stopping_forest)
-    for case, got in zip(cases, ours):
-        assert got == json.dumps(proof_mirror(*case).as_dicts())
+def ledger_view(report):
+    """Everything a ledger reports, as exact text: the checks' JSON, the
+    totals and both halves' per-top sums, keys and order included."""
+    halves = [
+        (h.local_sum, h.stopping_sum, list(h.per_atom_plain.items()),
+         list(h.per_atom_stopped.items()))
+        for h in (report.half1, report.half2)
+    ]
+    return repr((json.dumps(report.as_dicts()), report.t1, report.t2, report.pairing_value,
+                 halves))
+
+
+def test_proof_mirror_ledger_is_byte_identical_to_the_set_based_forests():
+    """The array ledger against the per-atom one of tests/oracles.py, which
+    runs on the set-based forests.  p = 4 is there because conjugate(4/3) is
+    not 4 in floating point: each half must use the exponents it is given."""
+    cases = [mirror_case(a, d, seed, p, draw, sparsity) for a, d in ((2, 8), (3, 5))
+             for seed in range(3) for p in (1.5, 2.0, 3.0, 4.0) for draw in (pareto, cascade)
+             for sparsity in (0.0, 0.3)]
+    for case in cases:
+        assert ledger_view(proof_mirror(*case)) == ledger_view(naive_proof_mirror(*case))
+
+
+def test_proof_mirror_matches_the_oracle_on_the_golden_instance(monkeypatch, capsys):
+    """The inputs ``martpara mirror`` builds for the mirror_2x8_p3 golden case
+    (several stopping generations in both halves)."""
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, proof_mirror(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(martpara.cli, "proof_mirror", recorded)
+    golden = Path(__file__).parent / "data" / "cli" / "mirror_2x8_p3.json"
+    assert martpara.cli.main(["mirror", "--instance", str(golden), "--seed", "27",
+                              "--p", "3"]) == 0
+    capsys.readouterr()
+    (args, report), = calls
+    assert len(report.half1.forest.generations) >= 3
+    assert ledger_view(report) == ledger_view(naive_proof_mirror(*args))
 
 
 def test_proof_mirror_at_2_to_the_14_leaves():
