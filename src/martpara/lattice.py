@@ -108,21 +108,24 @@ class Lattice:
 
     # -- array kernels ---------------------------------------------------------
     # Per-generation data is a list indexed by depth; entry d has length arity**d.
+    # Every kernel works on the trailing axis: leading axes are a batch of
+    # independent rows, each row giving the same bytes as the call on it alone.
     def block_sums(self, leaf_values: np.ndarray) -> list[np.ndarray]:
         """Sums of a leaf array over every atom's leaf block, per generation."""
         cur = np.asarray(leaf_values, dtype=float)
-        if cur.shape != (self.n_leaves,):
+        if cur.shape[-1:] != (self.n_leaves,):
             raise ValueError("leaf array has wrong length")
+        lead = cur.shape[:-1]
         out: list[np.ndarray] = [None] * (self.depth + 1)  # type: ignore[list-item]
         out[self.depth] = cur
         for d in range(self.depth - 1, -1, -1):
-            cur = cur.reshape(-1, self.arity).sum(axis=1)
+            cur = cur.reshape(*lead, self.level_size(d), self.arity).sum(axis=-1)
             out[d] = cur
         return out
 
     def spread(self, values: np.ndarray, d: int) -> np.ndarray:
         """Broadcast per-atom values at generation ``d`` to the leaf array."""
-        return np.repeat(np.asarray(values, dtype=float), self.arity ** (self.depth - d))
+        return np.repeat(np.asarray(values, dtype=float), self.arity ** (self.depth - d), axis=-1)
 
     def chain_sum(self, per_depth: Sequence[Optional[np.ndarray]]) -> np.ndarray:
         """Leaf array of sums over each leaf's ancestor chain.
@@ -133,7 +136,7 @@ class Lattice:
         run = np.zeros(1)
         for d in range(self.depth + 1):
             if d > 0:
-                run = np.repeat(run, self.arity)
+                run = np.repeat(run, self.arity, axis=-1)
             vals = per_depth[d] if d < len(per_depth) else None
             if vals is not None:
                 run = run + vals

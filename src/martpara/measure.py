@@ -72,7 +72,15 @@ class Measure:
 def leaf_function(lattice: Lattice, values) -> np.ndarray:
     """Validate and return a leaf function as a float array."""
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (lattice.n_leaves,):
+    if arr.ndim != 1:
+        raise ValueError(f"expected {lattice.n_leaves} leaf values, got shape {arr.shape}")
+    return _leaf_rows(lattice, arr)
+
+
+def _leaf_rows(lattice: Lattice, values) -> np.ndarray:
+    """Validate a leaf function, or a batch of them along leading axes."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape[-1:] != (lattice.n_leaves,):
         raise ValueError(f"expected {lattice.n_leaves} leaf values, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("leaf function entries must be finite")
@@ -87,8 +95,9 @@ def safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def atom_integrals(f, m: Measure) -> list[np.ndarray]:
-    """Per-generation arrays of integrals of ``f`` over every atom."""
-    f = leaf_function(m.lattice, f)
+    """Per-generation arrays of integrals of ``f`` over every atom; a batch
+    of leaf functions along leading axes gives batched arrays."""
+    f = _leaf_rows(m.lattice, f)
     return m.lattice.block_sums(f * m.leaf_mass)
 
 
@@ -116,12 +125,20 @@ def integral(f, atom: Atom, m: Measure) -> float:
     return float(np.dot(f[sl], m.leaf_mass[sl]))
 
 
-def lp_norm(f, p: float, m: Measure) -> float:
-    """(sum |f|^p dm)^(1/p).  Accepts any p > 0 (quasi-norms included)."""
+def lp_norm(f, p: float, m: Measure):
+    """(sum |f|^p dm)^(1/p).  Accepts any p > 0 (quasi-norms included).
+
+    A batch of leaf functions, shape (..., n_leaves), gives an array of
+    norms.  The root is taken one scalar power per row: array powers may
+    round differently from scalar ones, and each row must equal its 1-D norm.
+    """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    f = leaf_function(m.lattice, f)
-    return float(np.sum(np.abs(f) ** p * m.leaf_mass) ** (1.0 / p))
+    f = _leaf_rows(m.lattice, f)
+    sums = np.sum(np.abs(f) ** p * m.leaf_mass, axis=-1)
+    if sums.ndim == 0:
+        return float(sums ** (1.0 / p))
+    return np.array([s ** (1.0 / p) for s in sums.flat]).reshape(sums.shape)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ concrete function recomputed from scratch, so the estimates are sound lower
 bounds; the starting set always contains the indicator of every atom (which
 makes the estimate dominate the direct testing constant by construction) plus
 seeded random vectors, and callers may inject extra certificate starts.
+The starts are the rows of one (batch, n_leaves) array: one batched ratio
+ranks them all, and the ascended ones climb in lock step, each evaluation
+trying one line-search candidate of every active row (``_Rows``, ``_ascend``).
+Each row takes the path, and gives the bytes, it would alone.
 
 ``grid_oracle_norm`` is the independent desk-scale oracle: a dense angular
 grid on the unit sphere, sign patterns included, no optimization.  It ranks
@@ -152,49 +156,86 @@ class NormEstimate:
 
 
 # ---------------------------------------------------------------------------
-# analytic gradient of the log Rayleigh ratio
+# Rayleigh ratios and analytic gradients of their logs, a batch of rows at once
 # ---------------------------------------------------------------------------
 
-def _value_and_grad(op: OperatorHandle, x: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
-    """Rayleigh ratio at x and the gradient of its log (``None`` where the
-    ratio vanishes).
+class _Rows:
+    """An operator's Rayleigh ratio and the gradient of its log on a batch of
+    leaf functions, shape (batch, n_leaves), one per row.
 
-    The output side is pulled back through the transpose of the edge chain,
-    ``_edge_terms_adjoint``, and then through the averaging of x, i.e.
-    ``chain_sum`` times the mu leaf masses.
+    Each row gives the bytes of a batch of one: the kernels work along the
+    trailing axis, and every scalar power of a norm is taken one row at a
+    time (the roots in :func:`lp_norm`, ``val ** p`` and ``den ** p`` here),
+    since array powers may round differently.  The edge coefficients and the
+    reciprocal mu masses are built once.
     """
-    den = op.input_norm(x)
-    if den == 0.0:
-        return 0.0, None
-    out = op.apply(x)
-    val = op.output_norm(out)
-    if val == 0.0:
-        return 0.0, None
-    lat, p, mu = op.lattice, op.p, op.mu
-    if op.kind == "vector_paraproduct":
-        q = op.q
-        chain_q = out.q_power_chain(q)
-        # nu-weighted G^{p-q} with a zero guard where the chain vanishes
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
-        t_sums = lat.block_sums(op.nu.leaf_mass * gpq)
-        psi = [
-            np.abs(out.level(d)) ** (q - 1.0) * np.sign(out.level(d)) * t_sums[d]
-            for d in range(1, lat.depth + 1)
-        ]
-        inner = _edge_terms_adjoint(op._edge_levels(), psi)
-        per_depth = [safe_divide(v, m) for v, m in zip(inner, mu.level_mass)]
-        g_out = mu.leaf_mass * lat.chain_sum(per_depth) / val ** p
-    else:
-        u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val ** p
-        per_depth = _edge_terms_adjoint(op._edge_levels(), lat.block_sums(u)[1:])
-        if op.kind != "positive":  # the operator reads averages, not integrals
-            per_depth = [
-                v * safe_divide(np.ones_like(m), m) for v, m in zip(per_depth, mu.level_mass)
-            ]
-        g_out = mu.leaf_mass * lat.chain_sum(per_depth)
-    g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den ** p
-    return val / den, g_out - g_in
+
+    def __init__(self, op: OperatorHandle) -> None:
+        self.op = op
+        self.levels = op._edge_levels()
+        self.inv_mass = [safe_divide(np.ones_like(m), m) for m in op.mu.level_mass]
+
+    def _forward(self, x: np.ndarray):
+        """Input norms, the rows of positive input norm, their outputs and
+        the output norms."""
+        op = self.op
+        den = op.input_norm(x)
+        live = den > 0.0
+        out = op.apply(x[live])
+        return den, live, out, op.output_norm(out)
+
+    def ratios(self, x: np.ndarray) -> np.ndarray:
+        """Rayleigh ratio of every row, 0 where the input norm vanishes."""
+        den, live, _, val = self._forward(x)
+        r = np.zeros(len(x))
+        r[live] = val / den[live]
+        return r
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ratios, gradients of their logs, and which rows have a gradient:
+        those where the ratio's numerator and denominator are positive
+        (other rows get a zero row).
+
+        The output side is pulled back through the transpose of the edge
+        chain, ``_edge_terms_adjoint``, and then through the averaging of x,
+        i.e. ``chain_sum`` times the mu leaf masses.
+        """
+        op, lat, p, mu = self.op, self.op.lattice, self.op.p, self.op.mu
+        den, live, out, val = self._forward(x)
+        ok = val > 0.0
+        rows = np.flatnonzero(live)[ok]
+        x, den, val = x[rows], den[rows], val[ok]
+        val_p = np.array([v ** p for v in val.tolist()])[:, None]
+        den_p = np.array([v ** p for v in den.tolist()])[:, None]
+        if op.kind == "vector_paraproduct":
+            q = op.q
+            chain_q = out.q_power_chain(q)[ok]
+            # nu-weighted G^{p-q} with a zero guard where the chain vanishes
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
+            t_sums = lat.block_sums(op.nu.leaf_mass * gpq)
+            psi = []
+            for d in range(1, lat.depth + 1):
+                s = out.level(d)[ok]
+                psi.append(np.abs(s) ** (q - 1.0) * np.sign(s) * t_sums[d])
+            inner = _edge_terms_adjoint(self.levels, psi)
+            per_depth = [safe_divide(v, m) for v, m in zip(inner, mu.level_mass)]
+            g_out = mu.leaf_mass * lat.chain_sum(per_depth) / val_p
+        else:
+            out = out[ok]
+            u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val_p
+            per_depth = _edge_terms_adjoint(self.levels, lat.block_sums(u)[1:])
+            if op.kind != "positive":  # the operator reads averages, not integrals
+                per_depth = [v * w for v, w in zip(per_depth, self.inv_mass)]
+            g_out = mu.leaf_mass * lat.chain_sum(per_depth)
+        g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den_p
+        r = np.zeros(len(live))
+        r[rows] = val / den
+        grad = np.zeros((len(live), lat.n_leaves))
+        grad[rows] = g_out - g_in
+        has_grad = np.zeros(len(live), dtype=bool)
+        has_grad[rows] = True
+        return r, grad, has_grad
 
 
 def _project(op: OperatorHandle, x: np.ndarray, alive: np.ndarray) -> np.ndarray:
@@ -205,45 +246,60 @@ def _project(op: OperatorHandle, x: np.ndarray, alive: np.ndarray) -> np.ndarray
 
 
 def _ascend(
-    op: OperatorHandle, x0: np.ndarray, alive: np.ndarray, max_iter: int, step_tol: float
-) -> tuple[float, np.ndarray, int, bool]:
-    x = _project(op, x0.astype(float), alive)
+    rows: _Rows, x0: np.ndarray, alive: np.ndarray, max_iter: int, step_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Projected gradient ascent from every row of ``x0``, all rows in lock step.
+
+    Each row climbs on its own: normalised to unit input norm, it steps by
+    ``eta`` along grad / max|grad|, halving ``eta`` until the ratio grows and
+    then doubling it (capped at 1e3).  It stops converged when ``eta`` falls
+    to 1e-13, the gradient to 1e-14 or the gain to ``step_tol`` times
+    max(ratio, 1), and unconverged after ``max_iter`` iterations.  Every
+    evaluation tries one line-search candidate of each active row, so each
+    row takes the path it would take alone.  Returns per row the ratio, the
+    point, the iterations and whether it converged.
+    """
+    op = rows.op
+    x = _project(op, x0, alive)
     den = op.input_norm(x)
-    if den == 0.0:
-        return 0.0, x, 0, True
-    x = x / den
-    r, grad = _value_and_grad(op, x)
-    if grad is None:
-        return r, x, 0, True
-    eta = 0.5
-    iters = 0
-    converged = False
-    for _ in range(max_iter):
-        iters += 1
-        gn = float(np.max(np.abs(grad)))
-        if gn < 1e-14:
-            converged = True
-            break
-        improved = False
-        while eta > 1e-13:
-            cand = _project(op, x + eta * grad / gn, alive)
-            den = op.input_norm(cand)
-            if den > 0.0:
-                cand = cand / den
-                rc, gc = _value_and_grad(op, cand)
-                if rc > r:
-                    gain = rc - r
-                    x, r, grad = cand, rc, gc
-                    improved = True
-                    eta = min(eta * 2.0, 1e3)
-                    if gc is None or gain <= step_tol * max(r, 1.0):
-                        converged = True
-                    break
-            eta *= 0.5
-        if not improved or converged or grad is None:
-            converged = True
-            break
-    return r, x, iters, converged
+    x[den > 0.0] /= den[den > 0.0, None]
+    r, grad, active = rows.value_and_grad(x)
+    n = len(x)
+    eta, gn = np.full(n, 0.5), np.zeros(n)
+    iters = np.zeros(n, dtype=np.int64)
+    converged = ~active
+    fresh = active.copy()  # rows starting an iteration
+    while True:
+        if fresh.any():
+            out_of_iters = fresh & (iters == max_iter)
+            active &= ~out_of_iters
+            fresh &= ~out_of_iters
+            iters[fresh] += 1
+            gn[fresh] = np.abs(grad[fresh]).max(axis=1)
+            flat = fresh & (gn < 1e-14)
+            converged |= flat
+            active &= ~flat
+            fresh[:] = False
+        spent = active & ~(eta > 1e-13)
+        converged |= spent
+        active &= ~spent
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            return r, x, iters, converged
+        cand = _project(op, x[idx] + eta[idx, None] * grad[idx] / gn[idx, None], alive)
+        den = op.input_norm(cand)
+        cand[den > 0.0] /= den[den > 0.0, None]
+        rc, gc, has_grad = rows.value_and_grad(cand)
+        up = (den > 0.0) & (rc > r[idx])
+        won = idx[up]
+        gain = rc[up] - r[won]
+        x[won], r[won], grad[won] = cand[up], rc[up], gc[up]
+        eta[won] = np.minimum(eta[won] * 2.0, 1e3)
+        done = ~has_grad[up] | (gain <= step_tol * np.maximum(r[won], 1.0))
+        converged[won[done]] = True
+        active[won[done]] = False
+        fresh[won[~done]] = True
+        eta[idx[~up]] *= 0.5
 
 
 def _indicator_starts(lat: Lattice) -> list[tuple[str, np.ndarray]]:
@@ -261,8 +317,10 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
 
     Starts: the indicator of every atom, ``cfg.starts`` seeded random vectors,
     and any ``cfg.extra_starts``.  For the positive kinds the search is
-    restricted to nonnegative functions.  Deterministic given the seed; the
-    returned value is the recomputed ratio of the reported maximizer.
+    restricted to nonnegative functions.  All starts are ranked by one
+    batched ratio, and the ascended ones climb together (:func:`_ascend`).
+    Deterministic given the seed; the returned value is the recomputed ratio
+    of the reported maximizer.
     """
     cfg = cfg or AscentConfig()
     lat = op.lattice
@@ -280,24 +338,26 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
     for k, vec in enumerate(cfg.extra_starts):
         starts.append((f"certificate[{k}]", np.asarray(vec, dtype=float)))
 
-    evaluated = []
-    for name, vec in starts:
-        vec = _project(op, vec, alive)
-        evaluated.append((op.ratio(vec), name, vec))
-    evaluated.sort(key=lambda t: -t[0])
+    rows = _Rows(op)
+    names = [name for name, _ in starts]
+    x = _project(op, np.array([vec for _, vec in starts]), alive)
+    ratios = rows.ratios(x).tolist()
+    order = sorted(range(len(starts)), key=lambda k: -ratios[k])
 
-    n_ascend = len(evaluated) if cfg.ascend_top is None else min(cfg.ascend_top, len(evaluated))
-    best_val, best_name, best_x = evaluated[0]
+    n_ascend = len(starts) if cfg.ascend_top is None else min(cfg.ascend_top, len(starts))
+    best = order[0]
+    best_val, best_name, best_x = ratios[best], names[best], x[best]
     total_iters = 0
     all_converged = True
-    if cfg.max_iter > 0:
-        for rank in range(n_ascend):
-            _, name, vec = evaluated[rank]
-            val, x, iters, conv = _ascend(op, vec, alive, cfg.max_iter, cfg.step_tol)
-            total_iters += iters
-            all_converged = all_converged and conv
+    if cfg.max_iter > 0 and n_ascend > 0:
+        top = order[:n_ascend]
+        vals, climbed, iters, conv = _ascend(rows, x[top], alive, cfg.max_iter, cfg.step_tol)
+        for j, val in enumerate(vals.tolist()):
             if val > best_val:
-                best_val, best_name, best_x = val, name, x
+                best_val, best_name, best_x = val, names[top[j]], climbed[j]
+        total_iters = int(iters.sum())
+        all_converged = bool(conv.all())
+    best_x = best_x.copy()
     final = op.ratio(best_x)
     return NormEstimate(
         value=final,

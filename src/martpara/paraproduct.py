@@ -152,7 +152,11 @@ class Symbol:
 
 
 class SequenceField:
-    """One real number per non-root atom; output space of the vector paraproduct."""
+    """One real number per non-root atom; output space of the vector paraproduct.
+
+    Leading axes of the levels, the same on every level, are a batch of
+    fields (the vector paraproduct of a batch of leaf functions).
+    """
 
     def __init__(self, lattice: Lattice, levels: Optional[Sequence[np.ndarray]] = None):
         self.lattice = lattice
@@ -164,7 +168,8 @@ class SequenceField:
             self._levels = []
             for j, lvl in enumerate(levels):
                 arr = np.array(lvl, dtype=float)
-                if arr.shape != (lattice.level_size(j + 1),):
+                lead = self._levels[0].shape[:-1] if self._levels else arr.shape[:-1]
+                if arr.shape != (*lead, lattice.level_size(j + 1)):
                     raise ValueError(f"sequence level {j + 1} has shape {arr.shape}")
                 self._levels.append(arr)
 
@@ -191,8 +196,11 @@ def _edge_terms(
     levels: Sequence[np.ndarray], parent_vals: Sequence[np.ndarray]
 ) -> list[Optional[np.ndarray]]:
     """Per generation (None at the root), each child atom's edge coefficient
-    times the value attached to its parent."""
-    return [None] + [(c * v[:, None]).reshape(-1) for c, v in zip(levels, parent_vals)]
+    times the value attached to its parent.  Leading axes of the values are
+    a batch."""
+    return [None] + [
+        (c * v[..., None]).reshape(*v.shape[:-1], c.size) for c, v in zip(levels, parent_vals)
+    ]
 
 
 def _edge_terms_adjoint(
@@ -200,8 +208,11 @@ def _edge_terms_adjoint(
 ) -> list[np.ndarray]:
     """Transpose of :func:`_edge_terms`: per internal generation, each atom's
     edge coefficients times the values attached to its children, summed over
-    the children (``child_vals[d]`` lives at generation d + 1)."""
-    return [(c * w.reshape(c.shape)).sum(axis=1) for c, w in zip(levels, child_vals)]
+    the children (``child_vals[d]`` lives at generation d + 1).  Leading axes
+    of the values are a batch."""
+    return [
+        (c * w.reshape(*w.shape[:-1], *c.shape)).sum(axis=-1) for c, w in zip(levels, child_vals)
+    ]
 
 
 def _edge_chain(

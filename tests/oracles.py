@@ -20,8 +20,15 @@ from martpara.measure import (
     atom_integrals,
     conjugate,
     lp_norm,
+    safe_divide,
 )
-from martpara.normest import _operator_matrix
+from martpara.normest import (
+    AscentConfig,
+    NormEstimate,
+    _indicator_starts,
+    _operator_matrix,
+    _project,
+)
 from martpara.paraproduct import (
     NonnegativeCoefficients,
     _edge_terms_adjoint,
@@ -352,6 +359,139 @@ def naive_grid_oracle(op, resolution: float = 1e-2) -> float:
             X = mags * signs[:, pat][:, None]
             best = max(best, float(ratios(X).max()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# norm estimator: one start at a time
+# ---------------------------------------------------------------------------
+#
+# The per-start ascent that ``norm_lower_bound`` ran before it climbed all
+# starts in lock step: every start is ranked by its own ``OperatorHandle.ratio``
+# call and ascended alone, one ``naive_value_and_grad`` call per line-search
+# candidate.  The public applies and norms are shared with the production
+# code on purpose: the comparison is of the batching, not of the kernels.
+
+
+def naive_value_and_grad(op, x: np.ndarray):
+    """Rayleigh ratio at the leaf function x and the gradient of its log
+    (``None`` where the ratio vanishes)."""
+    den = op.input_norm(x)
+    if den == 0.0:
+        return 0.0, None
+    out = op.apply(x)
+    val = op.output_norm(out)
+    if val == 0.0:
+        return 0.0, None
+    lat, p, mu = op.lattice, op.p, op.mu
+    if op.kind == "vector_paraproduct":
+        q = op.q
+        chain_q = out.q_power_chain(q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
+        t_sums = lat.block_sums(op.nu.leaf_mass * gpq)
+        psi = [
+            np.abs(out.level(d)) ** (q - 1.0) * np.sign(out.level(d)) * t_sums[d]
+            for d in range(1, lat.depth + 1)
+        ]
+        inner = _edge_terms_adjoint(op._edge_levels(), psi)
+        per_depth = [safe_divide(v, m) for v, m in zip(inner, mu.level_mass)]
+        g_out = mu.leaf_mass * lat.chain_sum(per_depth) / val ** p
+    else:
+        u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val ** p
+        per_depth = _edge_terms_adjoint(op._edge_levels(), lat.block_sums(u)[1:])
+        if op.kind != "positive":
+            per_depth = [
+                v * safe_divide(np.ones_like(m), m) for v, m in zip(per_depth, mu.level_mass)
+            ]
+        g_out = mu.leaf_mass * lat.chain_sum(per_depth)
+    g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den ** p
+    return val / den, g_out - g_in
+
+
+def _naive_ascend(op, x0, alive, max_iter: int, step_tol: float):
+    x = _project(op, x0.astype(float), alive)
+    den = op.input_norm(x)
+    if den == 0.0:
+        return 0.0, x, 0, True
+    x = x / den
+    r, grad = naive_value_and_grad(op, x)
+    if grad is None:
+        return r, x, 0, True
+    eta = 0.5
+    iters = 0
+    converged = False
+    for _ in range(max_iter):
+        iters += 1
+        gn = float(np.max(np.abs(grad)))
+        if gn < 1e-14:
+            converged = True
+            break
+        improved = False
+        while eta > 1e-13:
+            cand = _project(op, x + eta * grad / gn, alive)
+            den = op.input_norm(cand)
+            if den > 0.0:
+                cand = cand / den
+                rc, gc = naive_value_and_grad(op, cand)
+                if rc > r:
+                    gain = rc - r
+                    x, r, grad = cand, rc, gc
+                    improved = True
+                    eta = min(eta * 2.0, 1e3)
+                    if gc is None or gain <= step_tol * max(r, 1.0):
+                        converged = True
+                    break
+            eta *= 0.5
+        if not improved or converged or grad is None:
+            converged = True
+            break
+    return r, x, iters, converged
+
+
+def naive_norm_lower_bound(op, cfg=None) -> NormEstimate:
+    """``norm_lower_bound`` with every start ranked and ascended on its own."""
+    cfg = cfg or AscentConfig()
+    lat = op.lattice
+    alive = op.mu.leaf_mass > 0.0
+    if not np.any(alive):
+        raise ValueError("the input measure is identically zero; no admissible start")
+
+    rng = np.random.default_rng(cfg.seed)
+    starts = _indicator_starts(lat)
+    for k in range(cfg.starts):
+        vec = rng.standard_normal(lat.n_leaves)
+        if op.positive_only:
+            vec = np.abs(vec)
+        starts.append((f"random[{k}]", vec))
+    for k, vec in enumerate(cfg.extra_starts):
+        starts.append((f"certificate[{k}]", np.asarray(vec, dtype=float)))
+
+    evaluated = []
+    for name, vec in starts:
+        vec = _project(op, vec, alive)
+        evaluated.append((op.ratio(vec), name, vec))
+    evaluated.sort(key=lambda t: -t[0])
+
+    n_ascend = len(evaluated) if cfg.ascend_top is None else min(cfg.ascend_top, len(evaluated))
+    best_val, best_name, best_x = evaluated[0]
+    total_iters = 0
+    all_converged = True
+    if cfg.max_iter > 0:
+        for rank in range(n_ascend):
+            _, name, vec = evaluated[rank]
+            val, x, iters, conv = _naive_ascend(op, vec, alive, cfg.max_iter, cfg.step_tol)
+            total_iters += iters
+            all_converged = all_converged and conv
+            if val > best_val:
+                best_val, best_name, best_x = val, name, x
+    return NormEstimate(
+        value=op.ratio(best_x),
+        argmax=best_x,
+        starts_used=len(starts),
+        iterations=total_iters,
+        converged=all_converged,
+        start_kind=best_name,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ GOLDEN = {
     "embedding": ["embedding", "--arity", "2", "--depth", "3", "--seed", "6",
                   "--trials", "5", "--p", "2"],
     "counterexample_nmax8": ["counterexample", "--nmax", "8"],
+    # default ascent on 16 leaves: 33,349 iterations, ends unconverged
+    "norm_depth4_p4_q2": ["norm", "--depth", "4", "--p", "4", "--q", "2"],
     **{
         f"norm_{kind}": ["norm", "--depth", "2", "--p", "4", "--q", "2", "--kind", kind]
         for kind in ("vector_paraproduct", "shifted", "positive", "paraproduct")

@@ -17,11 +17,11 @@ from martpara import (
     norm_lower_bound,
     project_mean_zero,
 )
-from martpara.normest import _value_and_grad
+from martpara.normest import _Rows
 from martpara.suite import _tiny_operators
 
 from helpers import random_setup
-from oracles import naive_grid_oracle
+from oracles import naive_grid_oracle, naive_norm_lower_bound
 
 LIGHT = AscentConfig(starts=8, max_iter=60, ascend_top=6, seed=0)
 
@@ -86,7 +86,8 @@ def test_value_and_grad_matches_central_differences(kind, p, q):
         for seed in range(3):
             lat, mu, nu, beta, x = random_setup(arity, depth, seed, sparsity=0.3)
             op = _handle(kind, p, q, mu, nu, beta)
-            val, grad = _value_and_grad(op, x)
+            vals, grads, _ = _Rows(op).value_and_grad(x[None])
+            val, grad = vals[0], grads[0]
             assert val == pytest.approx(op.ratio(x), rel=1e-15)
             fd = np.empty(lat.n_leaves)
             for j in range(lat.n_leaves):
@@ -254,3 +255,49 @@ def test_equivalence_requires_p_above_q():
         equivalence_report(beta, 2.0, 2.0, mu, nu)
     with pytest.raises(ValueError):
         necessity_report(beta, 2.0, 2.0, mu, nu)
+
+
+def assert_same_estimate(got, want):
+    """Every field of the estimate, the maximizer's bytes included."""
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert got.argmax.dtype == want.argmax.dtype and got.argmax.shape == want.argmax.shape
+    assert got.argmax.tobytes() == want.argmax.tobytes()
+    assert (got.starts_used, got.iterations, got.converged, got.start_kind) == (
+        want.starts_used, want.iterations, want.converged, want.start_kind)
+    assert type(got.iterations) is int and type(got.converged) is bool
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("kind", ["paraproduct", "vector_paraproduct", "shifted", "positive"])
+def test_lock_step_ascent_matches_per_start_oracle(kind, sparsity):
+    """The lock-step ascent returns what climbing every start alone did, on
+    arity 2-4 and depth 1-4, with a zero start and a start living on
+    massless leaves among the extra starts, ``ascend_top`` None and k, and
+    ``max_iter`` 0, 1 and 10 (some ascents converge, some run out)."""
+    converged = {True: 0, False: 0}
+    for k, (arity, depth) in enumerate([(2, 1), (4, 1), (3, 2), (4, 2), (2, 3), (2, 4)]):
+        lat, mu, nu, beta, f = random_setup(arity, depth, seed=31 * k + int(10 * sparsity),
+                                            sparsity=sparsity)
+        if not np.any(mu.leaf_mass > 0.0):
+            continue
+        op = _handle(kind, 3.0 if kind == "vector_paraproduct" else 2.5, 1.5, mu, nu, beta)
+        extra = (np.zeros(lat.n_leaves), np.where(mu.leaf_mass > 0.0, 0.0, 1.0), f)
+        for cfg in (
+            AscentConfig(starts=2, max_iter=10, seed=k),
+            AscentConfig(starts=3, max_iter=1, ascend_top=3, seed=k, extra_starts=extra),
+            AscentConfig(starts=2, max_iter=0, seed=k, extra_starts=extra),
+        ):
+            est = norm_lower_bound(op, cfg)
+            assert_same_estimate(est, naive_norm_lower_bound(op, cfg))
+            converged[est.converged] += 1
+    assert converged[True] and converged[False]
+
+
+@pytest.mark.parametrize("kind", ["paraproduct", "vector_paraproduct", "shifted", "positive"])
+def test_lock_step_ascent_matches_oracle_on_zero_operator(kind):
+    lat, mu, nu, _, _ = random_setup(3, 2, seed=8, sparsity=0.3)
+    op = _handle(kind, 2.0, 2.0, mu, nu, EdgeCoefficients(lat))
+    cfg = AscentConfig(starts=3, max_iter=20, ascend_top=4, extra_starts=(np.zeros(lat.n_leaves),))
+    est = norm_lower_bound(op, cfg)
+    assert est.value == 0.0 and est.iterations == 0 and est.converged
+    assert_same_estimate(est, naive_norm_lower_bound(op, cfg))

@@ -355,6 +355,26 @@ def test_invalid_inputs_raise_as_the_set_based_scans():
             assert got == outcome(naive, members, g, mu, top, view=lambda r: r)
 
 
+def test_first_invalid_member_in_input_order_raises():
+    """Members are checked in one array test; the error names the first
+    member outside the lattice in input order, as checking them one by one
+    did, and numpy integers count as integers."""
+    lat, mu, _ = depth2_setup()
+    f = np.array([8.0, 4.0, 1.0, 0.0])
+    for members in ([(1, 0), (1, 2), (3, 0)], [(1, 0), (3, 0), (1, 2)],
+                    [(0, 0), (-1, 0), (2, 9)], [(2, 1), (np.int64(2), np.int64(4))]):
+        first = next(a for a in members if not lat.is_valid(Atom(*a)))
+        with pytest.raises(ValueError) as want:
+            lat.check_atom(first)
+        for step in (stopping_generation, modified_stopping_generation):
+            with pytest.raises(ValueError) as got:
+                step(members, f, mu, lat.root)
+            assert str(got.value) == str(want.value)
+    as_numpy = [(np.int64(d), np.int64(i)) for d, i in lat.atoms()]
+    assert stopping_generation(as_numpy, f, mu, lat.root) == stopping_generation(
+        list(lat.atoms()), f, mu, lat.root)
+
+
 def test_two_root_forest():
     lat, mu, _, _, _ = random_setup(2, 6, seed=3, sparsity=0.0)
     f = pareto(np.random.default_rng(3), lat)
