@@ -13,13 +13,16 @@ Each row takes the path, and gives the bytes, it would alone.
 
 ``grid_oracle_norm`` is the independent desk-scale oracle: a dense angular
 grid on the unit sphere, sign patterns included, no optimization.  It ranks
-the grid points by the p-th power of the ratio, block by block, and returns
-the ratio of the best point recomputed from scratch, so its value too is a
-sound lower bound.  At the default resolution the grid of a 4-leaf operator
-has 158^3 directions times up to 8 sign patterns, about 0.1-1 s on one core
-of a 2-core machine (the 24 operators of the acceptance battery: about 5 s).
-A block's arrays have at most 6 rows and max(8192, patterns x angle steps)
-columns, so the scan needs a few MB at the default resolution.
+the grid points by the p-th power of the ratio and returns the ratio of each
+block's best point recomputed from scratch, so its value too is a sound
+lower bound.  The ranking is a trig-quadratic scan: with every angle but the
+last one (t) fixed, each squared output under each sign pattern is a
+quadratic form in (cos t, sin t), so two matrix products score a block of
+directions under every pattern.  At the default resolution the grid of a
+4-leaf operator has 159^3 directions times up to 8 sign patterns, about
+0.03-0.4 s on one core of a 2-core machine (the 24 operators of the
+acceptance battery: about 1.3 s).  A block holds at most ``_GRID_VALUES`` =
+2^16 values (form rows times directions), so the scan needs about 1 MB.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ class OperatorHandle:
             raise ValueError(f"kind {self.kind!r} is missing its coefficients")
         if self.kind in ("vector_paraproduct", "shifted") and self.q is None:
             raise ValueError(f"kind {self.kind!r} needs the exponent q")
+        if self.kind == "vector_paraproduct" and self.q <= 0:
+            raise ValueError("p and q must be positive")
 
     @property
     def lattice(self) -> Lattice:
@@ -176,17 +181,21 @@ class _Rows:
         self.inv_mass = [safe_divide(np.ones_like(m), m) for m in op.mu.level_mass]
 
     def _forward(self, x: np.ndarray):
-        """Input norms, the rows of positive input norm, their outputs and
-        the output norms."""
+        """Input norms, the rows of positive input norm, their outputs, the
+        output norms and, for the vector kind, the q-power chains of the
+        outputs that the norms are taken from (else None)."""
         op = self.op
         den = op.input_norm(x)
         live = den > 0.0
         out = op.apply(x[live])
-        return den, live, out, op.output_norm(out)
+        if op.kind != "vector_paraproduct":
+            return den, live, out, op.output_norm(out), None
+        chain = out.q_power_chain(op.q)  # the bytes of sequence_norm, chain kept
+        return den, live, out, lp_norm(chain ** (1.0 / op.q), op.p, op.nu), chain
 
     def ratios(self, x: np.ndarray) -> np.ndarray:
         """Rayleigh ratio of every row, 0 where the input norm vanishes."""
-        den, live, _, val = self._forward(x)
+        den, live, _, val, _ = self._forward(x)
         r = np.zeros(len(x))
         r[live] = val / den[live]
         return r
@@ -201,7 +210,7 @@ class _Rows:
         i.e. ``chain_sum`` times the mu leaf masses.
         """
         op, lat, p, mu = self.op, self.op.lattice, self.op.p, self.op.mu
-        den, live, out, val = self._forward(x)
+        den, live, out, val, chain_q = self._forward(x)
         ok = val > 0.0
         rows = np.flatnonzero(live)[ok]
         x, den, val = x[rows], den[rows], val[ok]
@@ -209,7 +218,7 @@ class _Rows:
         den_p = np.array([v ** p for v in den.tolist()])[:, None]
         if op.kind == "vector_paraproduct":
             q = op.q
-            chain_q = out.q_power_chain(q)[ok]
+            chain_q = chain_q[ok]
             # nu-weighted G^{p-q} with a zero guard where the chain vanishes
             with np.errstate(divide="ignore", invalid="ignore"):
                 gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
@@ -373,7 +382,30 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
 # brute-force oracle on tiny instances
 # ---------------------------------------------------------------------------
 
-_GRID_BLOCK = 8192  # grid points (directions x sign patterns) per block; a block stays in cache
+_GRID_VALUES = 1 << 16  # values per block of the grid scan: (form rows + 1 for den^p) x directions
+
+
+def _pair_fold(n: int) -> np.ndarray:
+    """(n * n, n (n + 1) / 2) 0/1 matrix adding the entries (i, j) and (j, i)
+    of a flattened n x n array into pair i <= j, pairs in row-major order."""
+    iu, ju = np.triu_indices(n)
+    fold = np.zeros((n, n, len(iu)))
+    fold[iu, ju, np.arange(len(iu))] = 1.0
+    fold[ju, iu, np.arange(len(iu))] = 1.0
+    return fold.reshape(n * n, -1)
+
+
+def _square_forms(signed: np.ndarray) -> np.ndarray:
+    """Squares of the rows of ``signed @ x`` on x = (u_0, ..., u_{k-3},
+    u_{k-2} cos t, u_{k-2} sin t), as forms: shape (rows, prefix pairs, 6),
+    the coefficients of u_i u_j (i <= j, row-major) times the trig basis
+    (1, cos t, sin t, cos^2 t, cos t sin t, sin^2 t)."""
+    n_rows, k = signed.shape
+    lin = np.zeros((n_rows, k - 1, 3))  # each row, linear in u and in (1, cos t, sin t)
+    lin[:, :k - 2, 0] = signed[:, :k - 2]
+    lin[:, k - 2, 1:] = signed[:, k - 2:]
+    outer = (lin[:, :, None, :, None] * lin[:, None, :, None, :]).reshape(n_rows, (k - 1) ** 2, 9)
+    return _pair_fold(k - 1).T @ outer @ _pair_fold(3)
 
 
 def _operator_matrix(op: OperatorHandle, alive_idx: np.ndarray):
@@ -409,17 +441,25 @@ def grid_oracle_norm(op: OperatorHandle, resolution: float = 1e-2) -> float:
     fixed positive; antipodal points give the same ratio).  Restricted to at
     most 4 leaves because the grid is exhaustive.
 
-    The scan walks blocks of about ``_GRID_BLOCK`` points (directions times
-    sign patterns) and ranks them by num^p / den^p, which orders them as the
-    ratio does; den^p does not depend on the signs, so a block computes it
-    once per direction.  The returned value is the ratio of each block's best
-    point, recomputed by ``ratios``, maximised over the blocks.
+    The scan ranks the grid points by num^p / den^p, which orders them as the
+    ratio does.  With the first k - 2 angles (a prefix) fixed and t the last
+    one, every squared output under every sign pattern is a form in
+    (1, cos t, sin t, cos^2 t, cos t sin t, sin^2 t) whose coefficients are
+    linear in the prefix products u_i u_j (``_square_forms``); where the
+    power after the square is 1 (p = 2, or q = 2 for the vector kind) the
+    linear map that follows (nu weights or chain membership) is folded into
+    the forms.  A block of prefixes takes one product with the forms and one
+    with the trig basis, in a buffer of at most ``_GRID_VALUES`` values;
+    den^p is a per-prefix constant plus sigma^p (w cos^p t + w' sin^p t).
+    The returned value is the ratio of each block's best point, rebuilt from
+    the left-to-right direction products and recomputed by ``ratios``,
+    maximised over the blocks, so it is a sound lower bound.
     """
     lat = op.lattice
     if lat.n_leaves > 4:
         raise ValueError(f"oracle supports at most 4 leaves, got {lat.n_leaves}")
-    if resolution > 1e-2:
-        raise ValueError(f"resolution must be <= 1e-2, got {resolution}")
+    if not 0.0 < resolution <= 1e-2:
+        raise ValueError(f"resolution must be a finite number in (0, 1e-2], got {resolution}")
     alive_idx = np.nonzero(op.mu.leaf_mass > 0.0)[0]
     k = len(alive_idx)
     if k == 0:
@@ -427,6 +467,7 @@ def grid_oracle_norm(op: OperatorHandle, resolution: float = 1e-2) -> float:
     mat, membership = _operator_matrix(op, alive_idx)
     w = op.mu.leaf_mass[alive_idx]
     v = op.nu.leaf_mass
+    p = op.p
 
     def ratios(X: np.ndarray) -> np.ndarray:
         den = (w[:, None] * np.abs(X) ** op.p).sum(axis=0) ** (1.0 / op.p)
@@ -456,39 +497,61 @@ def grid_oracle_norm(op: OperatorHandle, resolution: float = 1e-2) -> float:
             patterns.append(s)
         signs = np.array(patterns).T  # (k, n_pat)
     n_pat = signs.shape[1]
-    # rows pat * n_out ... (pat + 1) * n_out: the operator on sign pattern pat
-    signed = (signs.T[:, None, :] * mat).reshape(-1, k)
+    iu, ju = np.triu_indices(k - 1)
+
+    # The forms of every (output, pattern) row, laid out (output, prefix
+    # pair, pattern x basis) so that each linear map after a power is one
+    # matrix product.  The operator is scaled by a power of two so that the
+    # squares stay in range, which leaves the order of the points as it is.
+    scale = np.ldexp(1.0, -np.frexp(np.abs(mat).max())[1])
+    signed = ((scale * mat)[:, None, :] * signs.T).reshape(-1, k)
+    forms = _square_forms(signed).reshape(len(mat), n_pat, -1, 6).transpose(0, 2, 1, 3)
+    forms = forms.reshape(len(mat), -1)
+    if op.kind == "vector_paraproduct":
+        after = [(op.q / 2.0, membership), (p / op.q, v[None, :])]
+    else:
+        after = [(p / 2.0, v[None, :])]
+    if after[0][0] == 1.0:  # no power between the square and its linear map: fold the map in
+        forms = after.pop(0)[1] @ forms
+    n_rows = len(forms) * n_pat
+    forms = forms.reshape(len(forms), len(iu), n_pat * 6)
+    basis = np.stack([np.ones(npts), cos_t, sin_t, cos_t * cos_t, cos_t * sin_t, sin_t * sin_t])
+    den_tail = w[k - 2] * cos_t ** p + w[k - 1] * sin_t ** p
 
     # Directions in C order over the k - 1 angles.  A block is a run of
-    # prefixes (values of the first k - 2 angles) times every value of the
-    # last angle.  Each coordinate is the product of sines and a cosine taken
-    # left to right, so a direction does not depend on the block it falls in.
+    # prefixes times every value of the last angle.  Each coordinate is the
+    # product of sines and a cosine taken left to right, so a direction does
+    # not depend on the block it falls in.
     n_pre = npts ** (k - 2)
-    rows = max(1, _GRID_BLOCK // (n_pat * npts))
+    per_block = min(n_pre, max(1, _GRID_VALUES // ((n_rows + 1) * npts)))
+    buf = np.empty(per_block * n_rows * npts)
 
     best = 0.0
-    for lo in range(0, n_pre, rows):
-        pre = np.arange(lo, min(lo + rows, n_pre))
-        mags = np.empty((k, len(pre), npts))
+    for lo in range(0, n_pre, per_block):
+        pre = np.arange(lo, min(lo + per_block, n_pre))
+        u = np.empty((k - 1, len(pre)))  # the prefix coordinates, then sigma
         sin_prod = np.ones(len(pre))
         for a in range(k - 2):
             i_a = pre // npts ** (k - 3 - a) % npts
-            mags[a] = (sin_prod * cos_t[i_a])[:, None]
+            u[a] = sin_prod * cos_t[i_a]
             sin_prod = sin_prod * sin_t[i_a]
-        mags[k - 2] = sin_prod[:, None] * cos_t
-        mags[k - 1] = sin_prod[:, None] * sin_t
-        mags = mags.reshape(k, -1)
-        den_p = w @ mags ** op.p
-        out = np.abs(signed @ mags).reshape(n_pat, -1, mags.shape[1])
-        if op.kind == "vector_paraproduct":
-            num_p = v @ (membership @ out ** op.q) ** (op.p / op.q)
-        else:
-            num_p = v @ out ** op.p
-        score = np.zeros_like(num_p)
-        np.divide(num_p, den_p, out=score, where=den_p > 0)
-        pat, col = np.unravel_index(score.argmax(), score.shape)
-        X = mags[:, col:col + 1] * signs[:, pat][:, None]
-        best = max(best, float(ratios(X)[0]))
+        u[k - 2] = sin_prod
+        vals = buf[:len(pre) * n_rows * npts].reshape(-1, npts)
+        np.matmul(((u[iu] * u[ju]).T @ forms).reshape(-1, 6), basis, out=vals)
+        vals = vals.reshape(len(forms), -1)
+        for power, lin in after:
+            if power == 2.0:  # np.square: about 3x faster than np.power(., 2.0)
+                np.square(vals, out=vals)
+            else:  # rounding may leave a square below 0: clamp before the power
+                np.power(np.maximum(vals, 0.0, out=vals), power, out=vals)
+            vals = lin @ vals
+        den_p = np.multiply.outer(sin_prod ** p, den_tail)
+        den_p += (w[:k - 2] @ u[:k - 2] ** p)[:, None]
+        score = vals.reshape(len(pre), n_pat, npts)
+        score *= np.divide(1.0, den_p, out=den_p, where=den_p > 0.0)[:, None, :]  # 0 where den = 0
+        j, pat, i = np.unravel_index(score.argmax(), score.shape)
+        x = np.concatenate([u[:k - 2, j], [sin_prod[j] * cos_t[i], sin_prod[j] * sin_t[i]]])
+        best = max(best, float(ratios((x * signs[:, pat])[:, None])[0]))
     return best
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,8 @@ def test_handle_validation():
         OperatorHandle(kind="shifted", p=2.0, mu=mu, nu=mu, beta=EdgeCoefficients(lat))
     with pytest.raises(ValueError):
         OperatorHandle(kind="positive", p=2.0, mu=mu, nu=mu)
+    with pytest.raises(ValueError):
+        OperatorHandle(kind="vector_paraproduct", p=2.0, q=0.0, mu=mu, nu=mu, beta=EdgeCoefficients(lat))
 
 
 def test_oracle_examples():
@@ -125,6 +129,11 @@ def test_oracle_examples():
     beta2 = EdgeCoefficients.from_dict(lat, {(0, 0, 0): 2.0, (0, 0, 1): -2.0})
     op2 = OperatorHandle(kind="paraproduct", p=2.0, mu=mu, nu=mu, symbol=Symbol(beta2, mu))
     assert grid_oracle_norm(op2, 1e-2) == pytest.approx(2.0 * grid_oracle_norm(haar_op(), 1e-2))
+    # and at a scale where the squared outputs would overflow unscaled
+    huge = 2.0 ** 560
+    beta_huge = EdgeCoefficients.from_dict(lat, {(0, 0, 0): huge, (0, 0, 1): -huge})
+    op_huge = OperatorHandle(kind="paraproduct", p=1.5, mu=mu, nu=mu, symbol=Symbol(beta_huge, mu))
+    assert grid_oracle_norm(op_huge, 1e-2) == pytest.approx(huge * grid_oracle_norm(haar_op(p=1.5), 1e-2))
 
 
 def test_oracle_rejects_big_instances():
@@ -132,8 +141,9 @@ def test_oracle_rejects_big_instances():
     op = OperatorHandle(kind="vector_paraproduct", p=4.0, q=2.0, mu=mu, nu=nu, beta=beta)
     with pytest.raises(ValueError):
         grid_oracle_norm(op, 1e-2)
-    with pytest.raises(ValueError):
-        grid_oracle_norm(haar_op(), 0.5)
+    for resolution in (0.5, -np.inf, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            grid_oracle_norm(haar_op(), resolution)
 
 
 def assert_matches_naive_grid(op):
@@ -143,10 +153,15 @@ def assert_matches_naive_grid(op):
 
 
 # every kind on the 2- and 3-leaf instances, two 4-leaf operators (the naive
-# 4-leaf scans take 0.5-5 s each, so only two of the twelve)
+# 4-leaf scans take 0.5-5 s each, so only two of the twelve), and on 2a and
+# 3u the exponents whose power after the square is not 1: p = 3, and
+# (p, q) = (3, 1.5) for the vector kind
 _AGREEMENT_OPS = [
     (label, op) for label, op in _tiny_operators()
     if label.split("/")[0] in ("2u", "2a", "3u") or label in ("2x2z/positive", "4a/paraproduct")
+] + [
+    (f"{label}/p3", replace(op, p=3.0, q=1.5) if op.kind == "vector_paraproduct" else replace(op, p=3.0))
+    for label, op in _tiny_operators() if label.split("/")[0] in ("2a", "3u")
 ]
 
 
