@@ -23,8 +23,7 @@ from .instances import (
     save_instance,
 )
 from .measure import conjugate, lp_norm
-from .normest import AscentConfig, OperatorHandle, norm_lower_bound
-from .paraproduct import NonnegativeCoefficients, project_mean_zero
+from .normest import KINDS, AscentConfig, OperatorHandle, norm_lower_bound
 from .stopping import (
     carleson_constant,
     carleson_embedding_check,
@@ -71,30 +70,9 @@ def cmd_testing(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_handle(args: argparse.Namespace, inst: Instance) -> OperatorHandle:
-    if args.kind == "vector_paraproduct":
-        return OperatorHandle(
-            kind=args.kind, p=args.p, q=args.q, mu=inst.mu, nu=inst.nu, beta=inst.beta
-        )
-    if args.kind == "shifted":
-        return OperatorHandle(
-            kind=args.kind, p=args.p / args.q, q=args.q, mu=inst.mu, nu=inst.nu, beta=inst.beta
-        )
-    if args.kind == "positive":
-        lat = inst.lattice
-        alpha = NonnegativeCoefficients(
-            lat, [np.abs(inst.beta.level(d)) for d in range(lat.depth)]
-        )
-        return OperatorHandle(kind=args.kind, p=args.p, mu=inst.mu, nu=inst.nu, alpha=alpha)
-    if args.kind == "paraproduct":
-        symbol = project_mean_zero(inst.beta, inst.nu)
-        return OperatorHandle(kind=args.kind, p=args.p, mu=inst.mu, nu=inst.nu, symbol=symbol)
-    raise ValueError(f"unknown operator kind {args.kind!r}")
-
-
 def cmd_norm(args: argparse.Namespace) -> int:
     inst = _get_instance(args)
-    handle = _build_handle(args, inst)
+    handle = OperatorHandle.from_beta(args.kind, inst.beta, args.p, args.q, inst.mu, inst.nu)
     est = norm_lower_bound(handle, AscentConfig(seed=args.seed))
     payload = {
         "value": est.value,
@@ -110,9 +88,7 @@ def cmd_mirror(args: argparse.Namespace) -> int:
     inst = _get_instance(args)
     lat = inst.lattice
     rng = np.random.default_rng(args.seed + 1)
-    alpha = NonnegativeCoefficients(
-        lat, [np.abs(inst.beta.level(d)) for d in range(lat.depth)]
-    )
+    alpha = inst.beta.absolute()
     f = inst.f if inst.f is not None else 1.0 - rng.random(lat.n_leaves)
     f = np.abs(f)
     g = 1.0 - rng.random(lat.n_leaves)
@@ -192,8 +168,7 @@ _FLAGS = {
     "--q": dict(type=float, default=2.0),
     "--tol": dict(type=float, default=1e-9),
     "--trials": dict(type=int, default=1),
-    "--kind": dict(default="vector_paraproduct",
-                   choices=["vector_paraproduct", "shifted", "positive", "paraproduct"]),
+    "--kind": dict(default="vector_paraproduct", choices=KINDS),
     "--nmax": dict(type=int, default=10),
     "--r": dict(type=float, default=0.3),
     "--quick": dict(action="store_true", help="shrink trial counts"),

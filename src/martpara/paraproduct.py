@@ -90,6 +90,10 @@ class EdgeCoefficients:
     def scaled(self, t: float) -> "EdgeCoefficients":
         return type(self)(self.lattice, [t * lvl for lvl in self._levels])
 
+    def absolute(self) -> "NonnegativeCoefficients":
+        """The coefficients |b|: those of the positive operator on |beta|."""
+        return NonnegativeCoefficients(self.lattice, [np.abs(lvl) for lvl in self._levels])
+
     def to_dict(self) -> dict[tuple[int, int, int], float]:
         out = {}
         for d, lvl in enumerate(self._levels):

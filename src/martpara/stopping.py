@@ -80,10 +80,14 @@ def stopping_generation(
     half of ``top``'s mass.  This is the first step of
     ``stopping_forest(collection, f, mu, [top])``.
     """
-    _check_nonnegative(mu.lattice, f)  # a bad f is reported before a bad top
-    top = mu.lattice.check_atom(top)
-    forest = _grow_forest(False, collection, f, mu, [top])
-    return forest.selected[top], forest.exhausted[top]
+    lat = mu.lattice
+    _check_nonnegative(lat, f)  # a bad f is reported before a bad top
+    top = lat.check_atom(top)
+    members = list(collection)
+    selected = _grow_forest(False, members, f, mu, [top]).selected[top]
+    depth, index = _check_members(lat, members)
+    valid = {Atom(d, i) for d, i in zip(depth.tolist(), index.tolist())}
+    return selected, exhausted_members(lat, valid, selected, top)
 
 
 def modified_stopping_generation(
@@ -130,15 +134,15 @@ def exhausted_members(
 class StoppingForest:
     """Stopping atoms of all generations below a disjoint root collection.
 
-    ``selected[J]`` / ``exhausted[J]`` record one construction step for every
-    processed atom J (roots and stopping atoms).
+    ``selected[J]`` records one construction step for every processed atom J
+    (roots and stopping atoms); the members J's step exhausts are
+    :func:`exhausted_members` of J and ``selected[J]``.
     """
 
     lattice: Lattice
     roots: set[Atom]
     generations: list[set[Atom]] = field(default_factory=list)
     selected: dict[Atom, set[Atom]] = field(default_factory=dict)
-    exhausted: dict[Atom, set[Atom]] = field(default_factory=dict)
 
     @property
     def stopping_atoms(self) -> set[Atom]:
@@ -253,11 +257,11 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
     A member becomes a stopping atom, the owner of what lies below it, when
     (plain) its own average strictly exceeds twice its owner's, or
     (modified) its parent's average weakly exceeds twice its owner's, a
-    nonzero one.  ``selected[J]`` are the atoms whose parent's owner is J,
-    ``exhausted[J]`` the members owned by J; the guarantees are checked on
-    all of them at once.  Generations and set contents are then filled in
-    the order in which scanning top after top (sorted, generation by
-    generation) from each top down would find them; the ledger sums of
+    nonzero one.  ``selected[J]`` are the atoms whose parent's owner is J;
+    the guarantees are checked on them and on the members owned by J (the
+    exhausted ones) all at once.  Generations and set contents are then
+    filled in the order in which scanning top after top (sorted, generation
+    by generation) from each top down would find them; the ledger sums of
     :func:`proof_mirror` add in that order.
     """
     lat = mu.lattice
@@ -328,15 +332,6 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
     found: list[list[Atom]] = [[] for _ in tops]
     for i in order.tolist():
         found[source[n_roots + i]].append(tops[n_roots + i])
-    # each member joins its owner's exhausted set, in input order
-    m_owner = np.full(m_depth.size, -1)
-    for d in range(lat.depth + 1):
-        at_d = m_depth == d
-        m_owner[at_d] = owner[d][m_index[at_d]]
-    exhausted: list[set[Atom]] = [set() for _ in tops]
-    for k, d, i in zip(m_owner.tolist(), m_depth.tolist(), m_index.tolist()):
-        if k >= 0:
-            exhausted[k].add(Atom(d, i))
     id_of = {t: k for k, t in enumerate(tops)}
     queue = ordered
     while queue:
@@ -344,7 +339,6 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
         for top in queue:
             selected = set(found[id_of[top]])
             forest.selected[top] = selected
-            forest.exhausted[top] = exhausted[id_of[top]]
             next_gen.extend(selected)
         if next_gen:
             forest.generations.append(set(next_gen))

@@ -19,21 +19,18 @@ from .lattice import build_lattice
 from .martingale import rubio_de_francia, square_function
 from .measure import Measure, atom_averages, average, conjugate, lp_norm
 from .normest import (
+    KINDS,
     AscentConfig,
     OperatorHandle,
     grid_oracle_norm,
     necessity_report,
     norm_lower_bound,
 )
-from .paraproduct import (
-    EdgeCoefficients,
-    NonnegativeCoefficients,
-    Symbol,
-    project_mean_zero,
-)
+from .paraproduct import EdgeCoefficients
 from .stopping import (
     carleson_constant,
     carleson_embedding_check,
+    exhausted_members,
     modified_stopping_forest,
     normalize_for_mirror,
     proof_mirror,
@@ -163,9 +160,7 @@ def criterion_sufficiency(trials: int = 200) -> CriterionResult:
             )
             b = direct_testing(inst.beta, p, q, inst.mu, inst.nu)
             bound = 2.0 ** ((p + 1.0) / p) * conjugate(p) * b
-            op = OperatorHandle(
-                kind="vector_paraproduct", p=p, q=q, mu=inst.mu, nu=inst.nu, beta=inst.beta
-            )
+            op = OperatorHandle.from_beta("vector_paraproduct", inst.beta, p, q, inst.mu, inst.nu)
             est = norm_lower_bound(op, cfg).value
             if est > bound * (1.0 + 1e-9):
                 violations += 1
@@ -220,9 +215,7 @@ def criterion_two_sided(trials: int = 100, cap: float = 50.0) -> CriterionResult
             b = direct_testing(inst.beta, p, q, inst.mu, inst.nu)
             b_star = adjoint_testing(inst.beta, p, q, inst.mu, inst.nu)
             scale = max(b, b_star ** (1.0 / q))
-            op = OperatorHandle(
-                kind="vector_paraproduct", p=p, q=q, mu=inst.mu, nu=inst.nu, beta=inst.beta
-            )
+            op = OperatorHandle.from_beta("vector_paraproduct", inst.beta, p, q, inst.mu, inst.nu)
             est = norm_lower_bound(op, cfg).value
             if est > cap * scale * (1.0 + 1e-9):
                 violations += 1
@@ -272,21 +265,14 @@ def _tiny_instances():
 
 
 def _tiny_operators():
-    """(label, handle) pairs for every estimator kind on the tiny instances."""
+    """(label, handle) pairs for every estimator kind on the tiny instances:
+    the vector and shifted kinds from (p, q) = (4, 2), the others at p = 2."""
     ops = []
-    for label, lat, mu, nu, beta in _tiny_instances():
-        p, q = 4.0, 2.0
-        ops.append((f"{label}/vector", OperatorHandle(
-            kind="vector_paraproduct", p=p, q=q, mu=mu, nu=nu, beta=beta)))
-        ops.append((f"{label}/shifted", OperatorHandle(
-            kind="shifted", p=p / q, q=q, mu=mu, nu=nu, beta=beta)))
-        alpha = NonnegativeCoefficients(
-            lat, [np.abs(beta.level(d)) for d in range(lat.depth)])
-        ops.append((f"{label}/positive", OperatorHandle(
-            kind="positive", p=2.0, mu=mu, nu=nu, alpha=alpha)))
-        symbol = project_mean_zero(beta, nu)
-        ops.append((f"{label}/paraproduct", OperatorHandle(
-            kind="paraproduct", p=2.0, mu=mu, nu=nu, symbol=symbol)))
+    for label, _, mu, nu, beta in _tiny_instances():
+        for kind in KINDS:
+            p = 4.0 if kind in ("vector_paraproduct", "shifted") else 2.0
+            name = "vector" if kind == "vector_paraproduct" else kind
+            ops.append((f"{label}/{name}", OperatorHandle.from_beta(kind, beta, p, 2.0, mu, nu)))
     return ops
 
 
@@ -301,13 +287,12 @@ def criterion_simultaneous(tol: float = 2e-2) -> CriterionResult:
     factor = 4.0 * p / (p - q)
 
     def run():
+        handles = dict(_tiny_operators())
         violations = 0
         n = 0
-        for label, lat, mu, nu, beta in _tiny_instances():
-            a1 = _oracle(f"{label}/vector", OperatorHandle(
-                kind="vector_paraproduct", p=p, q=q, mu=mu, nu=nu, beta=beta))
-            a2 = _oracle(f"{label}/shifted", OperatorHandle(
-                kind="shifted", p=p / q, q=q, mu=mu, nu=nu, beta=beta))
+        for label, *_ in _tiny_instances():
+            a1 = _oracle(f"{label}/vector", handles[f"{label}/vector"])
+            a2 = _oracle(f"{label}/shifted", handles[f"{label}/shifted"])
             n += 1
             if a1 ** q > a2 + tol:
                 violations += 1
@@ -406,7 +391,7 @@ def criterion_stopping(trials: int = 200) -> CriterionResult:
                 if covered > 0.5 * inst.mu.mass(top) * (1.0 + 1e-12):
                     violations += 1
                 thr = 2.0 * average(f, top, inst.mu)
-                for a in mforest.exhausted[top]:
+                for a in exhausted_members(lat, members, mforest.selected[top], top):
                     if a == top or a.depth == 0:
                         continue
                     if average(f, lat.parent(a), inst.mu) > thr * (1.0 + 1e-12):
@@ -434,9 +419,7 @@ def criterion_mirror(trials: int = 200) -> CriterionResult:
             inst = generate_random_instance(arity, depth, seed=85_000 + i)
             lat = inst.lattice
             rng = np.random.default_rng(94_000 + i)
-            alpha = NonnegativeCoefficients(
-                lat, [np.abs(inst.beta.level(d)) for d in range(lat.depth)]
-            )
+            alpha = inst.beta.absolute()
             f = 1.0 - rng.random(lat.n_leaves)
             g = 1.0 - rng.random(lat.n_leaves)
             if lp_norm(f, p, inst.mu) == 0.0 or lp_norm(g, conjugate(p), inst.nu) == 0.0:

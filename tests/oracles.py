@@ -593,8 +593,8 @@ def _naive_check_disjoint_roots(lat: Lattice, roots) -> None:
 
 
 def naive_grow_forest(step, lat: Lattice, roots) -> StoppingForest:
-    """Run ``step(top) -> (selected, exhausted)`` generation by generation,
-    tops in sorted order, from a disjoint root collection."""
+    """Run ``step(top) -> selected`` generation by generation, tops in
+    sorted order, from a disjoint root collection."""
     roots = {lat.check_atom(r) for r in roots}
     _naive_check_disjoint_roots(lat, roots)
     forest = StoppingForest(lattice=lat, roots=roots)
@@ -602,9 +602,8 @@ def naive_grow_forest(step, lat: Lattice, roots) -> StoppingForest:
     while queue:
         next_gen: list[Atom] = []
         for top in queue:
-            selected, exhausted = step(top)
+            selected = step(top)
             forest.selected[top] = selected
-            forest.exhausted[top] = exhausted
             next_gen.extend(selected)
         if next_gen:
             forest.generations.append(set(next_gen))
@@ -615,19 +614,15 @@ def naive_grow_forest(step, lat: Lattice, roots) -> StoppingForest:
 def naive_stopping_forest(collection, f, mu: Measure, roots) -> StoppingForest:
     members = set(collection)
     return naive_grow_forest(
-        lambda top: naive_stopping_generation(members, f, mu, top), mu.lattice, roots
+        lambda top: naive_stopping_generation(members, f, mu, top)[0], mu.lattice, roots
     )
 
 
 def naive_modified_stopping_forest(members, f, mu: Measure, roots) -> StoppingForest:
     members = set(members)
-    lat = mu.lattice
-
-    def step(top: Atom):
-        selected = naive_modified_stopping_generation(members, f, mu, top)
-        return selected, naive_exhausted_members(lat, members, selected, top)
-
-    return naive_grow_forest(step, lat, roots)
+    return naive_grow_forest(
+        lambda top: naive_modified_stopping_generation(members, f, mu, top), mu.lattice, roots
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,10 @@ def test_norm_subcommand_json(capsys):
     payload = json.loads(out)
     assert set(payload) == {"value", "start_kind", "iterations", "converged"}
     assert payload["value"] >= 0.0
+    # the shifted kind runs at r = p/q: the error names the p and q given
+    for p, q in (("2", "2"), ("2", "0")):
+        assert main(["norm", "--kind", "shifted", "--p", p, "--q", q]) == 2
+        assert f"needs p > q > 1, got p={float(p)}, q={float(q)}" in capsys.readouterr().err
 
 
 def test_mirror_subcommand(capsys):
@@ -203,6 +207,9 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
 def test_oversized_input_exits_2(tmp_path, capsys):
     assert main(["testing", "--arity", "1000", "--depth", "6"]) == 2
     assert "leaves" in capsys.readouterr().err
+    # 2^14 leaves fit, but the ascent's batch of starts would not
+    assert main(["norm", "--depth", "14"]) == 2
+    assert "batch limit" in capsys.readouterr().err
     huge = tmp_path / "huge.json"
     huge.write_text('{"arity": 2, "depth": 1, "mu": [1e308, 1e308], "nu": [1, 1], "beta": {}}')
     assert main(["testing", "--instance", str(huge)]) == 2

@@ -19,8 +19,8 @@ from martpara import (
     norm_lower_bound,
     project_mean_zero,
 )
-from martpara.normest import _Rows
-from martpara.suite import _tiny_operators
+from martpara.normest import KINDS, MAX_START_VALUES, _Rows
+from martpara.suite import _tiny_instances, _tiny_operators
 
 from helpers import random_setup
 from oracles import naive_grid_oracle, naive_norm_lower_bound
@@ -114,6 +114,83 @@ def test_handle_validation():
         OperatorHandle(kind="positive", p=2.0, mu=mu, nu=mu)
     with pytest.raises(ValueError):
         OperatorHandle(kind="vector_paraproduct", p=2.0, q=0.0, mu=mu, nu=mu, beta=EdgeCoefficients(lat))
+
+
+def hand_built(kind, beta, p, q, mu, nu):
+    """Each kind as the CLI and the acceptance battery built it by hand
+    before ``OperatorHandle.from_beta``."""
+    if kind == "vector_paraproduct":
+        return OperatorHandle(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
+    if kind == "shifted":
+        return OperatorHandle(kind=kind, p=p / q, q=q, mu=mu, nu=nu, beta=beta)
+    lat = beta.lattice
+    if kind == "positive":
+        alpha = NonnegativeCoefficients(lat, [np.abs(beta.level(d)) for d in range(lat.depth)])
+        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=alpha)
+    return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
+
+
+def handle_fields(op):
+    """Every field of a handle, exponents, measures and coefficients as
+    bytes (with the coefficients' class)."""
+    def levels(c):
+        if c is None:
+            return None
+        return type(c).__name__, [c.level(d).tobytes() for d in range(c.lattice.depth)]
+
+    return (
+        op.kind,
+        np.float64(op.p).tobytes(),
+        None if op.q is None else np.float64(op.q).tobytes(),
+        op.mu.leaf_mass.tobytes(),
+        op.nu.leaf_mass.tobytes(),
+        None if op.symbol is None else (op.symbol.nu.leaf_mass.tobytes(), levels(op.symbol.beta)),
+        levels(op.beta),
+        levels(op.alpha),
+    )
+
+
+def test_from_beta_builds_the_hand_built_handles():
+    """``from_beta`` gives, field by field and byte for byte, the handle each
+    kind was built as: on random instances with massless leaves, at the
+    CLI's exponents (p, q) and at the battery's (p = 2 for the positive and
+    paraproduct kinds), and on the battery's tiny instances."""
+    cases = []
+    for arity, depth, seed in ((2, 1, 0), (3, 2, 1), (2, 4, 2), (4, 2, 3)):
+        lat, mu, nu, beta, _ = random_setup(arity, depth, seed, sparsity=0.3)
+        cases.append((beta, mu, nu))
+    cases += [(beta, mu, nu) for _, _, mu, nu, beta in _tiny_instances()]
+    for beta, mu, nu in cases:
+        for p, q in ((4.0, 2.0), (3.0, 1.5), (2.5, 1.25)):
+            for kind in KINDS:
+                got = OperatorHandle.from_beta(kind, beta, p, q, mu, nu)
+                assert handle_fields(got) == handle_fields(hand_built(kind, beta, p, q, mu, nu))
+    want = []
+    for label, _, mu, nu, beta in _tiny_instances():
+        for kind, name, p in (("vector_paraproduct", "vector", 4.0), ("shifted", "shifted", 4.0),
+                              ("positive", "positive", 2.0), ("paraproduct", "paraproduct", 2.0)):
+            want.append((f"{label}/{name}", handle_fields(hand_built(kind, beta, p, 2.0, mu, nu))))
+    assert [(label, handle_fields(op)) for label, op in _tiny_operators()] == want
+
+
+def test_from_beta_rejects_what_it_cannot_build():
+    lat, mu, nu, beta, _ = random_setup(2, 2, seed=1)
+    for p, q in ((2.0, 2.0), (1.5, 2.0), (2.0, 1.0), (2.0, 0.0), (2.0, -1.0)):
+        with pytest.raises(ValueError, match=rf"needs p > q > 1, got p={p}, q={q}"):
+            OperatorHandle.from_beta("shifted", beta, p, q, mu, nu)
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        OperatorHandle.from_beta("nope", beta, 4.0, 2.0, mu, nu)
+
+
+def test_oversized_start_batch_is_refused_before_it_is_built():
+    """Starts times leaves over ``MAX_START_VALUES`` raise at once: with 2^22
+    random starts asked for on 4 leaves, building the batch first would
+    draw them one by one."""
+    lat, mu, nu, beta, _ = random_setup(2, 2, seed=0, sparsity=0.0)
+    op = OperatorHandle.from_beta("vector_paraproduct", beta, 4.0, 2.0, mu, nu)
+    starts = MAX_START_VALUES // lat.n_leaves - lat.n_atoms + 1
+    with pytest.raises(ValueError, match="batch limit"):
+        norm_lower_bound(op, AscentConfig(starts=starts, max_iter=0))
 
 
 def test_oracle_examples():

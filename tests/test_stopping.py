@@ -154,7 +154,7 @@ def test_modified_forest_properties(seed, shape):
         covered = sum(mu.mass(s) for s in forest.selected[top])
         assert covered <= 0.5 * mu.mass(top) * (1.0 + 1e-12)
         thr = 2.0 * average(f, top, mu)
-        for a in forest.exhausted[top]:
+        for a in exhausted_members(lat, members, forest.selected[top], top):
             if a == top:
                 continue
             assert average(f, lat.parent(a), mu) <= thr * (1.0 + 1e-12)
@@ -276,13 +276,11 @@ def forest_corpus():
 
 
 def forest_layout(forest):
-    """Everything a forest holds, iteration order included (the exhausted
-    sets only as sets: nothing iterates them in order)."""
+    """Everything a forest holds, iteration order included."""
     return (
         list(forest.roots),
         [list(gen) for gen in forest.generations],
         [(top, list(sel)) for top, sel in forest.selected.items()],
-        list(forest.exhausted.items()),
         list(forest.stopping_atoms),
         list(forest.processed),
     )

@@ -1,11 +1,13 @@
-"""Every name the benchmark's tracer wraps still exists in the library."""
+"""Every library name the benchmark wraps or reads still exists."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -30,5 +32,66 @@ def test_every_tracer_target_resolves():
             target = getattr(holder, leaf, None) if holder is not None else None
             if not callable(target) or (owner and not inspect.isclass(holder)):
                 missing.append(f"{module_name}.{attr}")
+    assert not missing, missing
+    assert names >= 40
+
+
+def _import_name(module, name: str):
+    """``from module import name``: an attribute, or else a submodule."""
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module.__name__}.{name}")
+    except ImportError:
+        return None
+
+
+def _dotted(node: ast.Attribute):
+    """(base name, attribute path) of a chain such as ``mp.normest.f``."""
+    path = []
+    while isinstance(node, ast.Attribute):
+        path.append(node.attr)
+        node = node.value
+    return (node.id, path[::-1]) if isinstance(node, ast.Name) else (None, path)
+
+
+def test_every_perfbench_name_resolves():
+    """The benchmark reads the library as ``mp.<name>``, ``mp.normest.<name>``,
+    ``cli.<name>`` and through ``from martpara... import``; a renamed name
+    would otherwise show only when the benchmark runs.  Every such import
+    and every attribute chain read off a martpara name in ``perfbench/*.py``
+    is resolved here with ``getattr``."""
+    missing = []
+    names = 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        roots = {}  # local name -> martpara module or object
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "martpara":
+                        module = importlib.import_module(a.name)
+                        roots[a.asname or "martpara"] = (
+                            module if a.asname else importlib.import_module("martpara"))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "martpara":
+                module = importlib.import_module(node.module)
+                for a in node.names:
+                    names += 1
+                    roots[a.asname or a.name] = target = _import_name(module, a.name)
+                    if target is None:
+                        missing.append(f"{path.name}: from {node.module} import {a.name}")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not isinstance(node.ctx, ast.Load):
+                continue
+            base, attrs = _dotted(node)
+            if base not in roots or roots[base] is None:
+                continue
+            names += 1
+            target = roots[base]
+            for attr in attrs:
+                target = getattr(target, attr, None)
+                if target is None:
+                    missing.append(f"{path.name}: {base}.{'.'.join(attrs)}")
+                    break
     assert not missing, missing
     assert names >= 40
