@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -157,6 +158,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """An exponent flag's value: anything but a finite float, nan and +-inf
+    included, exits 2 through argparse."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # every flag a subcommand may take; each subcommand picks the ones it reads
 _FLAGS = {
     "--instance": dict(help="instance JSON file (default: generate)"),
@@ -164,8 +177,8 @@ _FLAGS = {
     "--depth": dict(type=int, default=3),
     "--sparsity": dict(type=float, default=0.2),
     "--seed": dict(type=int, default=0),
-    "--p": dict(type=float, default=2.0),
-    "--q": dict(type=float, default=2.0),
+    "--p": dict(type=_finite_float, default=2.0),
+    "--q": dict(type=_finite_float, default=2.0),
     "--tol": dict(type=float, default=1e-9),
     "--trials": dict(type=int, default=1),
     "--kind": dict(default="vector_paraproduct", choices=KINDS),

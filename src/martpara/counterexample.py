@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, build_lattice
-from .measure import Measure, lp_norm
+from .measure import Measure
 from .paraproduct import EdgeCoefficients, Symbol, power_apply
 from .testing import adjoint_testing, direct_testing
 
@@ -57,9 +57,6 @@ class CantorInstance:
     @property
     def depth(self) -> int:
         return self.lattice.depth
-
-    def surviving_leaves(self) -> np.ndarray:
-        return _surviving_mask(self.depth, self.lattice.n_leaves)
 
 
 def build_cantor_instance(depth: int, p: float, r: float) -> CantorInstance:
@@ -128,11 +125,6 @@ def chain_energy(instance: CantorInstance, region_depth: int) -> float:
         region_depth,
     )
     return float(np.sum(h ** (instance.p / 2.0) * region * instance.nu.leaf_mass))
-
-
-def probe_norm_power(instance: CantorInstance) -> float:
-    """||f||_p^p of the probe; equals one half of the partial zeta-like sum."""
-    return lp_norm(instance.f, instance.p, instance.mu) ** instance.p
 
 
 def divergence_report(n_max: int, p: float, r: float) -> list[DivergenceRow]:

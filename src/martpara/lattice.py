@@ -76,10 +76,6 @@ class Lattice:
         base = atom.index * self.arity
         return [Atom(atom.depth + 1, base + k) for k in range(self.arity)]
 
-    def parent_children(self, atom: Atom) -> tuple[Optional[Atom], list[Atom]]:
-        """Parent (absent for the root) and the ordered child list (empty for leaves)."""
-        return self.parent(atom), self.children(atom)
-
     def subtree(self, top: Atom) -> list[Atom]:
         """All atoms contained in ``top`` (itself included), depth-then-index order."""
         top = self.check_atom(top)

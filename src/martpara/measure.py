@@ -53,15 +53,6 @@ class Measure:
     def total(self) -> float:
         return float(self.level_mass[0][0])
 
-    def check_additivity(self, rel: float = 1e-12) -> bool:
-        """Re-verify mass(I) = sum of child masses for every internal atom."""
-        for d in range(self.lattice.depth):
-            parents = self.level_mass[d]
-            kids = self.level_mass[d + 1].reshape(-1, self.lattice.arity).sum(axis=1)
-            if not np.allclose(parents, kids, rtol=rel, atol=0.0):
-                return False
-        return True
-
     def __repr__(self) -> str:
         return (
             f"Measure(arity={self.lattice.arity}, depth={self.lattice.depth}, "

@@ -11,10 +11,15 @@ concrete function recomputed from scratch, so the estimates are sound lower
 bounds; the starting set always contains the indicator of every atom (which
 makes the estimate dominate the direct testing constant by construction) plus
 seeded random vectors, and callers may inject extra certificate starts.
-The starts are the rows of one (batch, n_leaves) array: one batched ratio
-ranks them all, and the ascended ones climb in lock step, each evaluation
-trying one line-search candidate of every active row (``_Rows``, ``_ascend``).
-Each row takes the path, and gives the bytes, it would alone.
+The starts are written into the rows of one (batch, n_leaves) array: one
+batched ratio ranks them all, and the ascended ones climb in lock step, each
+evaluation trying up to four line-search candidates of every active row,
+eta, eta/2, eta/4 and eta/8, in one batch (``_Rows``, ``_ascend``).  Each row
+takes the path, and gives the bytes, it would alone.  On trees of 4-81
+leaves an evaluation costs mostly Python and numpy call overhead, so trying
+at once the halvings a backtracking row would try next more than halves the
+evaluations an ascent needs; larger batches, where the cost goes by the
+values, try fewer (``_CANDIDATE_VALUES``).
 
 ``grid_oracle_norm`` is the independent desk-scale oracle: a dense angular
 grid on the unit sphere, sign patterns included, no optimization.  It ranks
@@ -61,6 +66,18 @@ KINDS = ("vector_paraproduct", "shifted", "positive", "paraproduct")
 #: times leaves, 8 bytes each); a run's peak resident memory is about 9
 #: times the batch, so this caps it near 1.2 GB (binary depth 11 fits)
 MAX_START_VALUES = 1 << 24
+
+#: line-search candidates ``_ascend`` tries per row in one evaluation: up to
+#: ``_FAN_OUT``, as many as keep the candidate batch (rows times candidates
+#: times leaves) within ``_CANDIDATE_VALUES``, at least one.  An evaluation
+#: costs about as much per call as per 2,000 values, and fanning out evaluates
+#: about twice the rows in half the calls, so it pays only on small batches:
+#: every tiny-tree ascent fans out, while binary trees of 2^5 leaves and more
+#: (default starts) take one candidate until few rows are left; a cap of 2^14
+#: or more made `norm --depth 5` to 8 slower than no fan-out at all
+_FAN_OUT = 4
+_CANDIDATE_VALUES = 1 << 13
+_HALVINGS = 0.5 ** np.arange(_FAN_OUT)
 
 
 @dataclass(frozen=True)
@@ -286,6 +303,11 @@ def _project(op: OperatorHandle, x: np.ndarray, alive: np.ndarray) -> np.ndarray
     return x
 
 
+def _fan_width(n_rows: int, n_leaves: int) -> int:
+    """Line-search candidates per row in an evaluation of ``n_rows`` rows."""
+    return max(1, min(_FAN_OUT, _CANDIDATE_VALUES // (n_rows * n_leaves)))
+
+
 def _ascend(
     rows: _Rows, x0: np.ndarray, alive: np.ndarray, max_iter: int, step_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -295,17 +317,24 @@ def _ascend(
     ``eta`` along grad / max|grad|, halving ``eta`` until the ratio grows and
     then doubling it (capped at 1e3).  It stops converged when ``eta`` falls
     to 1e-13, the gradient to 1e-14 or the gain to ``step_tol`` times
-    max(ratio, 1), and unconverged after ``max_iter`` iterations.  Every
-    evaluation tries one line-search candidate of each active row, so each
-    row takes the path it would take alone.  Returns per row the ratio, the
-    point, the iterations and whether it converged.
+    max(ratio, 1), and unconverged after ``max_iter`` iterations.
+
+    Every evaluation tries the next ``width`` line-search candidates of each
+    active row at once, eta, eta/2, ..., eta/2^(width-1) (those above the
+    1e-13 floor), in one batch; ``_fan_width`` gives up to ``_FAN_OUT``, as
+    many as keep the batch within ``_CANDIDATE_VALUES`` values, at least
+    one.  A row takes its first candidate that wins, the one its
+    backtracking reaches alone (halving by powers of two is exact), and
+    carries eta/2^width on if none wins; so each row takes the path it would
+    take alone.  Returns per row the ratio, the point, the iterations and
+    whether it converged.
     """
     op = rows.op
     x = _project(op, x0, alive)
     den = op.input_norm(x)
     x[den > 0.0] /= den[den > 0.0, None]
     r, grad, active = rows.value_and_grad(x)
-    n = len(x)
+    n, n_leaves = x.shape
     eta, gn = np.full(n, 0.5), np.zeros(n)
     iters = np.zeros(n, dtype=np.int64)
     converged = ~active
@@ -327,30 +356,29 @@ def _ascend(
         idx = np.flatnonzero(active)
         if not idx.size:
             return r, x, iters, converged
-        cand = _project(op, x[idx] + eta[idx, None] * grad[idx] / gn[idx, None], alive)
+        steps = eta[idx, None] * _HALVINGS[:_fan_width(idx.size, n_leaves)]
+        row, j = np.nonzero(steps > 1e-13)  # row by row, largest step first
+        src = idx[row]
+        cand = _project(op, x[src] + steps[row, j, None] * grad[src] / gn[src, None], alive)
         den = op.input_norm(cand)
         cand[den > 0.0] /= den[den > 0.0, None]
         rc, gc, has_grad = rows.value_and_grad(cand)
-        up = (den > 0.0) & (rc > r[idx])
-        won = idx[up]
-        gain = rc[up] - r[won]
-        x[won], r[won], grad[won] = cand[up], rc[up], gc[up]
-        eta[won] = np.minimum(eta[won] * 2.0, 1e3)
-        done = ~has_grad[up] | (gain <= step_tol * np.maximum(r[won], 1.0))
+        up = np.zeros(steps.shape, dtype=bool)
+        up[row, j] = (den > 0.0) & (rc > r[src])
+        slot = np.zeros(steps.shape, dtype=np.int64)  # each tried step's row of cand
+        slot[row, j] = np.arange(row.size)
+        hit = up.any(axis=1)
+        first = up.argmax(axis=1)[hit]
+        pick = slot[hit, first]
+        won = idx[hit]
+        gain = rc[pick] - r[won]
+        x[won], r[won], grad[won] = cand[pick], rc[pick], gc[pick]
+        eta[won] = np.minimum(steps[hit, first] * 2.0, 1e3)
+        done = ~has_grad[pick] | (gain <= step_tol * np.maximum(r[won], 1.0))
         converged[won[done]] = True
         active[won[done]] = False
         fresh[won[~done]] = True
-        eta[idx[~up]] *= 0.5
-
-
-def _indicator_starts(lat: Lattice) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for d in range(lat.depth + 1):
-        for i in range(lat.level_size(d)):
-            x = np.zeros(lat.n_leaves)
-            x[lat.leaf_slice(Atom(d, i))] = 1.0
-            out.append((f"indicator({d},{i})", x))
-    return out
+        eta[idx[~hit]] = steps[~hit, -1] * 0.5
 
 
 def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> NormEstimate:
@@ -375,23 +403,31 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
             f"{MAX_START_VALUES} values"
         )
 
-    rng = np.random.default_rng(cfg.seed)
-    starts = _indicator_starts(lat)
-    for k in range(cfg.starts):
-        vec = rng.standard_normal(lat.n_leaves)
-        if op.positive_only:
-            vec = np.abs(vec)
-        starts.append((f"random[{k}]", vec))
+    # every start is written straight into its row of the batch
+    x = np.zeros((n_starts, lat.n_leaves))
+    names = []
+    for d in range(lat.depth + 1):
+        for i in range(lat.level_size(d)):
+            x[len(names), lat.leaf_slice(Atom(d, i))] = 1.0
+            names.append(f"indicator({d},{i})")
+    drawn = slice(len(names), len(names) + cfg.starts)
+    np.random.default_rng(cfg.seed).standard_normal(out=x[drawn])  # as drawn one row at a time
+    if op.positive_only:
+        np.abs(x[drawn], out=x[drawn])
+    names += [f"random[{k}]" for k in range(cfg.starts)]
     for k, vec in enumerate(cfg.extra_starts):
-        starts.append((f"certificate[{k}]", np.asarray(vec, dtype=float)))
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (lat.n_leaves,):
+            raise ValueError(f"certificate start {k} has shape {vec.shape}, expected ({lat.n_leaves},)")
+        x[len(names)] = vec
+        names.append(f"certificate[{k}]")
 
     rows = _Rows(op)
-    names = [name for name, _ in starts]
-    x = _project(op, np.array([vec for _, vec in starts]), alive)
+    x = _project(op, x, alive)
     ratios = rows.ratios(x).tolist()
-    order = sorted(range(len(starts)), key=lambda k: -ratios[k])
+    order = sorted(range(n_starts), key=lambda k: -ratios[k])
 
-    n_ascend = len(starts) if cfg.ascend_top is None else min(cfg.ascend_top, len(starts))
+    n_ascend = n_starts if cfg.ascend_top is None else min(cfg.ascend_top, n_starts)
     best = order[0]
     best_val, best_name, best_x = ratios[best], names[best], x[best]
     total_iters = 0
@@ -409,7 +445,7 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
     return NormEstimate(
         value=final,
         argmax=best_x,
-        starts_used=len(starts),
+        starts_used=n_starts,
         iterations=total_iters,
         converged=all_converged,
         start_kind=best_name,

@@ -23,3 +23,14 @@ def random_setup(arity, depth, seed, sparsity=0.2, mu_sparsity=None, nu_sparsity
     )
     f = rng.standard_normal(n)
     return lat, mu, nu, beta, f
+
+
+def check_additivity(measure, rel=1e-12):
+    """mass(I) = sum of child masses for every internal atom, to ``rel``."""
+    lat = measure.lattice
+    for d in range(lat.depth):
+        parents = measure.level_mass[d]
+        kids = measure.level_mass[d + 1].reshape(-1, lat.arity).sum(axis=1)
+        if not np.allclose(parents, kids, rtol=rel, atol=0.0):
+            return False
+    return True

@@ -25,7 +25,6 @@ from martpara.measure import (
 from martpara.normest import (
     AscentConfig,
     NormEstimate,
-    _indicator_starts,
     _operator_matrix,
     _project,
 )
@@ -406,6 +405,16 @@ def naive_value_and_grad(op, x: np.ndarray):
         g_out = mu.leaf_mass * lat.chain_sum(per_depth)
     g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den ** p
     return val / den, g_out - g_in
+
+
+def _indicator_starts(lat: Lattice) -> list[tuple[str, np.ndarray]]:
+    out = []
+    for d in range(lat.depth + 1):
+        for i in range(lat.level_size(d)):
+            x = np.zeros(lat.n_leaves)
+            x[lat.leaf_slice(Atom(d, i))] = 1.0
+            out.append((f"indicator({d},{i})", x))
+    return out
 
 
 def _naive_ascend(op, x0, alive, max_iter: int, step_tol: float):

@@ -222,3 +222,19 @@ def test_unknown_flag_exits_2():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "two"])
+@pytest.mark.parametrize("command,flag", [
+    ("testing", "--p"), ("testing", "--q"), ("norm", "--p"), ("norm", "--q"),
+    ("mirror", "--p"), ("counterexample", "--p"), ("embedding", "--p"),
+])
+def test_non_finite_exponent_exits_2(command, flag, value, capsys):
+    """Every exponent flag takes finite floats only: argparse exits 2 before
+    the subcommand runs (nan used to print a bare NaN and exit 0)."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a finite number, got {value!r}" in captured.err

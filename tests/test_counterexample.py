@@ -10,7 +10,6 @@ from martpara import (
     divergence_report,
     lp_norm,
 )
-from martpara.counterexample import probe_norm_power
 
 
 def test_build_small_instance_masses():
@@ -40,7 +39,7 @@ def test_probe_norm_closed_form():
     for depth in (2, 3, 5):
         inst = build_cantor_instance(depth, 4.0, 0.3)
         closed = 0.5 * sum(k ** (-1.2) for k in range(1, depth + 1))
-        assert probe_norm_power(inst) == pytest.approx(closed, rel=1e-12)
+        assert lp_norm(inst.f, inst.p, inst.mu) ** inst.p == pytest.approx(closed, rel=1e-12)
 
 
 def test_parameter_validation():

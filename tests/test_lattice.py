@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from martpara.lattice import MAX_LEAVES, Atom, build_lattice
 
+
 lattice_params = st.tuples(st.integers(2, 4), st.integers(1, 4))
 
 
@@ -30,27 +31,25 @@ def test_build_rejects_bad_params():
 
 def test_parent_children_binary_depth1():
     lat = build_lattice(2, 1)
-    parent, kids = lat.parent_children(lat.root)
-    assert parent is None
-    assert kids == [Atom(1, 0), Atom(1, 1)]
-    parent, kids = lat.parent_children(Atom(1, 1))
-    assert parent == lat.root
-    assert kids == []
+    assert lat.parent(lat.root) is None
+    assert lat.children(lat.root) == [Atom(1, 0), Atom(1, 1)]
+    assert lat.parent(Atom(1, 1)) == lat.root
+    assert lat.children(Atom(1, 1)) == []
 
 
 def test_parent_children_ternary_index_arithmetic():
     lat = build_lattice(3, 2)
-    parent, kids = lat.parent_children(Atom(1, 1))
-    assert parent == lat.root
-    assert kids == [Atom(2, 3), Atom(2, 4), Atom(2, 5)]
+    assert lat.parent(Atom(1, 1)) == lat.root
+    assert lat.children(Atom(1, 1)) == [Atom(2, 3), Atom(2, 4), Atom(2, 5)]
 
 
 def test_invalid_atom_rejected():
     lat = build_lattice(2, 2)
-    with pytest.raises(ValueError):
-        lat.parent_children(Atom(3, 0))
-    with pytest.raises(ValueError):
-        lat.parent_children(Atom(1, 2))
+    for atom in (Atom(3, 0), Atom(1, 2)):
+        with pytest.raises(ValueError):
+            lat.parent(atom)
+        with pytest.raises(ValueError):
+            lat.children(atom)
 
 
 def test_subtree_examples():
@@ -89,7 +88,8 @@ def test_navigation_is_deterministic(params):
     atoms = list(lat.atoms())
     assert atoms == list(lat.atoms())
     for atom in atoms:
-        assert lat.parent_children(atom) == lat.parent_children(atom)
+        assert lat.parent(atom) == lat.parent(atom)
+        assert lat.children(atom) == lat.children(atom)
 
 
 def test_leaf_slice_and_contains():

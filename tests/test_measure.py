@@ -20,7 +20,7 @@ from martpara.instances import (
     instance_to_json,
 )
 
-from helpers import random_setup
+from helpers import check_additivity, random_setup
 from oracles import naive_average, naive_mass
 
 
@@ -64,8 +64,8 @@ def test_measure_rejects_bad_input():
 
 def test_additivity_check():
     _, mu, nu, _, _ = random_setup(3, 3, seed=11)
-    assert mu.check_additivity()
-    assert nu.check_additivity()
+    assert check_additivity(mu)
+    assert check_additivity(nu)
 
 
 @given(st.integers(0, 5000))

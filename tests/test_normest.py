@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,13 @@ from martpara import (
     build_lattice,
     direct_testing,
     equivalence_report,
+    generate_random_instance,
     grid_oracle_norm,
     necessity_report,
     norm_lower_bound,
     project_mean_zero,
 )
+from martpara import normest
 from martpara.normest import KINDS, MAX_START_VALUES, _Rows
 from martpara.suite import _tiny_instances, _tiny_operators
 
@@ -193,6 +196,17 @@ def test_oversized_start_batch_is_refused_before_it_is_built():
         norm_lower_bound(op, AscentConfig(starts=starts, max_iter=0))
 
 
+def test_certificate_start_of_wrong_shape_is_refused():
+    """Certificate starts are written into rows of the start batch, so one of
+    the wrong length must raise rather than broadcast across its row."""
+    lat, mu, nu, beta, _ = random_setup(2, 2, seed=0, sparsity=0.0)
+    op = OperatorHandle.from_beta("vector_paraproduct", beta, 4.0, 2.0, mu, nu)
+    for bad in (np.ones(1), np.ones(lat.n_leaves + 1), np.ones((1, lat.n_leaves))):
+        with pytest.raises(ValueError, match="certificate start 1 has shape"):
+            norm_lower_bound(op, AscentConfig(starts=1, max_iter=0,
+                                              extra_starts=(np.ones(lat.n_leaves), bad)))
+
+
 def test_oracle_examples():
     # averaging projection onto the root: norm exactly 1
     lat = build_lattice(2, 1)
@@ -359,14 +373,44 @@ def assert_same_estimate(got, want):
     assert type(got.iterations) is int and type(got.converged) is bool
 
 
+def spy_fan_outs(monkeypatch) -> list:
+    """Record [rows, width, candidates] of every line-search evaluation of
+    ``_ascend``: its active rows, their fan-out width and the candidates it
+    evaluated (fewer than rows x width where the 1e-13 floor cut a row's)."""
+    fans: list = []
+    fan_width, value_and_grad = normest._fan_width, _Rows.value_and_grad
+
+    def width(n_rows, n_leaves):
+        fans.append([n_rows, fan_width(n_rows, n_leaves)])
+        return fans[-1][1]
+
+    def evaluate(self, x):
+        if fans and len(fans[-1]) == 2:
+            fans[-1].append(len(x))
+        return value_and_grad(self, x)
+
+    monkeypatch.setattr(normest, "_fan_width", width)
+    monkeypatch.setattr(_Rows, "value_and_grad", evaluate)
+    return fans
+
+
 @pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.6])
 @pytest.mark.parametrize("kind", ["paraproduct", "vector_paraproduct", "shifted", "positive"])
-def test_lock_step_ascent_matches_per_start_oracle(kind, sparsity):
+def test_lock_step_ascent_matches_per_start_oracle(kind, sparsity, monkeypatch):
     """The lock-step ascent returns what climbing every start alone did, on
     arity 2-4 and depth 1-4, with a zero start and a start living on
     massless leaves among the extra starts, ``ascend_top`` None and k, and
-    ``max_iter`` 0, 1 and 10 (some ascents converge, some run out)."""
+    ``max_iter`` 0, 1, 10 and 60 (some ascents converge, some run out), and
+    with the default ``AscentConfig()`` on the depth-3 tree.
+
+    Every case runs at the default candidate cap (tiny trees: width 4) and
+    at a cap of four candidates of one row, where width-1 and width-4
+    evaluations mix within one ascent as rows finish.  With ``step_tol`` 0
+    (depth 1-2) rows climb until their step falls to the 1e-13 floor, which
+    cuts some fan-outs short."""
+    fans = spy_fan_outs(monkeypatch)
     converged = {True: 0, False: 0}
+    mixed = cut = 0
     for k, (arity, depth) in enumerate([(2, 1), (4, 1), (3, 2), (4, 2), (2, 3), (2, 4)]):
         lat, mu, nu, beta, f = random_setup(arity, depth, seed=31 * k + int(10 * sparsity),
                                             sparsity=sparsity)
@@ -374,15 +418,84 @@ def test_lock_step_ascent_matches_per_start_oracle(kind, sparsity):
             continue
         op = _handle(kind, 3.0 if kind == "vector_paraproduct" else 2.5, 1.5, mu, nu, beta)
         extra = (np.zeros(lat.n_leaves), np.where(mu.leaf_mass > 0.0, 0.0, 1.0), f)
-        for cfg in (
+        configs = [
             AscentConfig(starts=2, max_iter=10, seed=k),
             AscentConfig(starts=3, max_iter=1, ascend_top=3, seed=k, extra_starts=extra),
             AscentConfig(starts=2, max_iter=0, seed=k, extra_starts=extra),
-        ):
-            est = norm_lower_bound(op, cfg)
-            assert_same_estimate(est, naive_norm_lower_bound(op, cfg))
-            converged[est.converged] += 1
+        ]
+        if depth <= 2:
+            configs.append(AscentConfig(starts=2, max_iter=60, step_tol=0.0, ascend_top=3, seed=k))
+        if depth == 3 and sparsity == 0.6:
+            configs.append(AscentConfig())
+        for cfg in configs:
+            want = naive_norm_lower_bound(op, cfg)
+            for cap in (normest._CANDIDATE_VALUES, 4 * lat.n_leaves):
+                monkeypatch.setattr(normest, "_CANDIDATE_VALUES", cap)
+                fans.clear()
+                est = norm_lower_bound(op, cfg)
+                assert_same_estimate(est, want)
+                converged[est.converged] += 1
+                mixed += {1, 4} <= {width for _, width, _ in fans}
+                cut += any(n_cand < rows * width for rows, width, n_cand in fans)
     assert converged[True] and converged[False]
+    assert mixed and cut
+
+
+def test_fan_out_halves_the_evaluations(monkeypatch):
+    """On ascent-small-style instances (27- and 81-leaf trees, 6 random
+    starts, the best 4 ascended for up to 25 iterations, and a necessity
+    report) the fan-out line search needs at most half the ``value_and_grad``
+    calls of one candidate per row, and returns the same bytes."""
+    fans = spy_fan_outs(monkeypatch)
+    calls = []
+    value_and_grad = _Rows.value_and_grad
+
+    def counted(self, x):
+        calls.append(len(x))
+        return value_and_grad(self, x)
+
+    monkeypatch.setattr(_Rows, "value_and_grad", counted)
+    counts = {}
+    for cap in (normest._CANDIDATE_VALUES, 0):  # a cap of 0 leaves one candidate per row
+        monkeypatch.setattr(normest, "_CANDIDATE_VALUES", cap)
+        fans.clear()
+        calls.clear()
+        results = []
+        for seed, (arity, depth) in enumerate([(3, 3), (3, 4), (2, 4)]):
+            _, mu, nu, beta, _ = random_setup(arity, depth, seed=seed)
+            op = OperatorHandle.from_beta("vector_paraproduct", beta, 2.0, 3.0, mu, nu)
+            results.append(norm_lower_bound(op, AscentConfig(starts=6, max_iter=25, ascend_top=4,
+                                                             seed=seed)))
+            rep = necessity_report(beta, 4.0, 2.0, mu, nu,
+                                   AscentConfig(starts=6, max_iter=15, ascend_top=3, seed=seed))
+            results.append(rep.norm_estimate)
+        counts[cap] = (len(calls), {width for _, width, _ in fans})
+        if cap:
+            want = results
+        else:
+            for got, ref in zip(results, want):
+                assert_same_estimate(got, ref)
+    (fanned, fanned_widths), (single, single_widths) = counts.values()
+    assert fanned_widths == {4} and single_widths == {1}
+    assert 2 * fanned <= single, (fanned, single)
+
+
+def test_start_batch_peak_memory():
+    """``norm_lower_bound`` writes every start into one preallocated batch:
+    with no ascent, the vector kind's traced peak on a depth-9 binary tree
+    stays within 6.6 times the batch (7.4 times while the starts were first
+    built as a list of rows and then stacked)."""
+    inst = generate_random_instance(2, 9, seed=0)
+    op = OperatorHandle.from_beta("vector_paraproduct", inst.beta, 2.0, 2.0, inst.mu, inst.nu)
+    cfg = AscentConfig(max_iter=0)
+    batch = (inst.lattice.n_atoms + cfg.starts) * inst.lattice.n_leaves * 8
+    tracemalloc.start()
+    try:
+        norm_lower_bound(op, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.6 * batch, peak / batch
 
 
 @pytest.mark.parametrize("kind", ["paraproduct", "vector_paraproduct", "shifted", "positive"])
