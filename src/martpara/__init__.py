@@ -3,7 +3,6 @@ finite uniform-arity trees."""
 
 from .lattice import Atom, Lattice, build_lattice
 from .measure import (
-    Exponents,
     Measure,
     atom_averages,
     atom_integrals,

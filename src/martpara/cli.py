@@ -158,16 +158,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
-    """An exponent flag's value: anything but a finite float, nan and +-inf
-    included, exits 2 through argparse."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _flag_type(convert, expected: str, low: float = -math.inf):
+    """A flag's argparse type: ``convert(text)`` when that is a finite number
+    >= ``low``; anything else, nan and +-inf included, exits 2."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_finite_float = _flag_type(float, "a finite number")
 
 
 # every flag a subcommand may take; each subcommand picks the ones it reads
@@ -179,8 +184,8 @@ _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--p": dict(type=_finite_float, default=2.0),
     "--q": dict(type=_finite_float, default=2.0),
-    "--tol": dict(type=float, default=1e-9),
-    "--trials": dict(type=int, default=1),
+    "--tol": dict(type=_flag_type(float, "a finite number >= 0", low=0.0), default=1e-9),
+    "--trials": dict(type=_flag_type(int, "an integer >= 1", low=1), default=1),
     "--kind": dict(default="vector_paraproduct", choices=KINDS),
     "--nmax": dict(type=int, default=10),
     "--r": dict(type=float, default=0.3),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, build_lattice
-from .measure import Measure
+from .measure import Measure, _check_exponents
 from .paraproduct import EdgeCoefficients, Symbol, power_apply
 from .testing import adjoint_testing, direct_testing
 
@@ -69,8 +69,7 @@ def build_cantor_instance(depth: int, p: float, r: float) -> CantorInstance:
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
-    if p <= 2:
-        raise ValueError(f"p must be > 2, got {p}")
+    _check_exponents(p, low=2.0)
     if not (1.0 / p < r < 0.5):
         raise ValueError(f"r must satisfy 1/p < r < 1/2, got r={r}, p={p}")
     lat = build_lattice(3, depth)
@@ -112,7 +111,11 @@ class DivergenceRow:
 
 def direct_testing_cap(p: float) -> float:
     """Closed-form uniform cap on the direct testing constant."""
-    return (1.0 - (2.0 / 3.0) ** (2.0 / p)) ** -0.5
+    _check_exponents(p, low=2.0)
+    gap = 1.0 - (2.0 / 3.0) ** (2.0 / p)
+    if gap == 0.0:
+        raise ValueError(f"p={p} is too large: the cap's 1 - (2/3)^(2/p) rounds to 0")
+    return gap ** -0.5
 
 
 def chain_energy(instance: CantorInstance, region_depth: int) -> float:
@@ -136,7 +139,8 @@ def divergence_report(n_max: int, p: float, r: float) -> list[DivergenceRow]:
     surviving set, and its explicit lower bound L(n).
 
     Asserts the three facts the experiment demonstrates: B(n) stays below the
-    cap, Q(n) dominates L(n), and Q(n) is strictly increasing.
+    cap, Q(n) dominates L(n), and Q(n) is strictly increasing.  A p so large
+    that a row's values overflow raises ValueError instead.
     """
     if n_max > 12:
         raise ValueError(f"n_max capped at 12 (3^12 leaves), got {n_max}")
@@ -146,12 +150,16 @@ def divergence_report(n_max: int, p: float, r: float) -> list[DivergenceRow]:
     rows: list[DivergenceRow] = []
     prev_q = -math.inf
     for n in range(2, n_max + 1):
-        inst = build_cantor_instance(n, p, r)
-        b = direct_testing(inst.symbol.beta, p, 2.0, inst.mu, inst.nu)
-        b_star = adjoint_testing(inst.symbol.beta, p, 2.0, inst.mu, inst.nu)
-        q_val = chain_energy(inst, n)
-        partial = sum(k ** (-2.0 * r) for k in range(1, n + 1))
-        lower = 3.0 ** (-p) * 1.5 * partial ** (p / 2.0)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                inst = build_cantor_instance(n, p, r)
+                b = direct_testing(inst.symbol.beta, p, 2.0, inst.mu, inst.nu)
+                b_star = adjoint_testing(inst.symbol.beta, p, 2.0, inst.mu, inst.nu)
+                q_val = chain_energy(inst, n)
+            partial = sum(k ** (-2.0 * r) for k in range(1, n + 1))
+            lower = 3.0 ** (-p) * 1.5 * partial ** (p / 2.0)
+        except (FloatingPointError, OverflowError):
+            raise ValueError(f"p={p} is too large: the values of row n={n} overflow") from None
         if b > cap * (1.0 + 1e-9):
             raise RuntimeError(f"direct constant {b} exceeds the cap {cap} at n={n}")
         if q_val < lower * (1.0 - 1e-9):

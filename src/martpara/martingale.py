@@ -73,11 +73,9 @@ def rubio_de_francia(f, m: Measure, p: float, tol: float = 1e-12) -> np.ndarray:
     whose sup-norm drops below ``tol``.  Terms decay geometrically because
     M^n f <= sup|f|, so the discarded tail is at most tol * 2p'/(2p'-1).
     """
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    factor = 1.0 / (2.0 * conjugate(p))  # checks p
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    factor = 1.0 / (2.0 * conjugate(p))
     cur = np.abs(leaf_function(m.lattice, f))
     total = cur.copy()
     scale = 1.0

@@ -2,12 +2,14 @@
 
 Degenerate conventions are centralized here: an average over a zero-mass atom
 is 0, and every operator downstream inherits that choice through
-:func:`atom_averages`.
+:func:`atom_averages`.  So is the one exponent check, :func:`_check_exponents`:
+every public function that takes p or q calls it, directly or through
+:func:`conjugate` or :func:`lp_norm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -123,8 +125,7 @@ def lp_norm(f, p: float, m: Measure):
     norms.  The root is taken one scalar power per row: array powers may
     round differently from scalar ones, and each row must equal its 1-D norm.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_exponents(p, low=0.0)
     f = _leaf_rows(m.lattice, f)
     sums = np.sum(np.abs(f) ** p * m.leaf_mass, axis=-1)
     if sums.ndim == 0:
@@ -132,39 +133,27 @@ def lp_norm(f, p: float, m: Measure):
     return np.array([s ** (1.0 / p) for s in sums.flat]).reshape(sums.shape)
 
 
-@dataclass(frozen=True)
-class Exponents:
-    """Integrability exponents with the derived conjugates.
+def _check_exponents(p=None, q=None, low: float = 1.0, *, r: bool = False) -> None:
+    """The package's one exponent check.
 
-    ``r_prime`` exists only when r = p/q > 1.
+    Raises ValueError unless each exponent given is a finite number above
+    ``low`` (1 for the paper's exponents, 0 for the quasi-norms of
+    :func:`lp_norm` and :func:`sequence_norm`) and, with ``r``, unless
+    r = p/q > 1 too.  nan fails every comparison, so it is rejected with
+    +-inf.  The message names the failing exponent and every value given.
     """
-
-    p: float
-    q: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not (1.0 < self.p < np.inf):
-            raise ValueError(f"p must be in (1, inf), got {self.p}")
-        if not (1.0 < self.q < np.inf):
-            raise ValueError(f"q must be in (1, inf), got {self.q}")
-
-    @property
-    def p_prime(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
-    def r(self) -> float:
-        return self.p / self.q
-
-    @property
-    def r_prime(self) -> float:
-        r = self.r
-        if r <= 1.0:
-            raise ValueError(f"r' requires p > q, got p={self.p}, q={self.q}")
-        return r / (r - 1.0)
+    if p is not None and not low < p < math.inf:
+        bad = "p"
+    elif q is not None and not low < q < math.inf:
+        bad = "q"
+    elif r and not p > q:  # for finite p, q > 0, p > q is exactly p/q > 1
+        bad = "r = p/q"
+    else:
+        return
+    got = ", ".join(f"{name}={v}" for name, v in (("p", p), ("q", q)) if v is not None)
+    raise ValueError(f"{bad} must be a finite number > {low:g}, got {got}")
 
 
 def conjugate(p: float) -> float:
-    if p <= 1.0:
-        raise ValueError(f"conjugate exponent needs p > 1, got {p}")
+    _check_exponents(p)
     return p / (p - 1.0)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .lattice import Atom, Lattice
 from .martingale import rubio_de_francia
-from .measure import Measure, lp_norm, safe_divide
+from .measure import Measure, _check_exponents, conjugate, lp_norm, safe_divide
 from .paraproduct import (
     EdgeCoefficients,
     NonnegativeCoefficients,
@@ -106,15 +106,13 @@ class OperatorHandle:
         cls, kind: str, beta: EdgeCoefficients, p: float, q: float, mu: Measure, nu: Measure
     ) -> "OperatorHandle":
         """The operator of ``kind`` that the paper builds from the symbol beta
-        (see the table above).  The shifted kind runs at r = p/q and needs
-        p > q > 1; the positive kind and the paraproduct ignore q."""
+        (see the table above).  The shifted kind runs at r = p/q, so
+        :func:`_check_exponents` asks r > 1 of it; the positive kind and the
+        paraproduct ignore q."""
         if kind == "vector_paraproduct":
             return cls(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
         if kind == "shifted":
-            if not p > q > 1:
-                raise ValueError(
-                    f"kind 'shifted' runs at r = p/q and needs p > q > 1, got p={p}, q={q}"
-                )
+            _check_exponents(p, q, r=True)
             return cls(kind=kind, p=p / q, q=q, mu=mu, nu=nu, beta=beta)
         if kind == "positive":
             return cls(kind=kind, p=p, mu=mu, nu=nu, alpha=beta.absolute())
@@ -125,8 +123,7 @@ class OperatorHandle:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.p <= 1:
-            raise ValueError(f"p must be > 1, got {self.p}")
+        _check_exponents(self.p)
         needed = {
             "paraproduct": self.symbol,
             "vector_paraproduct": self.beta,
@@ -135,10 +132,11 @@ class OperatorHandle:
         }[self.kind]
         if needed is None:
             raise ValueError(f"kind {self.kind!r} is missing its coefficients")
-        if self.kind in ("vector_paraproduct", "shifted") and self.q is None:
-            raise ValueError(f"kind {self.kind!r} needs the exponent q")
-        if self.kind == "vector_paraproduct" and self.q <= 0:
-            raise ValueError("p and q must be positive")
+        if self.kind in ("vector_paraproduct", "shifted"):
+            if self.q is None:
+                raise ValueError(f"kind {self.kind!r} needs the exponent q")
+            # the vector kind's output norm is a quasi-norm for q <= 1
+            _check_exponents(q=self.q, low=0.0 if self.kind == "vector_paraproduct" else 1.0)
 
     @property
     def lattice(self) -> Lattice:
@@ -644,9 +642,9 @@ def _adjoint_certificates(
     norm; feeding it to the estimator makes that bound hold for the estimate
     itself, not only for the true norm.
     """
-    r = p / q
-    r_prime = r / (r - 1.0)
     b_star, witnesses = adjoint_witness_data(beta, p, q, mu, nu)
+    r = p / q
+    r_prime = conjugate(r)
     starts = []
     if math.isfinite(b_star):
         for _, profile in witnesses:
@@ -687,8 +685,7 @@ def necessity_report(
     B* <= (4p/(p-q)) * estimate^q, realizing the necessity chain with the
     estimate in place of the true norm.
     """
-    if q <= 1 or p <= q:
-        raise ValueError(f"necessity chain needs p > q > 1, got p={p}, q={q}")
+    _check_exponents(p, q, r=True)
     cfg = cfg or AscentConfig()
     b = direct_testing(beta, p, q, mu, nu)
     b_star, cert = _adjoint_certificates(beta, p, q, mu, nu)
@@ -729,11 +726,9 @@ def equivalence_report(
     majorant of the shifted maximizer feeds the vector estimate.  At the fixed
     point both two-sided inequalities hold for the estimates themselves.
     """
-    if q <= 1 or p <= q:
-        raise ValueError(f"equivalence needs p > q > 1, got p={p}, q={q}")
     cfg = cfg or AscentConfig()
+    nec = necessity_report(beta, p, q, mu, nu, cfg)  # checks p > q > 1
     r = p / q
-    nec = necessity_report(beta, p, q, mu, nu, cfg)
     a1, f1 = nec.norm_estimate.value, nec.norm_estimate.argmax
     pi_op = OperatorHandle.from_beta("vector_paraproduct", beta, p, q, mu, nu)
     sh_op = OperatorHandle.from_beta("shifted", beta, p, q, mu, nu)

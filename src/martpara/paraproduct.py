@@ -25,7 +25,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .lattice import Atom, Lattice
-from .measure import Measure, atom_averages, atom_integrals, leaf_function, lp_norm, safe_divide
+from .measure import (
+    Measure, atom_averages, atom_integrals, _check_exponents, leaf_function, lp_norm, safe_divide,
+)
 
 
 class EdgeCoefficients:
@@ -240,16 +242,14 @@ def vector_paraproduct(beta: EdgeCoefficients, f, mu: Measure) -> SequenceField:
 def sequence_norm(s: SequenceField, p: float, q: float, nu: Measure) -> float:
     """Triebel-Lizorkin style norm: L^p(nu) norm of the pointwise l^q size
     of the field along ancestor chains."""
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
+    _check_exponents(p, q, low=0.0)
     chain = s.q_power_chain(q)
     return lp_norm(chain ** (1.0 / q), p, nu)
 
 
 def power_apply(beta: EdgeCoefficients, f, q: float, mu: Measure) -> np.ndarray:
     """Nonlinear majorant: sum over internal atoms of |average|^q |b_I|^q."""
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
+    _check_exponents(q=q)
     levels = [np.abs(c) ** q for c in beta._levels]
     avg_q = [np.abs(a) ** q for a in atom_averages(f, mu)[:-1]]
     return _edge_chain(beta.lattice, levels, avg_q)
@@ -258,8 +258,7 @@ def power_apply(beta: EdgeCoefficients, f, q: float, mu: Measure) -> np.ndarray:
 def shifted_apply(beta: EdgeCoefficients, g, q: float, mu: Measure) -> np.ndarray:
     """Shifted positive operator with coefficient functions |b_I|^q:
     sum over internal atoms of (mu-average of g) * |b_I|^q."""
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
+    _check_exponents(q=q)
     levels = [np.abs(c) ** q for c in beta._levels]
     return _edge_chain(beta.lattice, levels, atom_averages(g, mu))
 
@@ -322,6 +321,7 @@ def project_mean_zero(beta: EdgeCoefficients, nu: Measure) -> Symbol:
 def positive_from_symbol(beta: EdgeCoefficients, q: float, mu: Measure) -> NonnegativeCoefficients:
     """Edge coefficients mass(I)^(-1) |beta|^q turning the shifted operator
     into an instance of :func:`positive_apply` (zero on massless parents)."""
+    _check_exponents(q=q)
     lat = beta.lattice
     levels = []
     for d in range(lat.depth):

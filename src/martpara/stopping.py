@@ -37,6 +37,7 @@ from .measure import (
     REL_TOL,
     atom_averages,
     atom_integrals,
+    _check_exponents,
     conjugate,
     leaf_function,
     lp_norm,
@@ -410,8 +411,7 @@ def carleson_embedding_check(
     with C the measured Carleson constant of the weights.  Returns
     (lhs, bound); the caller asserts lhs <= bound.
     """
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    _check_exponents(p)
     avgs = atom_averages(f, mu)
     lhs = 0.0
     for atom, w in weights.items():
@@ -431,8 +431,7 @@ def split_collections(
 ) -> tuple[set[Atom], set[Atom]]:
     """Partition all atoms by comparing avg(f)^p mu(I) against avg(g)^{p'} nu(I);
     ties go to the first collection."""
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    _check_exponents(p)
     lat = mu.lattice
     f = _check_nonnegative(lat, f)
     g = _check_nonnegative(lat, g)
@@ -517,6 +516,7 @@ def normalize_for_mirror(
     """Rescale inputs into the normalized regime of the decomposition proof:
     unit norms for f and g, coefficients scaled so both testing constants are
     at most one."""
+    _check_exponents(p)
     lat = mu.lattice
     f = _check_nonnegative(lat, f)
     g = _check_nonnegative(lat, g)
@@ -555,9 +555,7 @@ def proof_mirror(
     lat = mu.lattice
     f = _check_nonnegative(lat, f)
     g = _check_nonnegative(lat, g)
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
-    p_prime = conjugate(p)
+    p_prime = conjugate(p)  # checks p
     tol = 1e-9
     if abs(lp_norm(f, p, mu) - 1.0) > tol or abs(lp_norm(g, p_prime, nu) - 1.0) > tol:
         raise ValueError("f and g must have unit norms; normalize first")

@@ -12,6 +12,9 @@ the constant.  The edge-chain kernel of :mod:`martpara.paraproduct` plays
 the same part for the operators; its transpose, ``_edge_terms_adjoint``,
 integrates the coefficients against nu for the adjoint terms.
 
+Exponents must be finite and above 1, and the adjoint constant of the vector
+paraproduct also needs r = p/q > 1; ``measure._check_exponents`` rejects
+anything else.
 Degenerate two-weight pairs are legitimate inputs: a zero-mass J whose
 numerator is positive makes the constant +inf (``math.inf``), which compares
 larger than every finite float downstream.
@@ -24,7 +27,7 @@ import math
 import numpy as np
 
 from .lattice import Atom, Lattice
-from .measure import Measure, conjugate, safe_divide
+from .measure import Measure, _check_exponents, conjugate, safe_divide
 from .paraproduct import EdgeCoefficients, NonnegativeCoefficients, Symbol, _edge_terms_adjoint
 
 
@@ -72,8 +75,7 @@ def direct_testing_symbol(symbol: Symbol, p: float, mu: Measure) -> float:
     """Direct testing constant of the paraproduct itself: for each J,
     integrate |sum over internal I inside J of b_I|^p against the symbol's
     reference measure and compare with mu(J)."""
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    _check_exponents(p)
     lat = symbol.lattice
     # signed chain: accumulate the raw values, take |.|^p afterwards
     terms = [symbol.beta.child_values(e) for e in range(1, lat.depth + 1)]
@@ -87,8 +89,7 @@ def direct_testing(
 
         B = sup_J [ int_J (sum_{I in J, internal} |b_I|^q)^(p/q) d nu / mu(J) ]^(1/p).
     """
-    if p <= 1 or q <= 1:
-        raise ValueError(f"p and q must be > 1, got p={p}, q={q}")
+    _check_exponents(p, q)
     lat = beta.lattice
     terms = [np.abs(beta.child_values(e)) ** q for e in range(1, lat.depth + 1)]
     return _sup(_cut_ratios(lat, terms, p / q, nu.leaf_mass, mu.level_mass), p)
@@ -116,12 +117,8 @@ def _adjoint_cuts(
 ) -> tuple[tuple[list[np.ndarray], list[np.ndarray]] | None, float]:
     """Checks p and q, then returns the cut chains and ratios of the adjoint
     constant (``None`` when it is +inf) and its exponent r'."""
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
-    if p <= q:
-        raise ValueError(f"adjoint testing needs p > q, got p={p}, q={q}")
-    r = p / q
-    r_prime = r / (r - 1.0)
+    _check_exponents(p, q, r=True)
+    r_prime = conjugate(p / q)
     terms = _adjoint_parent_terms(beta, q, mu, nu)
     if terms is None:
         return None, r_prime
@@ -131,7 +128,7 @@ def _adjoint_cuts(
 def adjoint_testing(
     beta: EdgeCoefficients, p: float, q: float, mu: Measure, nu: Measure
 ) -> float:
-    """Adjoint testing constant (requires p > q so that r = p/q has a conjugate):
+    """Adjoint testing constant, at exponents with r = p/q > 1 (r' exists):
 
         B* = sup_J [ int_J (sum_{I in J, internal} t_I 1_I)^(r') d mu / nu(J) ]^(1/r'),
 
@@ -180,9 +177,7 @@ def positive_operator_testing(
     is the quantity produced by applying the formal adjoint to an indicator,
     and the one the decomposition proof consumes.
     """
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
-    p_prime = conjugate(p)
+    p_prime = conjugate(p)  # checks p
     lat = alpha.lattice
 
     child_terms = [

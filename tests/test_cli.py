@@ -122,7 +122,7 @@ def test_norm_subcommand_json(capsys):
     # the shifted kind runs at r = p/q: the error names the p and q given
     for p, q in (("2", "2"), ("2", "0")):
         assert main(["norm", "--kind", "shifted", "--p", p, "--q", q]) == 2
-        assert f"needs p > q > 1, got p={float(p)}, q={float(q)}" in capsys.readouterr().err
+        assert f"must be a finite number > 1, got p={float(p)}, q={float(q)}" in capsys.readouterr().err
 
 
 def test_mirror_subcommand(capsys):
@@ -214,6 +214,10 @@ def test_oversized_input_exits_2(tmp_path, capsys):
     huge.write_text('{"arity": 2, "depth": 1, "mu": [1e308, 1e308], "nu": [1, 1], "beta": {}}')
     assert main(["testing", "--instance", str(huge)]) == 2
     assert "mu" in capsys.readouterr().err
+    # past some p the separation experiment's values overflow: the error names p
+    for p in ("2000", "1e16", "1e308"):
+        assert main(["counterexample", "--p", p, "--nmax", "3"]) == 2
+        assert f"p={float(p)} is too large" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():
@@ -224,17 +228,28 @@ def test_unknown_flag_exits_2():
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "two"])
-@pytest.mark.parametrize("command,flag", [
-    ("testing", "--p"), ("testing", "--q"), ("norm", "--p"), ("norm", "--q"),
-    ("mirror", "--p"), ("counterexample", "--p"), ("embedding", "--p"),
+_EXPECTED = {"--tol": "a finite number >= 0", "--trials": "an integer >= 1"}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value)
+    for command, flag in [
+        ("testing", "--p"), ("testing", "--q"), ("norm", "--p"), ("norm", "--q"),
+        ("mirror", "--p"), ("counterexample", "--p"), ("embedding", "--p"),
+        ("embedding", "--tol"), ("testing", "--trials"), ("embedding", "--trials"),
+    ]
+    for value in ["nan", "inf", "-inf", "1e400", "two"]
+    + {"--tol": ["-1"], "--trials": ["-1", "0", "1.5"]}.get(flag, [])
 ])
 def test_non_finite_exponent_exits_2(command, flag, value, capsys):
-    """Every exponent flag takes finite floats only: argparse exits 2 before
-    the subcommand runs (nan used to print a bare NaN and exit 0)."""
+    """Every exponent flag takes finite floats only, ``--tol`` finite floats
+    >= 0 and ``--trials`` integers >= 1: argparse exits 2 before the
+    subcommand runs (nan used to print a bare NaN and exit 0, ``--tol nan``
+    to report a property violation, ``--trials -1`` an empty table)."""
     with pytest.raises(SystemExit) as exc:
         main([command, f"{flag}={value}"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {flag}: expected a finite number, got {value!r}" in captured.err
+    expected = _EXPECTED.get(flag, "a finite number")
+    assert f"argument {flag}: expected {expected}, got {value!r}" in captured.err

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from martpara import (
-    Exponents,
     Measure,
     average,
     atom_averages,
     build_lattice,
+    conjugate,
     lp_norm,
 )
+from martpara.measure import _check_exponents
 from martpara.instances import (
     Instance,
     InstanceFormatError,
@@ -101,14 +102,17 @@ def test_power_mean_inequality(seed, p):
 
 
 def test_exponents_derived_values():
-    e = Exponents(p=4.0, q=2.0)
-    assert e.p_prime == pytest.approx(4.0 / 3.0)
-    assert e.r == 2.0
-    assert e.r_prime == 2.0
-    with pytest.raises(ValueError):
-        Exponents(p=1.0)
-    with pytest.raises(ValueError):
-        _ = Exponents(p=2.0, q=2.0).r_prime
+    """p' and r' are both :func:`conjugate`; r' = r/(r - 1) exists only for
+    r = p/q > 1, and no exponent may be 1, nan or infinite."""
+    _check_exponents(4.0, 2.0, r=True)
+    assert conjugate(4.0) == pytest.approx(4.0 / 3.0)
+    assert 4.0 / 2.0 == 2.0
+    assert conjugate(4.0 / 2.0) == 2.0
+    for p, q in ((1.0, 2.0), (4.0, 1.0), (np.inf, 2.0), (4.0, np.nan)):
+        with pytest.raises(ValueError):
+            _check_exponents(p, q)
+    with pytest.raises(ValueError, match="r = p/q must be"):
+        _check_exponents(2.0, 2.0, r=True)
 
 
 # -- instance file round trip -------------------------------------------------

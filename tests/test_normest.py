@@ -179,7 +179,7 @@ def test_from_beta_builds_the_hand_built_handles():
 def test_from_beta_rejects_what_it_cannot_build():
     lat, mu, nu, beta, _ = random_setup(2, 2, seed=1)
     for p, q in ((2.0, 2.0), (1.5, 2.0), (2.0, 1.0), (2.0, 0.0), (2.0, -1.0)):
-        with pytest.raises(ValueError, match=rf"needs p > q > 1, got p={p}, q={q}"):
+        with pytest.raises(ValueError, match=rf"must be a finite number > 1, got p={p}, q={q}"):
             OperatorHandle.from_beta("shifted", beta, p, q, mu, nu)
     with pytest.raises(ValueError, match="unknown operator kind"):
         OperatorHandle.from_beta("nope", beta, 4.0, 2.0, mu, nu)
