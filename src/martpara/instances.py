@@ -119,18 +119,16 @@ def generate_random_instance(
     seed: int,
     sparsity: float = 0.2,
     mu_sparsity: Optional[float] = None,
-    nu_sparsity: Optional[float] = None,
 ) -> Instance:
     """Seeded random instance: masses are uniform on (0, 1] and then zeroed
     independently with probability ``sparsity`` (exercising the degenerate
     conventions); coefficients are standard normal; ``f`` is uniform on (0, 1].
-    Identical seeds give bit-identical instances.  Per-measure sparsities
-    override the shared one (batteries needing finite constants keep one
-    measure dense).
+    Identical seeds give bit-identical instances.  ``mu_sparsity`` overrides
+    the shared sparsity for mu (batteries needing finite constants keep mu
+    dense).
     """
     mu_sparsity = sparsity if mu_sparsity is None else mu_sparsity
-    nu_sparsity = sparsity if nu_sparsity is None else nu_sparsity
-    for s in (mu_sparsity, nu_sparsity):
+    for s in (mu_sparsity, sparsity):
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"sparsity must be in [0, 1], got {s}")
     lattice = build_lattice(arity, depth)
@@ -144,7 +142,7 @@ def generate_random_instance(
         return vals
 
     mu = Measure(lattice, masses(mu_sparsity))
-    nu = Measure(lattice, masses(nu_sparsity))
+    nu = Measure(lattice, masses(sparsity))
     levels = [
         rng.standard_normal((lattice.level_size(d), arity)) for d in range(depth)
     ]

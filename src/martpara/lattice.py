@@ -139,12 +139,12 @@ class Lattice:
         return run
 
 
-def build_lattice(arity: int, depth: int, max_depth: int = MAX_DEPTH) -> Lattice:
+def build_lattice(arity: int, depth: int) -> Lattice:
     """Construct a lattice, rejecting unusable sizes."""
     if arity < 2:
         raise ValueError(f"arity must be >= 2, got {arity}")
-    if not 1 <= depth <= max_depth:
-        raise ValueError(f"depth must be in [1, {max_depth}], got {depth}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
     if arity ** depth > MAX_LEAVES:
         raise ValueError(f"arity**depth = {arity}**{depth} exceeds {MAX_LEAVES} leaves")
     return Lattice(arity=arity, depth=depth)

@@ -111,13 +111,6 @@ def average(f, atom: Atom, m: Measure) -> float:
     return float(np.dot(f[sl], m.leaf_mass[sl]) / mass)
 
 
-def integral(f, atom: Atom, m: Measure) -> float:
-    atom = m.lattice.check_atom(atom)
-    f = leaf_function(m.lattice, f)
-    sl = m.lattice.leaf_slice(atom)
-    return float(np.dot(f[sl], m.leaf_mass[sl]))
-
-
 def lp_norm(f, p: float, m: Measure):
     """(sum |f|^p dm)^(1/p).  Accepts any p > 0 (quasi-norms included).
 

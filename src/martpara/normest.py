@@ -28,8 +28,8 @@ block's best point recomputed from scratch, so its value too is a sound
 lower bound.  The ranking is a trig-quadratic scan: with every angle but the
 last one (t) fixed, each squared output under each sign pattern is a
 quadratic form in (cos t, sin t), so two matrix products score a block of
-directions under every pattern.  At the default resolution the grid of a
-4-leaf operator has 159^3 directions times up to 8 sign patterns, about
+directions under every pattern.  At the fixed resolution, 1e-2, the grid of
+a 4-leaf operator has 159^3 directions times up to 8 sign patterns, about
 0.03-0.4 s on one core of a 2-core machine (the 24 operators of the
 acceptance battery: about 1.3 s).  A block holds at most ``_GRID_VALUES`` =
 2^16 values (form rows times directions), so the scan needs about 1 MB.
@@ -78,6 +78,9 @@ MAX_START_VALUES = 1 << 24
 _FAN_OUT = 4
 _CANDIDATE_VALUES = 1 << 13
 _HALVINGS = 0.5 ** np.arange(_FAN_OUT)
+#: an ascent stops converged once a step gains at most this times max(ratio, 1)
+_STEP_TOL = 1e-10
+_EXCHANGE_ROUNDS = 6  # most certificate exchanges in ``equivalence_report``
 
 
 @dataclass(frozen=True)
@@ -187,11 +190,10 @@ class OperatorHandle:
 
 @dataclass
 class AscentConfig:
-    """Knobs for the gradient ascent; defaults favor reproducibility."""
+    """Starts and iteration budget of the gradient ascent; defaults favor reproducibility."""
 
     starts: int = 64
     max_iter: int = 500
-    step_tol: float = 1e-10
     seed: int = 0
     ascend_top: Optional[int] = None          # ascend only the best k starts
     extra_starts: Sequence[np.ndarray] = field(default_factory=tuple)
@@ -273,7 +275,9 @@ class _Rows:
             psi = []
             for d in range(1, lat.depth + 1):
                 s = out.level(d)[ok]
-                psi.append(np.abs(s) ** (q - 1.0) * np.sign(s) * t_sums[d])
+                with np.errstate(divide="ignore"):  # for q < 1, |s|^(q-1) is inf at s = 0
+                    pull = np.where(s != 0.0, np.abs(s) ** (q - 1.0), 0.0)
+                psi.append(pull * np.sign(s) * t_sums[d])
             inner = _edge_terms_adjoint(self.levels, psi)
             per_depth = [safe_divide(v, m) for v, m in zip(inner, mu.level_mass)]
             g_out = mu.leaf_mass * lat.chain_sum(per_depth) / val_p
@@ -307,14 +311,14 @@ def _fan_width(n_rows: int, n_leaves: int) -> int:
 
 
 def _ascend(
-    rows: _Rows, x0: np.ndarray, alive: np.ndarray, max_iter: int, step_tol: float
+    rows: _Rows, x0: np.ndarray, alive: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Projected gradient ascent from every row of ``x0``, all rows in lock step.
 
     Each row climbs on its own: normalised to unit input norm, it steps by
     ``eta`` along grad / max|grad|, halving ``eta`` until the ratio grows and
     then doubling it (capped at 1e3).  It stops converged when ``eta`` falls
-    to 1e-13, the gradient to 1e-14 or the gain to ``step_tol`` times
+    to 1e-13, the gradient to 1e-14 or the gain to ``_STEP_TOL`` times
     max(ratio, 1), and unconverged after ``max_iter`` iterations.
 
     Every evaluation tries the next ``width`` line-search candidates of each
@@ -372,7 +376,7 @@ def _ascend(
         gain = rc[pick] - r[won]
         x[won], r[won], grad[won] = cand[pick], rc[pick], gc[pick]
         eta[won] = np.minimum(steps[hit, first] * 2.0, 1e3)
-        done = ~has_grad[pick] | (gain <= step_tol * np.maximum(r[won], 1.0))
+        done = ~has_grad[pick] | (gain <= _STEP_TOL * np.maximum(r[won], 1.0))
         converged[won[done]] = True
         active[won[done]] = False
         fresh[won[~done]] = True
@@ -432,7 +436,7 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
     all_converged = True
     if cfg.max_iter > 0 and n_ascend > 0:
         top = order[:n_ascend]
-        vals, climbed, iters, conv = _ascend(rows, x[top], alive, cfg.max_iter, cfg.step_tol)
+        vals, climbed, iters, conv = _ascend(rows, x[top], alive, cfg.max_iter)
         for j, val in enumerate(vals.tolist()):
             if val > best_val:
                 best_val, best_name, best_x = val, names[top[j]], climbed[j]
@@ -455,6 +459,7 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
 # ---------------------------------------------------------------------------
 
 _GRID_VALUES = 1 << 16  # values per block of the grid scan: (form rows + 1 for den^p) x directions
+_GRID_RESOLUTION = 1e-2  # angle step of the grid
 
 
 def _pair_fold(n: int) -> np.ndarray:
@@ -505,10 +510,10 @@ def _operator_matrix(op: OperatorHandle, alive_idx: np.ndarray):
     return mat, np.stack(membership, axis=1)  # (leaves, n_seq)
 
 
-def grid_oracle_norm(op: OperatorHandle, resolution: float = 1e-2) -> float:
+def grid_oracle_norm(op: OperatorHandle) -> float:
     """Max Rayleigh ratio over a dense angular grid of directions.
 
-    Directions are hyperspherical angles with step ``resolution`` on the
+    Directions are hyperspherical angles with step ``_GRID_RESOLUTION`` on the
     nonnegative orthant, combined with all sign patterns (first coordinate
     fixed positive; antipodal points give the same ratio).  Restricted to at
     most 4 leaves because the grid is exhaustive.
@@ -530,8 +535,6 @@ def grid_oracle_norm(op: OperatorHandle, resolution: float = 1e-2) -> float:
     lat = op.lattice
     if lat.n_leaves > 4:
         raise ValueError(f"oracle supports at most 4 leaves, got {lat.n_leaves}")
-    if not 0.0 < resolution <= 1e-2:
-        raise ValueError(f"resolution must be a finite number in (0, 1e-2], got {resolution}")
     alive_idx = np.nonzero(op.mu.leaf_mass > 0.0)[0]
     k = len(alive_idx)
     if k == 0:
@@ -557,7 +560,7 @@ def grid_oracle_norm(op: OperatorHandle, resolution: float = 1e-2) -> float:
         X = np.ones((1, 1))
         return float(ratios(X).max())
 
-    npts = int(np.ceil((np.pi / 2.0) / resolution)) + 1
+    npts = int(np.ceil((np.pi / 2.0) / _GRID_RESOLUTION)) + 1
     theta = np.linspace(0.0, np.pi / 2.0, npts)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     if op.positive_only:
@@ -662,13 +665,7 @@ class NecessityReport:
     b_adjoint: float
     norm_estimate: NormEstimate
     factor: float               # 4p/(p-q)
-
-    def checks(self, q: float) -> list[tuple[str, float, float]]:
-        a = self.norm_estimate.value
-        return [
-            ("direct-below-norm", self.b_direct, a),
-            ("adjoint-below-factor", self.b_adjoint, self.factor * a ** q),
-        ]
+    checks: list[tuple[str, float, float]]
 
 
 def necessity_report(
@@ -692,7 +689,13 @@ def necessity_report(
     cfg = replace(cfg, extra_starts=tuple(cfg.extra_starts) + tuple(cert))
     est = norm_lower_bound(OperatorHandle.from_beta("vector_paraproduct", beta, p, q, mu, nu), cfg)
     factor = 4.0 * p / (p - q)  # equals 4r' for r = p/q
-    return NecessityReport(b_direct=b, b_adjoint=b_star, norm_estimate=est, factor=factor)
+    checks = [
+        ("direct-below-norm", b, est.value),
+        ("adjoint-below-factor", b_star, factor * est.value ** q),
+    ]
+    return NecessityReport(
+        b_direct=b, b_adjoint=b_star, norm_estimate=est, factor=factor, checks=checks
+    )
 
 
 @dataclass
@@ -716,15 +719,15 @@ def equivalence_report(
     mu: Measure,
     nu: Measure,
     cfg: Optional[AscentConfig] = None,
-    exchange_rounds: int = 6,
 ) -> EquivalenceReport:
     """Simultaneous-boundedness report for the vector paraproduct and the
     shifted positive operator it induces.
 
-    The two estimates exchange certificates until stable: the q-th power of
-    the vector maximizer feeds the shifted estimate, and the reverse-Hoelder
-    majorant of the shifted maximizer feeds the vector estimate.  At the fixed
-    point both two-sided inequalities hold for the estimates themselves.
+    The two estimates exchange certificates until stable (``_EXCHANGE_ROUNDS``
+    at most): the q-th power of the vector maximizer feeds the shifted
+    estimate, and the reverse-Hoelder majorant of the shifted maximizer feeds
+    the vector estimate.  At the fixed point both two-sided inequalities hold
+    for the estimates themselves.
     """
     cfg = cfg or AscentConfig()
     nec = necessity_report(beta, p, q, mu, nu, cfg)  # checks p > q > 1
@@ -737,7 +740,7 @@ def equivalence_report(
     est_sh = norm_lower_bound(sh_op, sh_cfg)
     a2, f2 = est_sh.value, est_sh.argmax
 
-    for _ in range(exchange_rounds):
+    for _ in range(_EXCHANGE_ROUNDS):
         improved = False
         cand2 = sh_op.ratio(np.abs(f1) ** q)
         if cand2 > a2:

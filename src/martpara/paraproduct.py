@@ -114,14 +114,14 @@ class NonnegativeCoefficients(EdgeCoefficients):
                 raise ValueError(f"negative coefficient at level {d}")
 
 
-_MEAN_ZERO_RTOL = 1e-9  # default tolerance of the Symbol check, relative to sum |b| nu
+_MEAN_ZERO_RTOL = 1e-9  # tolerance of the Symbol check, relative to sum |b| nu
 
 
-def _mean_zero_excess(lvl: np.ndarray, child_mass: np.ndarray, rel_tol: float):
+def _mean_zero_excess(lvl: np.ndarray, child_mass: np.ndarray):
     """Per-atom integral of the component, its tolerance, and where the
     integral exceeds the tolerance (the check :class:`Symbol` applies)."""
     sums = (lvl * child_mass).sum(axis=1)
-    caps = rel_tol * (np.abs(lvl) * child_mass).sum(axis=1)
+    caps = _MEAN_ZERO_RTOL * (np.abs(lvl) * child_mass).sum(axis=1)
     return sums, caps, np.abs(sums) > caps
 
 
@@ -133,7 +133,7 @@ class Symbol:
     the symbol as plain coefficients.
     """
 
-    def __init__(self, beta: EdgeCoefficients, nu: Measure, rel_tol: float = _MEAN_ZERO_RTOL):
+    def __init__(self, beta: EdgeCoefficients, nu: Measure):
         if beta.lattice is not nu.lattice and beta.lattice != nu.lattice:
             raise ValueError("coefficients and reference measure live on different lattices")
         self.beta = beta
@@ -141,7 +141,7 @@ class Symbol:
         lat = beta.lattice
         for d in range(lat.depth):
             child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
-            sums, caps, bad = _mean_zero_excess(beta.level(d), child_mass, rel_tol)
+            sums, caps, bad = _mean_zero_excess(beta.level(d), child_mass)
             if np.any(bad):
                 i = int(np.nonzero(bad)[0][0])
                 raise ValueError(
@@ -164,20 +164,17 @@ class SequenceField:
     fields (the vector paraproduct of a batch of leaf functions).
     """
 
-    def __init__(self, lattice: Lattice, levels: Optional[Sequence[np.ndarray]] = None):
+    def __init__(self, lattice: Lattice, levels: Sequence[np.ndarray]):
         self.lattice = lattice
-        if levels is None:
-            self._levels = [np.zeros(lattice.level_size(d)) for d in range(1, lattice.depth + 1)]
-        else:
-            if len(levels) != lattice.depth:
-                raise ValueError(f"expected {lattice.depth} sequence levels")
-            self._levels = []
-            for j, lvl in enumerate(levels):
-                arr = np.array(lvl, dtype=float)
-                lead = self._levels[0].shape[:-1] if self._levels else arr.shape[:-1]
-                if arr.shape != (*lead, lattice.level_size(j + 1)):
-                    raise ValueError(f"sequence level {j + 1} has shape {arr.shape}")
-                self._levels.append(arr)
+        if len(levels) != lattice.depth:
+            raise ValueError(f"expected {lattice.depth} sequence levels")
+        self._levels = []
+        for j, lvl in enumerate(levels):
+            arr = np.array(lvl, dtype=float)
+            lead = self._levels[0].shape[:-1] if self._levels else arr.shape[:-1]
+            if arr.shape != (*lead, lattice.level_size(j + 1)):
+                raise ValueError(f"sequence level {j + 1} has shape {arr.shape}")
+            self._levels.append(arr)
 
     def level(self, d: int) -> np.ndarray:
         """Values at generation ``d`` (1..depth)."""
@@ -306,7 +303,7 @@ def project_mean_zero(beta: EdgeCoefficients, nu: Measure) -> Symbol:
         means = safe_divide((lvl * child_mass).sum(axis=1), totals)
         out = np.where(active & (n_active > 1), lvl - means[:, None], lvl)
         out[active & (n_active == 1)] = 0.0
-        bad = _mean_zero_excess(out, child_mass, _MEAN_ZERO_RTOL)[2]
+        bad = _mean_zero_excess(out, child_mass)[2]
         if np.any(bad):
             rows = np.nonzero(bad)[0]
             c, m, act = lvl[rows], child_mass[rows], active[rows]

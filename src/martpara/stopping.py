@@ -409,16 +409,21 @@ def carleson_embedding_check(
         sum_I w_I |avg_I f|^p   <=   C * (p')^p * ||f||_p^p,
 
     with C the measured Carleson constant of the weights.  Returns
-    (lhs, bound); the caller asserts lhs <= bound.
+    (lhs, bound); the caller asserts lhs <= bound.  Overflowing p-th powers
+    raise a ValueError that names p.
     """
     _check_exponents(p)
     avgs = atom_averages(f, mu)
-    lhs = 0.0
-    for atom, w in weights.items():
-        atom = mu.lattice.check_atom(atom)
-        lhs += float(w) * abs(_avg(avgs, atom)) ** p
     const = carleson_constant(weights, mu)
-    bound = const * conjugate(p) ** p * lp_norm(f, p, mu) ** p
+    try:
+        with np.errstate(over="raise"):
+            lhs = 0.0
+            for atom, w in weights.items():
+                atom = mu.lattice.check_atom(atom)
+                lhs += float(w) * abs(_avg(avgs, atom)) ** p
+            bound = const * conjugate(p) ** p * lp_norm(f, p, mu) ** p
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"p={p} is too large: the p-th powers overflow") from None
     return lhs, bound
 
 

@@ -19,6 +19,7 @@ from .lattice import build_lattice
 from .martingale import rubio_de_francia, square_function
 from .measure import Measure, atom_averages, average, conjugate, lp_norm
 from .normest import (
+    _GRID_RESOLUTION,
     KINDS,
     AscentConfig,
     OperatorHandle,
@@ -189,7 +190,7 @@ def criterion_necessity(trials_per_pair: int = 30) -> CriterionResult:
                 )
                 n += 1
                 rep = necessity_report(inst.beta, p, q, inst.mu, inst.nu, cfg)
-                for _, lhs, rhs in rep.checks(q):
+                for _, lhs, rhs in rep.checks:
                     if lhs > rhs * (1.0 + 1e-6):
                         violations += 1
         return violations == 0, f"{n} instances x 2 checks, violations={violations}"
@@ -201,8 +202,8 @@ def criterion_necessity(trials_per_pair: int = 30) -> CriterionResult:
 # 6. two-sided bound for p > q with a generous cap
 # ---------------------------------------------------------------------------
 
-def criterion_two_sided(trials: int = 100, cap: float = 50.0) -> CriterionResult:
-    p, q = 4.0, 2.0
+def criterion_two_sided(trials: int = 100) -> CriterionResult:
+    p, q, cap = 4.0, 2.0, 50.0
     cfg = AscentConfig(starts=6, max_iter=25, ascend_top=4, seed=3)
 
     def run():
@@ -232,7 +233,6 @@ def criterion_two_sided(trials: int = 100, cap: float = 50.0) -> CriterionResult
 # 7 + 11. tiny-instance oracle batteries
 # ---------------------------------------------------------------------------
 
-_RESOLUTION = 1e-2
 _oracle_cache: dict = {}
 
 
@@ -278,12 +278,12 @@ def _tiny_operators():
 
 def _oracle(label: str, op: OperatorHandle) -> float:
     if label not in _oracle_cache:
-        _oracle_cache[label] = grid_oracle_norm(op, _RESOLUTION)
+        _oracle_cache[label] = grid_oracle_norm(op)
     return _oracle_cache[label]
 
 
-def criterion_simultaneous(tol: float = 2e-2) -> CriterionResult:
-    p, q = 4.0, 2.0
+def criterion_simultaneous() -> CriterionResult:
+    p, q, tol = 4.0, 2.0, 2e-2
     factor = 4.0 * p / (p - q)
 
     def run():
@@ -305,7 +305,7 @@ def criterion_simultaneous(tol: float = 2e-2) -> CriterionResult:
 
 def criterion_oracle_agreement() -> CriterionResult:
     cfg = AscentConfig(starts=24, max_iter=200, ascend_top=8, seed=4)
-    tol = max(1e-3, 2.0 * _RESOLUTION)
+    tol = max(1e-3, 2.0 * _GRID_RESOLUTION)
 
     def run():
         worst = 0.0

@@ -139,12 +139,13 @@ def adjoint_testing(
 
 
 def adjoint_witness_data(
-    beta: EdgeCoefficients, p: float, q: float, mu: Measure, nu: Measure, top: int = 3
+    beta: EdgeCoefficients, p: float, q: float, mu: Measure, nu: Measure
 ) -> tuple[float, list[tuple[Atom, np.ndarray]]]:
-    """Adjoint constant together with the atoms attaining the largest ratios
-    and their restricted chain-sum leaf profiles (used as certificate inputs
-    by the norm estimator).  Takes the same inputs as :func:`adjoint_testing`
+    """Adjoint constant together with the three atoms attaining the largest
+    ratios and their restricted chain-sum leaf profiles (used as certificate
+    inputs by the norm estimator).  Takes the same inputs as :func:`adjoint_testing`
     and rejects the same ones."""
+    top = 3  # witnesses returned
     cuts, r_prime = _adjoint_cuts(beta, p, q, mu, nu)
     if cuts is None:
         return math.inf, []

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from martpara import normest
 from martpara.lattice import Atom, Lattice
 from martpara.measure import (
     Measure,
@@ -458,7 +459,8 @@ def _naive_ascend(op, x0, alive, max_iter: int, step_tol: float):
 
 
 def naive_norm_lower_bound(op, cfg=None) -> NormEstimate:
-    """``norm_lower_bound`` with every start ranked and ascended on its own."""
+    """``norm_lower_bound`` with every start ranked and ascended on its own,
+    at the stopping gain ``normest._STEP_TOL`` holds when it is called."""
     cfg = cfg or AscentConfig()
     lat = op.lattice
     alive = op.mu.leaf_mass > 0.0
@@ -488,7 +490,7 @@ def naive_norm_lower_bound(op, cfg=None) -> NormEstimate:
     if cfg.max_iter > 0:
         for rank in range(n_ascend):
             _, name, vec = evaluated[rank]
-            val, x, iters, conv = _naive_ascend(op, vec, alive, cfg.max_iter, cfg.step_tol)
+            val, x, iters, conv = _naive_ascend(op, vec, alive, cfg.max_iter, normest._STEP_TOL)
             total_iters += iters
             all_converged = all_converged and conv
             if val > best_val:

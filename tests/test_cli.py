@@ -214,10 +214,12 @@ def test_oversized_input_exits_2(tmp_path, capsys):
     huge.write_text('{"arity": 2, "depth": 1, "mu": [1e308, 1e308], "nu": [1, 1], "beta": {}}')
     assert main(["testing", "--instance", str(huge)]) == 2
     assert "mu" in capsys.readouterr().err
-    # past some p the separation experiment's values overflow: the error names p
-    for p in ("2000", "1e16", "1e308"):
-        assert main(["counterexample", "--p", p, "--nmax", "3"]) == 2
-        assert f"p={float(p)} is too large" in capsys.readouterr().err
+    # past some p the separation experiment's values, and the embedding's
+    # p-th powers, overflow: the error names p
+    runs = [["counterexample", "--p", p, "--nmax", "3"] for p in ("2000", "1e16", "1e308")]
+    for argv in runs + [["embedding", "--p", "1e308"]]:
+        assert main(argv) == 2
+        assert f"p={float(argv[2])} is too large" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():
