@@ -9,6 +9,7 @@ navigation is O(1) and leaf data lives in flat numpy arrays of length
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -103,21 +104,53 @@ class Lattice:
         return inner.index // self.arity ** (inner.depth - outer.depth) == outer.index
 
     # -- array kernels ---------------------------------------------------------
-    # Per-generation data is a list indexed by depth; entry d has length arity**d.
+    # Per-generation data lives in one generation-major flat array: generation
+    # 0 first, atom (d, i) at ``offsets[d] + i``, and each generation is a
+    # view of it (``split``).  The children of the flat internal atoms are the
+    # flat non-root atoms in order, so a (..., n_internal, arity) reshape of
+    # the non-root part groups every atom's children along a trailing axis.
     # Every kernel works on the trailing axis: leading axes are a batch of
     # independent rows, each row giving the same bytes as the call on it alone.
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Start of every generation in the flat layout, and the total, n_atoms."""
+        return tuple((self.arity ** d - 1) // (self.arity - 1) for d in range(self.depth + 2))
+
+    @property
+    def n_internal(self) -> int:
+        return self.offsets[self.depth]
+
+    def split(self, flat: np.ndarray, first: int = 0) -> list[np.ndarray]:
+        """Views of the generations ``first``, ``first`` + 1, ... of a flat
+        array whose trailing axis starts at generation ``first``, as many as
+        its length holds."""
+        off = self.offsets
+        base, end = off[first], off[first] + flat.shape[-1]
+        return [
+            flat[..., off[d] - base:off[d + 1] - base]
+            for d in range(first, self.depth + 1) if off[d + 1] <= end
+        ]
+
+    def sum_up(self, internal: np.ndarray, leaves: np.ndarray) -> None:
+        """Fill ``internal`` (..., n_internal) with the sums of ``leaves`` over
+        every internal atom's leaf block, bottom-up, siblings summed along a
+        trailing axis of length arity."""
+        off, lead = self.offsets, leaves.shape[:-1]
+        src = leaves
+        for d in range(self.depth - 1, -1, -1):
+            dst = internal[..., off[d]:off[d + 1]]
+            np.add.reduce(src.reshape(*lead, dst.shape[-1], self.arity), axis=-1, out=dst)
+            src = dst
+
     def block_sums(self, leaf_values: np.ndarray) -> list[np.ndarray]:
-        """Sums of a leaf array over every atom's leaf block, per generation."""
+        """Sums of a leaf array over every atom's leaf block, per generation:
+        views of one flat array, and the leaf array itself at the leaves."""
         cur = np.asarray(leaf_values, dtype=float)
         if cur.shape[-1:] != (self.n_leaves,):
             raise ValueError("leaf array has wrong length")
-        lead = cur.shape[:-1]
-        out: list[np.ndarray] = [None] * (self.depth + 1)  # type: ignore[list-item]
-        out[self.depth] = cur
-        for d in range(self.depth - 1, -1, -1):
-            cur = cur.reshape(*lead, self.level_size(d), self.arity).sum(axis=-1)
-            out[d] = cur
-        return out
+        internal = np.empty((*cur.shape[:-1], self.n_internal))
+        self.sum_up(internal, cur)
+        return self.split(internal) + [cur]
 
     def spread(self, values: np.ndarray, d: int) -> np.ndarray:
         """Broadcast per-atom values at generation ``d`` to the leaf array."""
@@ -127,15 +160,16 @@ class Lattice:
         """Leaf array of sums over each leaf's ancestor chain.
 
         ``per_depth[d]`` holds the value attached to every generation-``d`` atom
-        (``None`` entries are skipped).
+        (``None`` entries are skipped).  The sums run from 0.0 in generation
+        order, so a chain of -0.0 terms gives 0.0.
         """
         run = np.zeros(1)
         for d in range(self.depth + 1):
             if d > 0:
-                run = np.repeat(run, self.arity, axis=-1)
+                run = run.repeat(self.arity, axis=-1)
             vals = per_depth[d] if d < len(per_depth) else None
             if vals is not None:
-                run = run + vals
+                run = np.add(run, vals, out=run if run.shape == np.shape(vals) else None)
         return run
 
 

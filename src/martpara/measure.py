@@ -2,9 +2,11 @@
 
 Degenerate conventions are centralized here: an average over a zero-mass atom
 is 0, and every operator downstream inherits that choice through
-:func:`atom_averages`.  So is the one exponent check, :func:`_check_exponents`:
-every public function that takes p or q calls it, directly or through
-:func:`conjugate` or :func:`lp_norm`.
+:func:`_per_mass`, which :func:`atom_averages` and the operators' averages
+share.  So is the one exponent check, :func:`_check_exponents`: every
+public function that takes p or q calls it, directly or through
+:func:`conjugate` or :func:`lp_norm`.  Atom masses, integrals and averages
+are generation-major flat arrays (``Lattice.split``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class Measure:
     """
 
     def __init__(self, lattice: Lattice, leaf_mass) -> None:
-        arr = np.array(leaf_mass, dtype=float)
+        arr = np.asarray(leaf_mass, dtype=float)
         if arr.shape != (lattice.n_leaves,):
             raise ValueError(
                 f"expected {lattice.n_leaves} leaf masses, got shape {arr.shape}"
@@ -36,17 +38,19 @@ class Measure:
             raise ValueError("leaf masses must be finite")
         if np.any(arr < 0):
             raise ValueError("leaf masses must be nonnegative")
-        # masses are nonnegative, so every atom's mass is at most the total
+        # every atom's mass, in one generation-major flat array (see
+        # ``Lattice.split``); masses are nonnegative, so each is at most the total
+        flat = np.empty(lattice.n_atoms)
+        flat[lattice.n_internal:] = arr
         with np.errstate(over="ignore"):
-            level_mass = lattice.block_sums(arr)
-        if not np.isfinite(level_mass[0][0]):
+            lattice.sum_up(flat[:lattice.n_internal], flat[lattice.n_internal:])
+        if not np.isfinite(flat[0]):
             raise ValueError("leaf masses must have a finite total")
         self.lattice = lattice
-        self.leaf_mass = arr
-        self.level_mass = level_mass
-        arr.setflags(write=False)
-        for lvl in self.level_mass:
-            lvl.setflags(write=False)
+        flat.setflags(write=False)
+        self.flat_mass = flat
+        self.leaf_mass = flat[lattice.n_internal:]
+        self.level_mass = lattice.split(flat)
 
     def mass(self, atom: Atom) -> float:
         atom = self.lattice.check_atom(atom)
@@ -75,7 +79,7 @@ def _leaf_rows(lattice: Lattice, values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape[-1:] != (lattice.n_leaves,):
         raise ValueError(f"expected {lattice.n_leaves} leaf values, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("leaf function entries must be finite")
     return arr
 
@@ -87,17 +91,50 @@ def safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integrals(f: np.ndarray, m: Measure) -> np.ndarray:
+    """Flat (..., n_atoms) integrals of validated leaf rows over every atom;
+    the leaf generation holds f times the leaf masses."""
+    lat = m.lattice
+    flat = np.empty((*f.shape[:-1], lat.n_atoms))
+    leaves = flat[..., lat.n_internal:]
+    np.multiply(f, m.leaf_mass, out=leaves)
+    lat.sum_up(flat[..., :lat.n_internal], leaves)
+    return flat
+
+
+def _per_mass(vals: np.ndarray, m: Measure) -> np.ndarray:
+    """Flat values divided by the masses of their atoms, 0 on zero-mass
+    atoms: the trailing axis starts at the root and may stop at any atom."""
+    n = vals.shape[-1]
+    out = np.zeros(vals.shape)
+    mass = m.flat_mass[:n]
+    np.divide(vals, mass, out=out, where=mass > 0.0)
+    return out
+
+
+def _parent_integrals(f: np.ndarray, m: Measure) -> np.ndarray:
+    """Flat (..., n_internal) integrals of validated leaf rows over the
+    internal atoms, the ones an operator reads."""
+    internal = np.empty((*f.shape[:-1], m.lattice.n_internal))
+    m.lattice.sum_up(internal, f * m.leaf_mass)
+    return internal
+
+
+def _parent_averages(f: np.ndarray, m: Measure) -> np.ndarray:
+    """Flat (..., n_internal) averages of validated leaf rows over the
+    internal atoms, 0 on zero-mass atoms."""
+    return _per_mass(_parent_integrals(f, m), m)
+
+
 def atom_integrals(f, m: Measure) -> list[np.ndarray]:
     """Per-generation arrays of integrals of ``f`` over every atom; a batch
     of leaf functions along leading axes gives batched arrays."""
-    f = _leaf_rows(m.lattice, f)
-    return m.lattice.block_sums(f * m.leaf_mass)
+    return m.lattice.split(_integrals(_leaf_rows(m.lattice, f), m))
 
 
 def atom_averages(f, m: Measure) -> list[np.ndarray]:
     """Per-generation arrays of averages, 0 on zero-mass atoms."""
-    ints = atom_integrals(f, m)
-    return [safe_divide(ints[d], m.level_mass[d]) for d in range(m.lattice.depth + 1)]
+    return m.lattice.split(_per_mass(_integrals(_leaf_rows(m.lattice, f), m), m))
 
 
 def average(f, atom: Atom, m: Measure) -> float:
@@ -120,7 +157,7 @@ def lp_norm(f, p: float, m: Measure):
     """
     _check_exponents(p, low=0.0)
     f = _leaf_rows(m.lattice, f)
-    sums = np.sum(np.abs(f) ** p * m.leaf_mass, axis=-1)
+    sums = np.add.reduce(np.abs(f) ** p * m.leaf_mass, axis=-1)
     if sums.ndim == 0:
         return float(sums ** (1.0 / p))
     return np.array([s ** (1.0 / p) for s in sums.flat]).reshape(sums.shape)

@@ -15,11 +15,15 @@ The starts are written into the rows of one (batch, n_leaves) array: one
 batched ratio ranks them all, and the ascended ones climb in lock step, each
 evaluation trying up to four line-search candidates of every active row,
 eta, eta/2, eta/4 and eta/8, in one batch (``_Rows``, ``_ascend``).  Each row
-takes the path, and gives the bytes, it would alone.  On trees of 4-81
-leaves an evaluation costs mostly Python and numpy call overhead, so trying
-at once the halvings a backtracking row would try next more than halves the
-evaluations an ascent needs; larger batches, where the cost goes by the
-values, try fewer (``_CANDIDATE_VALUES``).
+takes the path, and gives the bytes, it would alone.  An evaluation keeps
+every per-atom quantity of the whole batch in one generation-major flat
+array (``Lattice.split``), so it makes a fixed number of elementwise numpy
+calls whatever the depth; only the block sums and the chain sums loop over
+the generations.  On trees of 4-81 leaves an evaluation still costs mostly
+Python and numpy call overhead, so trying at once the halvings a
+backtracking row would try next more than halves the evaluations an ascent
+needs; larger batches, where the cost goes by the values, try fewer
+(``_CANDIDATE_VALUES``).
 
 ``grid_oracle_norm`` is the independent desk-scale oracle: a dense angular
 grid on the unit sphere, sign patterns included, no optimization.  It ranks
@@ -45,11 +49,13 @@ import numpy as np
 
 from .lattice import Atom, Lattice
 from .martingale import rubio_de_francia
-from .measure import Measure, _check_exponents, conjugate, lp_norm, safe_divide
+from .measure import Measure, _check_exponents, _parent_integrals, _per_mass, conjugate, lp_norm
 from .paraproduct import (
     EdgeCoefficients,
     NonnegativeCoefficients,
     Symbol,
+    _edge_chain,
+    _edge_terms,
     _edge_terms_adjoint,
     paraproduct_apply,
     positive_apply,
@@ -69,12 +75,17 @@ MAX_START_VALUES = 1 << 24
 
 #: line-search candidates ``_ascend`` tries per row in one evaluation: up to
 #: ``_FAN_OUT``, as many as keep the candidate batch (rows times candidates
-#: times leaves) within ``_CANDIDATE_VALUES``, at least one.  An evaluation
-#: costs about as much per call as per 2,000 values, and fanning out evaluates
-#: about twice the rows in half the calls, so it pays only on small batches:
-#: every tiny-tree ascent fans out, while binary trees of 2^5 leaves and more
-#: (default starts) take one candidate until few rows are left; a cap of 2^14
-#: or more made `norm --depth 5` to 8 slower than no fan-out at all
+#: times leaves) within ``_CANDIDATE_VALUES``, at least one.  Fanning out
+#: evaluates about twice the rows in half the calls, so it pays only on small
+#: batches: every tiny-tree ascent fans out, while binary trees of 2^5 leaves
+#: and more (default starts) take one candidate until few rows are left.  A
+#: vector-kind evaluation on a binary depth-6 tree costs about 60 us per call
+#: and 0.15 us per value (rows times leaves), as much per call as per 400
+#: values (190 us, or 1,400 values, before the flat layout).  Timed again at
+#: that cost, no cap was faster at every depth: 2^12 was 11% faster on
+#: `norm --arity 3 --depth 4`, 2^14 18% faster at `--depth 6` and 58% slower
+#: at `--depth 5`, and all three caps were within 4% at depths 7 and 8
+#: (medians of five interleaved runs on a 2-core machine)
 _FAN_OUT = 4
 _CANDIDATE_VALUES = 1 << 13
 _HALVINGS = 0.5 ** np.arange(_FAN_OUT)
@@ -173,19 +184,16 @@ class OperatorHandle:
             return 0.0
         return self.output_norm(self.apply(x)) / den
 
-    # edge coefficients of the linear map: signed for the paraproduct and the
-    # vector kind, |b_I|^q for the shifted kind
-    def _edge_levels(self) -> list[np.ndarray]:
+    # flat (n_internal, arity) edge coefficients of the linear map: signed
+    # for the paraproduct and the vector kind, |b_I|^q for the shifted kind
+    def _edge_coefficients(self) -> np.ndarray:
         if self.kind == "paraproduct":
-            coeffs = self.symbol.beta
-        elif self.kind == "positive":
-            coeffs = self.alpha
-        else:
-            coeffs = self.beta
-        levels = [coeffs.level(d) for d in range(self.lattice.depth)]
+            return self.symbol.beta._flat
+        if self.kind == "positive":
+            return self.alpha._flat
         if self.kind == "shifted":
-            return [np.abs(c) ** self.q for c in levels]
-        return levels
+            return np.abs(self.beta._flat) ** self.q
+        return self.beta._flat
 
 
 @dataclass
@@ -220,26 +228,41 @@ class _Rows:
     Each row gives the bytes of a batch of one: the kernels work along the
     trailing axis, and every scalar power of a norm is taken one row at a
     time (the roots in :func:`lp_norm`, ``val ** p`` and ``den ** p`` here),
-    since array powers may round differently.  The edge coefficients and the
-    reciprocal mu masses are built once.
+    since array powers may round differently.
+
+    Every per-atom quantity of an evaluation is one generation-major flat
+    array (``Lattice.split``), so an evaluation makes a fixed number of
+    elementwise numpy calls whatever the depth; only the bottom-up block
+    sums and the top-down chain sums loop over the generations.  The plan of
+    the operator is built once: its flat edge coefficients, the mu masses of
+    the internal atoms and their reciprocals.  The input rows are validated
+    once, by their input norm.
     """
 
     def __init__(self, op: OperatorHandle) -> None:
         self.op = op
-        self.levels = op._edge_levels()
-        self.inv_mass = [safe_divide(np.ones_like(m), m) for m in op.mu.level_mass]
+        self.coeffs = op._edge_coefficients()
+        self.inv_mass = _per_mass(np.ones(op.lattice.n_internal), op.mu)
+
+    def _parent_values(self, x: np.ndarray) -> np.ndarray:
+        """What the operator reads of validated rows on the internal atoms:
+        integrals for the positive kind, averages for the others."""
+        ints = _parent_integrals(x, self.op.mu)
+        return ints if self.op.kind == "positive" else _per_mass(ints, self.op.mu)
 
     def _forward(self, x: np.ndarray):
-        """Input norms, the rows of positive input norm, their outputs, the
-        output norms and, for the vector kind, the q-power chains of the
-        outputs that the norms are taken from (else None)."""
-        op = self.op
+        """Input norms, the rows of positive input norm, their outputs (the
+        flat sequence field for the vector kind), the output norms and, for
+        the vector kind, the q-power chains the norms are taken from (else
+        None): the bytes of ``op.apply`` and ``op.output_norm``."""
+        op, lat = self.op, self.op.lattice
         den = op.input_norm(x)
         live = den > 0.0
-        out = op.apply(x[live])
         if op.kind != "vector_paraproduct":
-            return den, live, out, op.output_norm(out), None
-        chain = out.q_power_chain(op.q)  # the bytes of sequence_norm, chain kept
+            out = _edge_chain(lat, self.coeffs, self._parent_values(x[live]))
+            return den, live, out, lp_norm(out, op.p, op.nu), None
+        out = _edge_terms(self.coeffs, self._parent_values(x[live]))
+        chain = lat.chain_sum([None] + lat.split(np.abs(out) ** op.q, 1))
         return den, live, out, lp_norm(chain ** (1.0 / op.q), op.p, op.nu), chain
 
     def ratios(self, x: np.ndarray) -> np.ndarray:
@@ -262,32 +285,32 @@ class _Rows:
         den, live, out, val, chain_q = self._forward(x)
         ok = val > 0.0
         rows = np.flatnonzero(live)[ok]
-        x, den, val = x[rows], den[rows], val[ok]
+        x, den, val, out = x[rows], den[rows], val[ok], out[ok]
         val_p = np.array([v ** p for v in val.tolist()])[:, None]
         den_p = np.array([v ** p for v in den.tolist()])[:, None]
+        # block sums of the output side's leaf weights, flat over every atom
+        n_int = lat.n_internal
+        sums = np.empty((len(rows), lat.n_atoms))
+        leaves = sums[:, n_int:]
         if op.kind == "vector_paraproduct":
             q = op.q
             chain_q = chain_q[ok]
-            # nu-weighted G^{p-q} with a zero guard where the chain vanishes
+            # nu-weighted G^{p-q} with a zero guard where the chain vanishes,
+            # and |s|^(q-1), which is inf at s = 0 for q < 1, with one too
             with np.errstate(divide="ignore", invalid="ignore"):
                 gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
-            t_sums = lat.block_sums(op.nu.leaf_mass * gpq)
-            psi = []
-            for d in range(1, lat.depth + 1):
-                s = out.level(d)[ok]
-                with np.errstate(divide="ignore"):  # for q < 1, |s|^(q-1) is inf at s = 0
-                    pull = np.where(s != 0.0, np.abs(s) ** (q - 1.0), 0.0)
-                psi.append(pull * np.sign(s) * t_sums[d])
-            inner = _edge_terms_adjoint(self.levels, psi)
-            per_depth = [safe_divide(v, m) for v, m in zip(inner, mu.level_mass)]
-            g_out = mu.leaf_mass * lat.chain_sum(per_depth) / val_p
+                pull = np.where(out != 0.0, np.abs(out) ** (q - 1.0), 0.0)
+            np.multiply(op.nu.leaf_mass, gpq, out=leaves)
+            lat.sum_up(sums[:, :n_int], leaves)
+            inner = _edge_terms_adjoint(self.coeffs, pull * np.sign(out) * sums[:, 1:])
+            g_out = mu.leaf_mass * lat.chain_sum(lat.split(_per_mass(inner, mu))) / val_p
         else:
-            out = out[ok]
-            u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val_p
-            per_depth = _edge_terms_adjoint(self.levels, lat.block_sums(u)[1:])
+            np.divide(op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out), val_p, out=leaves)
+            lat.sum_up(sums[:, :n_int], leaves)
+            inner = _edge_terms_adjoint(self.coeffs, sums[:, 1:])
             if op.kind != "positive":  # the operator reads averages, not integrals
-                per_depth = [v * w for v, w in zip(per_depth, self.inv_mass)]
-            g_out = mu.leaf_mass * lat.chain_sum(per_depth)
+                inner *= self.inv_mass
+            g_out = mu.leaf_mass * lat.chain_sum(lat.split(inner))
         g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den_p
         r = np.zeros(len(live))
         r[rows] = val / den
@@ -333,8 +356,8 @@ def _ascend(
     """
     op = rows.op
     x = _project(op, x0, alive)
-    den = op.input_norm(x)
-    x[den > 0.0] /= den[den > 0.0, None]
+    den = op.input_norm(x)[:, None]
+    np.divide(x, den, out=x, where=den > 0.0)
     r, grad, active = rows.value_and_grad(x)
     n, n_leaves = x.shape
     eta, gn = np.full(n, 0.5), np.zeros(n)
@@ -362,11 +385,11 @@ def _ascend(
         row, j = np.nonzero(steps > 1e-13)  # row by row, largest step first
         src = idx[row]
         cand = _project(op, x[src] + steps[row, j, None] * grad[src] / gn[src, None], alive)
-        den = op.input_norm(cand)
-        cand[den > 0.0] /= den[den > 0.0, None]
+        den = op.input_norm(cand)[:, None]
+        np.divide(cand, den, out=cand, where=den > 0.0)
         rc, gc, has_grad = rows.value_and_grad(cand)
         up = np.zeros(steps.shape, dtype=bool)
-        up[row, j] = (den > 0.0) & (rc > r[src])
+        up[row, j] = rc > r[src]  # a ratio is >= 0, and 0 where the input norm is
         slot = np.zeros(steps.shape, dtype=np.int64)  # each tried step's row of cand
         slot[row, j] = np.arange(row.size)
         hit = up.any(axis=1)
@@ -377,8 +400,9 @@ def _ascend(
         x[won], r[won], grad[won] = cand[pick], rc[pick], gc[pick]
         eta[won] = np.minimum(steps[hit, first] * 2.0, 1e3)
         done = ~has_grad[pick] | (gain <= _STEP_TOL * np.maximum(r[won], 1.0))
-        converged[won[done]] = True
-        active[won[done]] = False
+        stopped = won[done]
+        converged[stopped] = True
+        active[stopped] = False
         fresh[won[~done]] = True
         eta[idx[~hit]] = steps[~hit, -1] * 0.5
 
@@ -405,13 +429,17 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
             f"{MAX_START_VALUES} values"
         )
 
-    # every start is written straight into its row of the batch
+    # every start is written straight into its row of the batch; the
+    # indicators of generation d are the diagonal of its rows' (size, size,
+    # leaves per atom) view, rows in flat atom order
     x = np.zeros((n_starts, lat.n_leaves))
+    off = lat.offsets
     names = []
     for d in range(lat.depth + 1):
-        for i in range(lat.level_size(d)):
-            x[len(names), lat.leaf_slice(Atom(d, i))] = 1.0
-            names.append(f"indicator({d},{i})")
+        size = lat.level_size(d)
+        diag = np.arange(size)
+        x[off[d]:off[d + 1]].reshape(size, size, -1)[diag, diag] = 1.0
+        names += [f"indicator({d},{i})" for i in range(size)]
     drawn = slice(len(names), len(names) + cfg.starts)
     np.random.default_rng(cfg.seed).standard_normal(out=x[drawn])  # as drawn one row at a time
     if op.positive_only:

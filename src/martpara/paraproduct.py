@@ -8,6 +8,12 @@ Its transpose, ``_edge_terms_adjoint``, contracts child values with the
 coefficients back onto the parents; the norm gradients, the adjoint testing
 terms and the lemma weights of the decomposition replay all go through it.
 
+Coefficients, averages and sequence fields are generation-major flat arrays
+(``Lattice.split``): the coefficients of the internal atoms form one
+(n_internal, arity) array whose rows' children are the non-root atoms in
+flat order, so each kernel is one elementwise numpy call over every
+generation at once, not one per generation.
+
 * ``paraproduct_apply``     -- sum over internal atoms of (mu-average of f) * b_I,
   where b_I are the mean-zero components of a :class:`Symbol`;
 * ``vector_paraproduct``    -- the sequence-valued version, one number per
@@ -26,36 +32,36 @@ import numpy as np
 
 from .lattice import Atom, Lattice
 from .measure import (
-    Measure, atom_averages, atom_integrals, _check_exponents, leaf_function, lp_norm, safe_divide,
+    Measure, _check_exponents, _leaf_rows, _parent_averages, _parent_integrals, leaf_function,
+    lp_norm, safe_divide,
 )
 
 
 class EdgeCoefficients:
     """One real coefficient per parent->child edge of the lattice.
 
-    Stored per generation: ``level(d)`` has shape ``(arity**d, arity)`` and
-    row ``i`` holds the coefficients from internal atom ``(d, i)`` to its
-    children, in child-slot order.  Missing entries default to 0.
+    Stored as one flat array of shape ``(n_internal, arity)``, generation
+    0 first: row ``offsets[d] + i`` holds the coefficients from internal atom
+    ``(d, i)`` to its children, in child-slot order, and ``level(d)`` is the
+    view of generation ``d``, shape ``(arity**d, arity)``.  Missing entries
+    default to 0.
     """
 
     def __init__(self, lattice: Lattice, levels: Optional[Sequence[np.ndarray]] = None):
         self.lattice = lattice
-        if levels is None:
-            self._levels = [
-                np.zeros((lattice.level_size(d), lattice.arity))
-                for d in range(lattice.depth)
-            ]
-        else:
+        self._flat = np.zeros((lattice.n_internal, lattice.arity))
+        off = lattice.offsets
+        self._levels = [self._flat[off[d]:off[d + 1]] for d in range(lattice.depth)]
+        if levels is not None:
             if len(levels) != lattice.depth:
                 raise ValueError(f"expected {lattice.depth} coefficient levels")
-            self._levels = []
             for d, lvl in enumerate(levels):
-                arr = np.array(lvl, dtype=float)
+                arr = np.asarray(lvl, dtype=float)
                 if arr.shape != (lattice.level_size(d), lattice.arity):
                     raise ValueError(f"level {d} has shape {arr.shape}")
                 if not np.all(np.isfinite(arr)):
                     raise ValueError(f"level {d} has non-finite entries")
-                self._levels.append(arr)
+                self._levels[d][...] = arr
 
     @classmethod
     def from_dict(cls, lattice: Lattice, entries: Mapping[tuple[int, int, int], float]):
@@ -160,21 +166,35 @@ class Symbol:
 class SequenceField:
     """One real number per non-root atom; output space of the vector paraproduct.
 
-    Leading axes of the levels, the same on every level, are a batch of
-    fields (the vector paraproduct of a batch of leaf functions).
+    Stored as one flat array over the non-root atoms, generation 1 first
+    (``Lattice.split`` from generation 1), whose levels are views.  Leading
+    axes, the same on every level, are a batch of fields (the vector
+    paraproduct of a batch of leaf functions).
     """
 
     def __init__(self, lattice: Lattice, levels: Sequence[np.ndarray]):
-        self.lattice = lattice
         if len(levels) != lattice.depth:
             raise ValueError(f"expected {lattice.depth} sequence levels")
-        self._levels = []
+        arrays = []
         for j, lvl in enumerate(levels):
-            arr = np.array(lvl, dtype=float)
-            lead = self._levels[0].shape[:-1] if self._levels else arr.shape[:-1]
+            arr = np.asarray(lvl, dtype=float)
+            lead = arrays[0].shape[:-1] if arrays else arr.shape[:-1]
             if arr.shape != (*lead, lattice.level_size(j + 1)):
                 raise ValueError(f"sequence level {j + 1} has shape {arr.shape}")
-            self._levels.append(arr)
+            arrays.append(arr)
+        self._wrap(lattice, np.concatenate(arrays, axis=-1))
+
+    @classmethod
+    def _of_flat(cls, lattice: Lattice, flat: np.ndarray) -> "SequenceField":
+        """The field whose flat array is ``flat`` itself, not a copy."""
+        field = cls.__new__(cls)
+        field._wrap(lattice, flat)
+        return field
+
+    def _wrap(self, lattice: Lattice, flat: np.ndarray) -> None:
+        self.lattice = lattice
+        self._flat = flat
+        self._levels = lattice.split(flat, 1)
 
     def level(self, d: int) -> np.ndarray:
         """Values at generation ``d`` (1..depth)."""
@@ -190,50 +210,42 @@ class SequenceField:
 
     def q_power_chain(self, q: float) -> np.ndarray:
         """Leaf array of sum over the ancestor chain of |value|^q."""
-        per_depth: list[Optional[np.ndarray]] = [None]
-        per_depth += [np.abs(lvl) ** q for lvl in self._levels]
-        return self.lattice.chain_sum(per_depth)
+        return self.lattice.chain_sum([None] + self.lattice.split(np.abs(self._flat) ** q, 1))
 
 
-def _edge_terms(
-    levels: Sequence[np.ndarray], parent_vals: Sequence[np.ndarray]
-) -> list[Optional[np.ndarray]]:
-    """Per generation (None at the root), each child atom's edge coefficient
-    times the value attached to its parent.  Leading axes of the values are
-    a batch."""
-    return [None] + [
-        (c * v[..., None]).reshape(*v.shape[:-1], c.size) for c, v in zip(levels, parent_vals)
-    ]
+def _edge_terms(coeffs: np.ndarray, parent_vals: np.ndarray) -> np.ndarray:
+    """Each non-root atom's edge coefficient times the value attached to its
+    parent, flat over the non-root atoms, from the flat coefficients
+    (n_internal, arity) and flat values (..., n_internal) of the internal
+    atoms.  Leading axes of the values are a batch."""
+    return (coeffs * parent_vals[..., None]).reshape(*parent_vals.shape[:-1], coeffs.size)
 
 
-def _edge_terms_adjoint(
-    levels: Sequence[np.ndarray], child_vals: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Transpose of :func:`_edge_terms`: per internal generation, each atom's
-    edge coefficients times the values attached to its children, summed over
-    the children (``child_vals[d]`` lives at generation d + 1).  Leading axes
-    of the values are a batch."""
-    return [
-        (c * w.reshape(*w.shape[:-1], *c.shape)).sum(axis=-1) for c, w in zip(levels, child_vals)
-    ]
+def _edge_terms_adjoint(coeffs: np.ndarray, child_vals: np.ndarray) -> np.ndarray:
+    """Transpose of :func:`_edge_terms`: each internal atom's edge
+    coefficients times the values attached to its children, summed over the
+    children, flat (..., n_internal) from the flat values (..., n_atoms - 1)
+    of the non-root atoms.  Leading axes of the values are a batch."""
+    return np.add.reduce(coeffs * child_vals.reshape(*child_vals.shape[:-1], *coeffs.shape),
+                         axis=-1)
 
 
-def _edge_chain(
-    lat: Lattice, levels: Sequence[np.ndarray], parent_vals: Sequence[np.ndarray]
-) -> np.ndarray:
+def _edge_chain(lat: Lattice, coeffs: np.ndarray, parent_vals: np.ndarray) -> np.ndarray:
     """Leaf array of the edge terms summed along each leaf's ancestor chain."""
-    return lat.chain_sum(_edge_terms(levels, parent_vals))
+    return lat.chain_sum([None] + lat.split(_edge_terms(coeffs, parent_vals), 1))
 
 
 def paraproduct_apply(symbol: Symbol, f, mu: Measure) -> np.ndarray:
     """Two-weight paraproduct: sum over internal atoms of (mu-average of f)
     times the symbol component, evaluated pointwise on leaves."""
-    return _edge_chain(symbol.lattice, symbol.beta._levels, atom_averages(f, mu))
+    f = _leaf_rows(mu.lattice, f)
+    return _edge_chain(symbol.lattice, symbol.beta._flat, _parent_averages(f, mu))
 
 
 def vector_paraproduct(beta: EdgeCoefficients, f, mu: Measure) -> SequenceField:
     """Sequence field s_I = (mu-average of f over parent of I) * coefficient."""
-    return SequenceField(beta.lattice, _edge_terms(beta._levels, atom_averages(f, mu))[1:])
+    f = _leaf_rows(mu.lattice, f)
+    return SequenceField._of_flat(beta.lattice, _edge_terms(beta._flat, _parent_averages(f, mu)))
 
 
 def sequence_norm(s: SequenceField, p: float, q: float, nu: Measure) -> float:
@@ -247,29 +259,31 @@ def sequence_norm(s: SequenceField, p: float, q: float, nu: Measure) -> float:
 def power_apply(beta: EdgeCoefficients, f, q: float, mu: Measure) -> np.ndarray:
     """Nonlinear majorant: sum over internal atoms of |average|^q |b_I|^q."""
     _check_exponents(q=q)
-    levels = [np.abs(c) ** q for c in beta._levels]
-    avg_q = [np.abs(a) ** q for a in atom_averages(f, mu)[:-1]]
-    return _edge_chain(beta.lattice, levels, avg_q)
+    f = _leaf_rows(mu.lattice, f)
+    avg_q = np.abs(_parent_averages(f, mu)) ** q
+    return _edge_chain(beta.lattice, np.abs(beta._flat) ** q, avg_q)
 
 
 def shifted_apply(beta: EdgeCoefficients, g, q: float, mu: Measure) -> np.ndarray:
     """Shifted positive operator with coefficient functions |b_I|^q:
     sum over internal atoms of (mu-average of g) * |b_I|^q."""
     _check_exponents(q=q)
-    levels = [np.abs(c) ** q for c in beta._levels]
-    return _edge_chain(beta.lattice, levels, atom_averages(g, mu))
+    g = _leaf_rows(mu.lattice, g)
+    return _edge_chain(beta.lattice, np.abs(beta._flat) ** q, _parent_averages(g, mu))
 
 
 def positive_apply(alpha: NonnegativeCoefficients, f, mu: Measure) -> np.ndarray:
     """General shifted positive operator: sum over internal atoms of
     (integral of f over the atom) * coefficient step function."""
-    return _edge_chain(alpha.lattice, alpha._levels, atom_integrals(f, mu))
+    f = _leaf_rows(mu.lattice, f)
+    return _edge_chain(alpha.lattice, alpha._flat, _parent_integrals(f, mu))
 
 
 def bilinear_form(beta: EdgeCoefficients, f, g, mu: Measure) -> np.ndarray:
     """Bilinear version of the q=2 majorant: sum of (avg f)(avg g)|b_I|^2."""
-    products = [a * b for a, b in zip(atom_averages(f, mu)[:-1], atom_averages(g, mu))]
-    return _edge_chain(beta.lattice, [c ** 2 for c in beta._levels], products)
+    avg_f = _parent_averages(_leaf_rows(mu.lattice, f), mu)
+    products = avg_f * _parent_averages(_leaf_rows(mu.lattice, g), mu)
+    return _edge_chain(beta.lattice, beta._flat ** 2, products)
 
 
 def pairing(h, g, nu: Measure) -> float:

@@ -35,6 +35,7 @@ from .lattice import Atom, Lattice
 from .measure import (
     Measure,
     REL_TOL,
+    _parent_integrals,
     atom_averages,
     atom_integrals,
     _check_exponents,
@@ -576,10 +577,9 @@ def proof_mirror(
     # g-integral over itself (edge_g), and their product, its pairing term.
     # Per-atom reads go through Python floats (``tolist``), so that every
     # ``** p`` below is a Python power.
-    ints_f = atom_integrals(f, mu)
     ints_g = atom_integrals(g, nu)
     levels = [alpha.level(d) for d in range(lat.depth)]
-    edge_f = _edge_terms(levels, ints_f)
+    edge_f = [None] + lat.split(_edge_terms(alpha._flat, _parent_integrals(f, mu)), 1)
     edge_g = [None] + [c.reshape(-1) * v for c, v in zip(levels, ints_g[1:])]
     terms = [[]] + [(t * v).tolist() for t, v in zip(edge_f[1:], ints_g[1:])]
     coef = [[]] + [c.reshape(-1).tolist() for c in levels]
@@ -589,7 +589,7 @@ def proof_mirror(
     mass_nu = [m.tolist() for m in nu.level_mass]
 
     # Carleson sequence of the direct-term lemma: one weight per internal atom
-    integs = _edge_terms_adjoint([c ** p for c in levels], nu.level_mass[1:])
+    integs = lat.split(_edge_terms_adjoint(alpha._flat ** p, nu.flat_mass[1:]))
     lemma_weights = [integ * mu.level_mass[d] ** p for d, integ in enumerate(integs)]
     lemma_embed = sum(
         w * abs(avg_f[d][i]) ** p

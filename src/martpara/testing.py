@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .lattice import Atom, Lattice
-from .measure import Measure, _check_exponents, conjugate, safe_divide
+from .measure import Measure, _check_exponents, _per_mass, conjugate, safe_divide
 from .paraproduct import EdgeCoefficients, NonnegativeCoefficients, Symbol, _edge_terms_adjoint
 
 
@@ -103,13 +103,10 @@ def _adjoint_parent_terms(
     A massless atom whose component still carries nu-mass has no finite
     term; the caller turns that into +inf.
     """
-    levels = [np.abs(beta.level(d)) ** q for d in range(beta.lattice.depth)]
-    terms = []
-    for d, integ in enumerate(_edge_terms_adjoint(levels, nu.level_mass[1:])):
-        if np.any((mu.level_mass[d] == 0.0) & (integ > 0.0)):
-            return None
-        terms.append(safe_divide(integ, mu.level_mass[d]))
-    return terms
+    integ = _edge_terms_adjoint(np.abs(beta._flat) ** q, nu.flat_mass[1:])
+    if np.any((mu.flat_mass[:integ.size] == 0.0) & (integ > 0.0)):
+        return None
+    return beta.lattice.split(_per_mass(integ, mu))
 
 
 def _adjoint_cuts(
@@ -185,9 +182,7 @@ def positive_operator_testing(
         alpha.child_values(e) * np.repeat(mu.level_mass[e - 1], lat.arity)
         for e in range(1, lat.depth + 1)
     ]
-    parent_terms = _edge_terms_adjoint(
-        [alpha.level(d) for d in range(lat.depth)], nu.level_mass[1:]
-    )
+    parent_terms = lat.split(_edge_terms_adjoint(alpha._flat, nu.flat_mass[1:]))
     b = _sup(_cut_ratios(lat, child_terms, p, nu.leaf_mass, mu.level_mass), p)
     b_star = _sup(_cut_ratios(lat, parent_terms, p_prime, mu.leaf_mass, nu.level_mass), p_prime)
     return b, b_star

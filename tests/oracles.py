@@ -31,7 +31,6 @@ from martpara.normest import (
 )
 from martpara.paraproduct import (
     NonnegativeCoefficients,
-    _edge_terms_adjoint,
     pairing,
     positive_apply,
 )
@@ -46,6 +45,79 @@ from martpara.stopping import (
     split_collections,
 )
 from martpara.testing import positive_operator_testing
+
+
+# ---------------------------------------------------------------------------
+# the lattice and edge-chain kernels, one generation at a time
+# ---------------------------------------------------------------------------
+#
+# The per-generation kernels the flat ones replaced: every generation is its
+# own array, and each step is one numpy call per generation.  Leading axes
+# are a batch, as in the flat kernels, which must give these bytes.
+
+
+def naive_block_sums(lat: Lattice, leaf_values) -> list[np.ndarray]:
+    cur = np.asarray(leaf_values, dtype=float)
+    lead = cur.shape[:-1]
+    out = [None] * (lat.depth + 1)
+    out[lat.depth] = cur
+    for d in range(lat.depth - 1, -1, -1):
+        cur = cur.reshape(*lead, lat.level_size(d), lat.arity).sum(axis=-1)
+        out[d] = cur
+    return out
+
+
+def naive_chain_sum(lat: Lattice, per_depth) -> np.ndarray:
+    run = np.zeros(1)
+    for d in range(lat.depth + 1):
+        if d > 0:
+            run = np.repeat(run, lat.arity, axis=-1)
+        vals = per_depth[d] if d < len(per_depth) else None
+        if vals is not None:
+            run = run + vals
+    return run
+
+
+def naive_atom_integrals(f, m: Measure) -> list[np.ndarray]:
+    return naive_block_sums(m.lattice, np.asarray(f, dtype=float) * m.leaf_mass)
+
+
+def naive_atom_averages(f, m: Measure) -> list[np.ndarray]:
+    ints = naive_atom_integrals(f, m)
+    masses = naive_block_sums(m.lattice, m.leaf_mass)
+    return [safe_divide(v, w) for v, w in zip(ints, masses)]
+
+
+def naive_edge_terms(levels, parent_vals) -> list:
+    """Per generation (None at the root), each child atom's edge coefficient
+    times the value attached to its parent."""
+    return [None] + [
+        (c * v[..., None]).reshape(*v.shape[:-1], c.size) for c, v in zip(levels, parent_vals)
+    ]
+
+
+def naive_edge_terms_adjoint(levels, child_vals) -> list[np.ndarray]:
+    """Per internal generation, each atom's edge coefficients times the
+    values attached to its children (``child_vals[d]`` at generation d + 1),
+    summed over the children."""
+    return [
+        (c * w.reshape(*w.shape[:-1], *c.shape)).sum(axis=-1) for c, w in zip(levels, child_vals)
+    ]
+
+
+def naive_edge_levels(op) -> list[np.ndarray]:
+    """Per-generation edge coefficients of the operator's linear map: signed
+    for the paraproduct and the vector kind, |b_I|^q for the shifted kind."""
+    if op.kind == "paraproduct":
+        coeffs = op.symbol.beta
+    elif op.kind == "positive":
+        coeffs = op.alpha
+    else:
+        coeffs = op.beta
+    levels = [coeffs.level(d) for d in range(op.lattice.depth)]
+    if op.kind == "shifted":
+        return [np.abs(c) ** op.q for c in levels]
+    return levels
 
 
 def leaves_of(lat: Lattice, atom: Atom) -> range:
@@ -370,6 +442,7 @@ def naive_grid_oracle(op, resolution: float = 1e-2) -> float:
 # call and ascended alone, one ``naive_value_and_grad`` call per line-search
 # candidate.  The public applies and norms are shared with the production
 # code on purpose: the comparison is of the batching, not of the kernels.
+# The gradient's pull-back runs on the per-generation kernels above.
 
 
 def naive_value_and_grad(op, x: np.ndarray):
@@ -388,22 +461,22 @@ def naive_value_and_grad(op, x: np.ndarray):
         chain_q = out.q_power_chain(q)
         with np.errstate(divide="ignore", invalid="ignore"):
             gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
-        t_sums = lat.block_sums(op.nu.leaf_mass * gpq)
+        t_sums = naive_block_sums(lat, op.nu.leaf_mass * gpq)
         psi = [
             np.abs(out.level(d)) ** (q - 1.0) * np.sign(out.level(d)) * t_sums[d]
             for d in range(1, lat.depth + 1)
         ]
-        inner = _edge_terms_adjoint(op._edge_levels(), psi)
+        inner = naive_edge_terms_adjoint(naive_edge_levels(op), psi)
         per_depth = [safe_divide(v, m) for v, m in zip(inner, mu.level_mass)]
-        g_out = mu.leaf_mass * lat.chain_sum(per_depth) / val ** p
+        g_out = mu.leaf_mass * naive_chain_sum(lat, per_depth) / val ** p
     else:
         u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val ** p
-        per_depth = _edge_terms_adjoint(op._edge_levels(), lat.block_sums(u)[1:])
+        per_depth = naive_edge_terms_adjoint(naive_edge_levels(op), naive_block_sums(lat, u)[1:])
         if op.kind != "positive":
             per_depth = [
                 v * safe_divide(np.ones_like(m), m) for v, m in zip(per_depth, mu.level_mass)
             ]
-        g_out = mu.leaf_mass * lat.chain_sum(per_depth)
+        g_out = mu.leaf_mass * naive_chain_sum(lat, per_depth)
     g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den ** p
     return val / den, g_out - g_in
 
@@ -642,9 +715,10 @@ def naive_modified_stopping_forest(members, f, mu: Measure, roots) -> StoppingFo
 #
 # Each half is written out on its own and every per-atom quantity is read
 # atom by atom through ``Lattice.parent``.  It shares the report classes,
-# ``split_collections``, ``carleson_constant`` and the lemma weights (through
-# ``_edge_terms_adjoint``, whose numpy powers a loop would not reproduce) with
-# the production code: the comparison is of the ledger sums and their order.
+# ``split_collections`` and ``carleson_constant`` with the production code,
+# and takes the lemma weights from ``naive_edge_terms_adjoint`` (numpy powers,
+# which a loop would not reproduce): the comparison is of the ledger sums and
+# their order.
 
 
 def _naive_edge_coefficient(lat: Lattice, alpha, atom: Atom) -> float:
@@ -765,7 +839,7 @@ def naive_proof_mirror(alpha: NonnegativeCoefficients, f, g, p: float, mu: Measu
     checks.append(InequalityCheck("t1-embedding", embed1, 2.0 * p_prime ** p))
 
     lemma_weights: dict[Atom, float] = {}
-    integs = _edge_terms_adjoint(
+    integs = naive_edge_terms_adjoint(
         [alpha.level(d) ** p for d in range(lat.depth)], nu.level_mass[1:]
     )
     for d, integ in enumerate(integs):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -49,6 +50,14 @@ def test_cli_output_is_byte_identical(name, capsys):
     code = main(GOLDEN[name])
     got = f"exit {code}\n".encode() + capsys.readouterr().out.encode()
     assert got == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+def test_suite_quick_stdout_is_pinned(capsys):
+    """The battery's CSV, byte for byte.  Its oracle cache only skips
+    recomputation, so running after the acceptance tests gives the same bytes."""
+    main(["suite", "--quick"])
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == "051802d2e44c30ec470ae0bc6efd16ea55b7018c7eb26aa4e7ec4b8165ada1cb"
 
 
 def test_generate_and_round_trip(tmp_path, capsys):

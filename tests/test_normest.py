@@ -493,13 +493,15 @@ def test_fan_out_halves_the_evaluations(monkeypatch):
     assert 2 * fanned <= single, (fanned, single)
 
 
-def test_start_batch_peak_memory():
+@pytest.mark.parametrize("kind", KINDS)
+def test_start_batch_peak_memory(kind):
     """``norm_lower_bound`` writes every start into one preallocated batch:
-    with no ascent, the vector kind's traced peak on a depth-9 binary tree
-    stays within 6.6 times the batch (7.4 times while the starts were first
-    built as a list of rows and then stacked)."""
+    with no ascent, the traced peak on a depth-9 binary tree stays within
+    6.6 times the batch for the vector kind (7.4 times while the starts were
+    first built as a list of rows and then stacked) and 5.3 times for the
+    others (7.3 times while the ratios ran on per-generation arrays)."""
     inst = generate_random_instance(2, 9, seed=0)
-    op = OperatorHandle.from_beta("vector_paraproduct", inst.beta, 2.0, 2.0, inst.mu, inst.nu)
+    op = OperatorHandle.from_beta(kind, inst.beta, 4.0, 2.0, inst.mu, inst.nu)
     cfg = AscentConfig(max_iter=0)
     batch = (inst.lattice.n_atoms + cfg.starts) * inst.lattice.n_leaves * 8
     tracemalloc.start()
@@ -508,7 +510,8 @@ def test_start_batch_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.6 * batch, peak / batch
+    bound = 6.6 if kind == "vector_paraproduct" else 5.3
+    assert peak <= bound * batch, peak / batch
 
 
 @pytest.mark.parametrize("kind", ["paraproduct", "vector_paraproduct", "shifted", "positive"])
