@@ -142,6 +142,14 @@ class Lattice:
             np.add.reduce(src.reshape(*lead, dst.shape[-1], self.arity), axis=-1, out=dst)
             src = dst
 
+    def flat_sums(self, leaves: np.ndarray) -> np.ndarray:
+        """Flat (..., n_atoms) sums of ``leaves`` over every atom's leaf
+        block; the leaf generation holds a copy of ``leaves``."""
+        flat = np.empty((*leaves.shape[:-1], self.n_atoms))
+        flat[..., self.n_internal:] = leaves
+        self.sum_up(flat[..., :self.n_internal], leaves)
+        return flat
+
     def block_sums(self, leaf_values: np.ndarray) -> list[np.ndarray]:
         """Sums of a leaf array over every atom's leaf block, per generation:
         views of one flat array, and the leaf array itself at the leaves."""

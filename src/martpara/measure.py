@@ -40,10 +40,8 @@ class Measure:
             raise ValueError("leaf masses must be nonnegative")
         # every atom's mass, in one generation-major flat array (see
         # ``Lattice.split``); masses are nonnegative, so each is at most the total
-        flat = np.empty(lattice.n_atoms)
-        flat[lattice.n_internal:] = arr
         with np.errstate(over="ignore"):
-            lattice.sum_up(flat[:lattice.n_internal], flat[lattice.n_internal:])
+            flat = lattice.flat_sums(arr)
         if not np.isfinite(flat[0]):
             raise ValueError("leaf masses must have a finite total")
         self.lattice = lattice
@@ -94,12 +92,7 @@ def safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _integrals(f: np.ndarray, m: Measure) -> np.ndarray:
     """Flat (..., n_atoms) integrals of validated leaf rows over every atom;
     the leaf generation holds f times the leaf masses."""
-    lat = m.lattice
-    flat = np.empty((*f.shape[:-1], lat.n_atoms))
-    leaves = flat[..., lat.n_internal:]
-    np.multiply(f, m.leaf_mass, out=leaves)
-    lat.sum_up(flat[..., :lat.n_internal], leaves)
-    return flat
+    return m.lattice.flat_sums(f * m.leaf_mass)
 
 
 def _per_mass(vals: np.ndarray, m: Measure) -> np.ndarray:
@@ -114,7 +107,10 @@ def _per_mass(vals: np.ndarray, m: Measure) -> np.ndarray:
 
 def _parent_integrals(f: np.ndarray, m: Measure) -> np.ndarray:
     """Flat (..., n_internal) integrals of validated leaf rows over the
-    internal atoms, the ones an operator reads."""
+    internal atoms, the ones an operator reads.  Unlike a slice of
+    :func:`_integrals` it holds no leaf generation, which would stay alive
+    while the operator forms its edge terms (on a batch of starts that
+    raises the peak by about half the batch)."""
     internal = np.empty((*f.shape[:-1], m.lattice.n_internal))
     m.lattice.sum_up(internal, f * m.leaf_mass)
     return internal

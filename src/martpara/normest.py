@@ -49,13 +49,11 @@ import numpy as np
 
 from .lattice import Atom, Lattice
 from .martingale import rubio_de_francia
-from .measure import Measure, _check_exponents, _parent_integrals, _per_mass, conjugate, lp_norm
+from .measure import Measure, _check_exponents, _per_mass, conjugate, lp_norm
 from .paraproduct import (
     EdgeCoefficients,
     NonnegativeCoefficients,
     Symbol,
-    _edge_chain,
-    _edge_terms,
     _edge_terms_adjoint,
     paraproduct_apply,
     positive_apply,
@@ -76,16 +74,11 @@ MAX_START_VALUES = 1 << 24
 #: line-search candidates ``_ascend`` tries per row in one evaluation: up to
 #: ``_FAN_OUT``, as many as keep the candidate batch (rows times candidates
 #: times leaves) within ``_CANDIDATE_VALUES``, at least one.  Fanning out
-#: evaluates about twice the rows in half the calls, so it pays only on small
-#: batches: every tiny-tree ascent fans out, while binary trees of 2^5 leaves
-#: and more (default starts) take one candidate until few rows are left.  A
-#: vector-kind evaluation on a binary depth-6 tree costs about 60 us per call
-#: and 0.15 us per value (rows times leaves), as much per call as per 400
-#: values (190 us, or 1,400 values, before the flat layout).  Timed again at
-#: that cost, no cap was faster at every depth: 2^12 was 11% faster on
-#: `norm --arity 3 --depth 4`, 2^14 18% faster at `--depth 6` and 58% slower
-#: at `--depth 5`, and all three caps were within 4% at depths 7 and 8
-#: (medians of five interleaved runs on a 2-core machine)
+#: evaluates about twice the rows in half the calls, so it pays only while
+#: an evaluation costs mostly per call: a vector-kind evaluation costs about
+#: as much per call as per a thousand values (rows times leaves).  So every
+#: tiny-tree ascent fans out, while binary trees of 2^5 leaves and more
+#: (default starts) take one candidate until few rows are left
 _FAN_OUT = 4
 _CANDIDATE_VALUES = 1 << 13
 _HALVINGS = 0.5 ** np.arange(_FAN_OUT)
@@ -233,10 +226,10 @@ class _Rows:
     Every per-atom quantity of an evaluation is one generation-major flat
     array (``Lattice.split``), so an evaluation makes a fixed number of
     elementwise numpy calls whatever the depth; only the bottom-up block
-    sums and the top-down chain sums loop over the generations.  The plan of
-    the operator is built once: its flat edge coefficients, the mu masses of
-    the internal atoms and their reciprocals.  The input rows are validated
-    once, by their input norm.
+    sums and the top-down chain sums loop over the generations.  The
+    forward map is the operator's own (``op.apply``); the gradient's
+    pull-back through its transpose uses the flat edge coefficients and the
+    reciprocal mu masses of the internal atoms, built once.
     """
 
     def __init__(self, op: OperatorHandle) -> None:
@@ -244,25 +237,17 @@ class _Rows:
         self.coeffs = op._edge_coefficients()
         self.inv_mass = _per_mass(np.ones(op.lattice.n_internal), op.mu)
 
-    def _parent_values(self, x: np.ndarray) -> np.ndarray:
-        """What the operator reads of validated rows on the internal atoms:
-        integrals for the positive kind, averages for the others."""
-        ints = _parent_integrals(x, self.op.mu)
-        return ints if self.op.kind == "positive" else _per_mass(ints, self.op.mu)
-
     def _forward(self, x: np.ndarray):
-        """Input norms, the rows of positive input norm, their outputs (the
-        flat sequence field for the vector kind), the output norms and, for
-        the vector kind, the q-power chains the norms are taken from (else
-        None): the bytes of ``op.apply`` and ``op.output_norm``."""
-        op, lat = self.op, self.op.lattice
+        """Input norms, the rows of positive input norm, their outputs, the
+        output norms and, for the vector kind, the q-power chains of the
+        outputs that the norms are taken from (else None)."""
+        op = self.op
         den = op.input_norm(x)
         live = den > 0.0
+        out = op.apply(x[live])
         if op.kind != "vector_paraproduct":
-            out = _edge_chain(lat, self.coeffs, self._parent_values(x[live]))
-            return den, live, out, lp_norm(out, op.p, op.nu), None
-        out = _edge_terms(self.coeffs, self._parent_values(x[live]))
-        chain = lat.chain_sum([None] + lat.split(np.abs(out) ** op.q, 1))
+            return den, live, out, op.output_norm(out), None
+        chain = out.q_power_chain(op.q)  # the bytes of sequence_norm, chain kept
         return den, live, out, lp_norm(chain ** (1.0 / op.q), op.p, op.nu), chain
 
     def ratios(self, x: np.ndarray) -> np.ndarray:
@@ -285,29 +270,23 @@ class _Rows:
         den, live, out, val, chain_q = self._forward(x)
         ok = val > 0.0
         rows = np.flatnonzero(live)[ok]
-        x, den, val, out = x[rows], den[rows], val[ok], out[ok]
+        x, den, val = x[rows], den[rows], val[ok]
         val_p = np.array([v ** p for v in val.tolist()])[:, None]
         den_p = np.array([v ** p for v in den.tolist()])[:, None]
-        # block sums of the output side's leaf weights, flat over every atom
-        n_int = lat.n_internal
-        sums = np.empty((len(rows), lat.n_atoms))
-        leaves = sums[:, n_int:]
         if op.kind == "vector_paraproduct":
-            q = op.q
-            chain_q = chain_q[ok]
+            q, s, chain_q = op.q, out._flat[ok], chain_q[ok]
             # nu-weighted G^{p-q} with a zero guard where the chain vanishes,
             # and |s|^(q-1), which is inf at s = 0 for q < 1, with one too
             with np.errstate(divide="ignore", invalid="ignore"):
                 gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
-                pull = np.where(out != 0.0, np.abs(out) ** (q - 1.0), 0.0)
-            np.multiply(op.nu.leaf_mass, gpq, out=leaves)
-            lat.sum_up(sums[:, :n_int], leaves)
-            inner = _edge_terms_adjoint(self.coeffs, pull * np.sign(out) * sums[:, 1:])
+                pull = np.where(s != 0.0, np.abs(s) ** (q - 1.0), 0.0)
+            t_sums = lat.flat_sums(op.nu.leaf_mass * gpq)
+            inner = _edge_terms_adjoint(self.coeffs, pull * np.sign(s) * t_sums[:, 1:])
             g_out = mu.leaf_mass * lat.chain_sum(lat.split(_per_mass(inner, mu))) / val_p
         else:
-            np.divide(op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out), val_p, out=leaves)
-            lat.sum_up(sums[:, :n_int], leaves)
-            inner = _edge_terms_adjoint(self.coeffs, sums[:, 1:])
+            out = out[ok]
+            u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val_p
+            inner = _edge_terms_adjoint(self.coeffs, lat.flat_sums(u)[:, 1:])
             if op.kind != "positive":  # the operator reads averages, not integrals
                 inner *= self.inv_mass
             g_out = mu.leaf_mass * lat.chain_sum(lat.split(inner))

@@ -166,32 +166,18 @@ class Symbol:
 class SequenceField:
     """One real number per non-root atom; output space of the vector paraproduct.
 
-    Stored as one flat array over the non-root atoms, generation 1 first
+    Wraps one flat array over the non-root atoms, generation 1 first
     (``Lattice.split`` from generation 1), whose levels are views.  Leading
-    axes, the same on every level, are a batch of fields (the vector
-    paraproduct of a batch of leaf functions).
+    axes are a batch of fields (the vector paraproduct of a batch of leaf
+    functions).
     """
 
-    def __init__(self, lattice: Lattice, levels: Sequence[np.ndarray]):
-        if len(levels) != lattice.depth:
-            raise ValueError(f"expected {lattice.depth} sequence levels")
-        arrays = []
-        for j, lvl in enumerate(levels):
-            arr = np.asarray(lvl, dtype=float)
-            lead = arrays[0].shape[:-1] if arrays else arr.shape[:-1]
-            if arr.shape != (*lead, lattice.level_size(j + 1)):
-                raise ValueError(f"sequence level {j + 1} has shape {arr.shape}")
-            arrays.append(arr)
-        self._wrap(lattice, np.concatenate(arrays, axis=-1))
-
-    @classmethod
-    def _of_flat(cls, lattice: Lattice, flat: np.ndarray) -> "SequenceField":
-        """The field whose flat array is ``flat`` itself, not a copy."""
-        field = cls.__new__(cls)
-        field._wrap(lattice, flat)
-        return field
-
-    def _wrap(self, lattice: Lattice, flat: np.ndarray) -> None:
+    def __init__(self, lattice: Lattice, flat: np.ndarray):
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape[-1:] != (lattice.n_atoms - 1,):
+            raise ValueError(
+                f"expected {lattice.n_atoms - 1} sequence values, got shape {flat.shape}"
+            )
         self.lattice = lattice
         self._flat = flat
         self._levels = lattice.split(flat, 1)
@@ -232,7 +218,9 @@ def _edge_terms_adjoint(coeffs: np.ndarray, child_vals: np.ndarray) -> np.ndarra
 
 def _edge_chain(lat: Lattice, coeffs: np.ndarray, parent_vals: np.ndarray) -> np.ndarray:
     """Leaf array of the edge terms summed along each leaf's ancestor chain."""
-    return lat.chain_sum([None] + lat.split(_edge_terms(coeffs, parent_vals), 1))
+    terms = _edge_terms(coeffs, parent_vals)
+    del parent_vals  # a temporary argument (the caller's averages) is freed here
+    return lat.chain_sum([None] + lat.split(terms, 1))
 
 
 def paraproduct_apply(symbol: Symbol, f, mu: Measure) -> np.ndarray:
@@ -245,7 +233,7 @@ def paraproduct_apply(symbol: Symbol, f, mu: Measure) -> np.ndarray:
 def vector_paraproduct(beta: EdgeCoefficients, f, mu: Measure) -> SequenceField:
     """Sequence field s_I = (mu-average of f over parent of I) * coefficient."""
     f = _leaf_rows(mu.lattice, f)
-    return SequenceField._of_flat(beta.lattice, _edge_terms(beta._flat, _parent_averages(f, mu)))
+    return SequenceField(beta.lattice, _edge_terms(beta._flat, _parent_averages(f, mu)))
 
 
 def sequence_norm(s: SequenceField, p: float, q: float, nu: Measure) -> float:
