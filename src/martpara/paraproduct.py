@@ -26,6 +26,7 @@ generation at once, not one per generation.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -180,7 +181,10 @@ class SequenceField:
             )
         self.lattice = lattice
         self._flat = flat
-        self._levels = lattice.split(flat, 1)
+
+    @cached_property
+    def _levels(self) -> list[np.ndarray]:
+        return self.lattice.split(self._flat, 1)
 
     def level(self, d: int) -> np.ndarray:
         """Values at generation ``d`` (1..depth)."""
