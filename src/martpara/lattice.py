@@ -142,11 +142,16 @@ class Lattice:
             np.add.reduce(src.reshape(*lead, dst.shape[-1], self.arity), axis=-1, out=dst)
             src = dst
 
-    def flat_sums(self, leaves: np.ndarray) -> np.ndarray:
-        """Flat (..., n_atoms) sums of ``leaves`` over every atom's leaf
-        block; the leaf generation holds a copy of ``leaves``."""
-        flat = np.empty((*leaves.shape[:-1], self.n_atoms))
-        flat[..., self.n_internal:] = leaves
+    def flat_sums(self, values: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+        """Flat (..., n_atoms) sums over every atom's leaf block of the leaf
+        values, times ``weights`` if given; the leaf generation holds the
+        (weighted) values, written straight into the flat array."""
+        flat = np.empty((*values.shape[:-1], self.n_atoms))
+        leaves = flat[..., self.n_internal:]
+        if weights is None:
+            leaves[...] = values
+        else:
+            np.multiply(values, weights, out=leaves)
         self.sum_up(flat[..., :self.n_internal], leaves)
         return flat
 

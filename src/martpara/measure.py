@@ -92,7 +92,7 @@ def safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _integrals(f: np.ndarray, m: Measure) -> np.ndarray:
     """Flat (..., n_atoms) integrals of validated leaf rows over every atom;
     the leaf generation holds f times the leaf masses."""
-    return m.lattice.flat_sums(f * m.leaf_mass)
+    return m.lattice.flat_sums(f, m.leaf_mass)
 
 
 def _per_mass(vals: np.ndarray, m: Measure) -> np.ndarray:

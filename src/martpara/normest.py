@@ -280,7 +280,7 @@ class _Rows:
             with np.errstate(divide="ignore", invalid="ignore"):
                 gpq = np.where(chain_q > 0.0, chain_q ** ((p - q) / q), 0.0)
                 pull = np.where(s != 0.0, np.abs(s) ** (q - 1.0), 0.0)
-            t_sums = lat.flat_sums(op.nu.leaf_mass * gpq)
+            t_sums = lat.flat_sums(gpq, op.nu.leaf_mass)
             inner = _edge_terms_adjoint(self.coeffs, pull * np.sign(s) * t_sums[:, 1:])
             g_out = mu.leaf_mass * lat.chain_sum(lat.split(_per_mass(inner, mu))) / val_p
         else:

@@ -53,6 +53,8 @@ def test_block_sums_and_masses_match_per_generation(case):
     assert same_levels(sums, naive_block_sums(lat, x))
     assert sums[-1] is x  # the leaf generation is the caller's array
     assert same_levels(lat.split(lat.flat_sums(x)), naive_block_sums(lat, x))
+    weighted = naive_block_sums(lat, x * mu.leaf_mass)
+    assert same_levels(lat.split(lat.flat_sums(x, mu.leaf_mass)), weighted)
     assert same_levels(mu.level_mass, naive_block_sums(lat, mu.leaf_mass))
 
 
