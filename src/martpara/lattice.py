@@ -131,13 +131,14 @@ class Lattice:
             for d in range(first, self.depth + 1) if off[d + 1] <= end
         ]
 
-    def sum_up(self, internal: np.ndarray, leaves: np.ndarray) -> None:
+    def sum_up(self, internal: np.ndarray, leaves: np.ndarray, stop: int = 0) -> None:
         """Fill ``internal`` (..., n_internal) with the sums of ``leaves`` over
-        every internal atom's leaf block, bottom-up, siblings summed along a
-        trailing axis of length arity."""
+        the leaf block of every internal atom at generation ``stop`` or
+        deeper, bottom-up, siblings summed along a trailing axis of length
+        arity; the generations above ``stop`` are left as they are."""
         off, lead = self.offsets, leaves.shape[:-1]
         src = leaves
-        for d in range(self.depth - 1, -1, -1):
+        for d in range(self.depth - 1, stop - 1, -1):
             dst = internal[..., off[d]:off[d + 1]]
             np.add.reduce(src.reshape(*lead, dst.shape[-1], self.arity), axis=-1, out=dst)
             src = dst

@@ -6,6 +6,8 @@ All operators act on leaf functions and respect the zero-mass convention of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lattice import Atom
@@ -74,8 +76,8 @@ def rubio_de_francia(f, m: Measure, p: float, tol: float = 1e-12) -> np.ndarray:
     M^n f <= sup|f|, so the discarded tail is at most tol * 2p'/(2p'-1).
     """
     factor = 1.0 / (2.0 * conjugate(p))  # checks p
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:  # nan fails too
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
     cur = np.abs(leaf_function(m.lattice, f))
     total = cur.copy()
     scale = 1.0

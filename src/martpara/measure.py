@@ -105,6 +105,12 @@ def _per_mass(vals: np.ndarray, m: Measure) -> np.ndarray:
     return out
 
 
+def _averages(f: np.ndarray, m: Measure) -> np.ndarray:
+    """Flat (..., n_atoms) averages of validated leaf rows over every atom,
+    0 on zero-mass atoms."""
+    return _per_mass(_integrals(f, m), m)
+
+
 def _parent_integrals(f: np.ndarray, m: Measure) -> np.ndarray:
     """Flat (..., n_internal) integrals of validated leaf rows over the
     internal atoms, the ones an operator reads.  Unlike a slice of
@@ -130,7 +136,7 @@ def atom_integrals(f, m: Measure) -> list[np.ndarray]:
 
 def atom_averages(f, m: Measure) -> list[np.ndarray]:
     """Per-generation arrays of averages, 0 on zero-mass atoms."""
-    return m.lattice.split(_per_mass(_integrals(_leaf_rows(m.lattice, f), m), m))
+    return m.lattice.split(_averages(_leaf_rows(m.lattice, f), m))
 
 
 def average(f, atom: Atom, m: Measure) -> float:

@@ -82,10 +82,6 @@ class EdgeCoefficients:
     def level(self, d: int) -> np.ndarray:
         return self._levels[d]
 
-    def child_values(self, e: int) -> np.ndarray:
-        """Coefficients re-indexed by the child atoms at generation ``e`` (1..depth)."""
-        return self._levels[e - 1].reshape(-1)
-
     def component(self, atom: Atom) -> np.ndarray:
         """The step function b_I = sum of coefficient * child indicator, as leaves."""
         atom = self.lattice.check_atom(atom)

@@ -9,14 +9,17 @@ Two constructions are implemented:
   internal atoms whose average weakly exceeds twice the reference average
   (criterion checked on parents, always against the original top atom).
 
-Both run as one top-down sweep over per-level arrays: every atom inherits
-its parent's owner, the smallest processed atom containing it, and a
-selected atom becomes the owner of its subtree.
+Both run as one top-down sweep over one flat owner array (generation-major,
+see ``Lattice.offsets``; the parent of flat atom k > 0 is (k - 1) // arity):
+every atom inherits its parent's owner, the smallest processed atom
+containing it, and a selected atom becomes the owner of its subtree.  The
+members, the averages and the masses the constructions read are flat
+arrays too, so every check runs as one array test over all atoms.
 
 ``proof_mirror`` replays the bilinear estimate of the shifted positive
 operator as a ledger of checkable identities and inequalities with explicit
 constants.  Its two halves run through one per-half routine that reads
-every per-atom quantity from per-level edge terms built once: coefficient x
+every per-atom quantity from flat edge terms built once: coefficient x
 f-integral over the parent (``_edge_terms``), coefficient x g-integral over
 the atom, and their product, the pairing term.  A processed atom's local
 function is the masked sum of these terms over the atoms it owns in one
@@ -35,9 +38,9 @@ from .lattice import Atom, Lattice
 from .measure import (
     Measure,
     REL_TOL,
+    _averages,
+    _integrals,
     _parent_integrals,
-    atom_averages,
-    atom_integrals,
     _check_exponents,
     conjugate,
     leaf_function,
@@ -61,8 +64,17 @@ def _check_nonnegative(lat: Lattice, f) -> np.ndarray:
     return f
 
 
-def _avg(avgs: list[np.ndarray], atom: Atom) -> float:
-    return float(avgs[atom.depth][atom.index])
+def _positions(lat: Lattice, atoms: Iterable[Atom]) -> np.ndarray:
+    """Flat positions of atoms, in the order given."""
+    pairs = np.array(list(atoms), dtype=np.int64).reshape(-1, 2)
+    return np.asarray(lat.offsets)[pairs[:, 0]] + pairs[:, 1]
+
+
+def _atoms(lat: Lattice, positions: np.ndarray) -> list[Atom]:
+    """The atoms at flat positions, in the order given."""
+    off = np.asarray(lat.offsets)
+    depth = np.searchsorted(off, positions, side="right") - 1
+    return list(map(Atom, depth.tolist(), (positions - off[depth]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +99,7 @@ def stopping_generation(
     top = lat.check_atom(top)
     members = list(collection)
     selected = _grow_forest(False, members, f, mu, [top]).selected[top]
-    depth, index = _check_members(lat, members)
-    valid = {Atom(d, i) for d, i in zip(depth.tolist(), index.tolist())}
+    valid = set(_atoms(lat, _check_members(lat, members)))
     return selected, exhausted_members(lat, valid, selected, top)
 
 
@@ -171,32 +182,30 @@ def _sweep(lat: Lattice, seeds: list[Atom], avgs=None, pick=None):
     Each atom inherits its parent's owner, the smallest processed atom
     containing it, and becomes its own owner when it is a seed or when
     ``pick(d, owner_avg)`` selects it among the depth-``d`` atoms that have an
-    owner (``owner_avg``: the average of each one's inherited owner).  Owners
-    are numbered: the seeds in the given order, then the picked atoms in
-    (depth, index) order.  Returns the per-level owner ids (-1 outside every
-    seed), the owner atoms, per owner the owner it inherited (-1 for seeds)
-    and, when ``avgs`` is given, per owner its average.
+    owner (``owner_avg``: the average of each one's inherited owner, from the
+    flat ``avgs``).  Owners are numbered: the seeds in the given order, then
+    the picked atoms in (depth, index) order.  Returns the flat owner ids (-1
+    outside every seed), the owner atoms, per owner the owner it inherited
+    (-1 for seeds) and, when ``avgs`` is given, per owner its average.
     """
-    seeds_at: list[list[tuple[int, int]]] = [[] for _ in range(lat.depth + 1)]
-    for k, s in enumerate(seeds):
-        seeds_at[s.depth].append((s.index, k))
+    off, arity = lat.offsets, lat.arity
+    owner = np.full(lat.n_atoms, -1)
+    at = _positions(lat, seeds)
+    owner[at] = np.arange(len(seeds))
     tops = list(seeds)
     source = [np.full(len(tops), -1)]
-    top_avg = None if avgs is None else np.array([_avg(avgs, s) for s in seeds])
-    owner: list[np.ndarray] = []
-    for d in range(lat.depth + 1):
-        inherited = np.repeat(owner[-1], lat.arity) if d else np.full(1, -1)
-        own = inherited.copy()
-        for i, k in seeds_at[d]:
-            own[i] = k
-        if pick is not None and d:
+    top_avg = None if avgs is None else avgs[at]
+    for d in range(1, lat.depth + 1):
+        inherited = np.repeat(owner[off[d - 1]:off[d]], arity)
+        own = owner[off[d]:off[d + 1]]
+        np.copyto(own, inherited, where=own < 0)
+        if pick is not None:
             inside = inherited >= 0
             picked = np.flatnonzero(inside & pick(d, top_avg[np.where(inside, inherited, 0)]))
             own[picked] = np.arange(len(tops), len(tops) + picked.size)
             source.append(inherited[picked])
-            top_avg = np.concatenate([top_avg, avgs[d][picked]])
+            top_avg = np.concatenate([top_avg, avgs[off[d] + picked]])
             tops.extend(Atom(d, i) for i in picked.tolist())
-        owner.append(own)
     return owner, tops, np.concatenate(source), top_avg
 
 
@@ -204,37 +213,37 @@ def _check_disjoint_roots(lat: Lattice, ordered: list[Atom]) -> None:
     """A root inside another inherits an owner; name the first such pair in
     sorted order, as a pairwise scan would."""
     owner, *_ = _sweep(lat, ordered)
-    pairs = []
-    for r in ordered:
-        k = owner[r.depth - 1][r.index // lat.arity] if r.depth else -1
-        if k >= 0:
-            pairs.append((ordered[k], r))
+    at = _positions(lat, ordered)
+    inside = np.where(at > 0, owner[(at - 1) // lat.arity], -1)  # the parent's owner
+    pairs = [(ordered[k], r) for k, r in zip(inside.tolist(), ordered) if k >= 0]
     if pairs:
         a, b = min(pairs)
         raise ValueError(f"roots {a!r} and {b!r} overlap")
 
 
-def _scan_positions(lat: Lattice, flipped: list[np.ndarray]) -> list[np.ndarray]:
-    """Per level, a sort key for each atom in a depth-first scan that visits
-    the children of ``flipped`` atoms last to first: the index of its
-    leftmost leaf once those children are numbered in reverse.  An ancestor
-    shares its key with the descendants the scan meets first, so sorting by
-    (key, depth) gives the scan order."""
-    digit = np.arange(lat.arity)
-    pos = [np.zeros(1, dtype=np.int64)]
+def _scan_positions(lat: Lattice, flipped: np.ndarray) -> np.ndarray:
+    """Flat, a sort key for each atom in a depth-first scan that visits the
+    children of the ``flipped`` internal atoms (a flat mask) last to first:
+    the index of its leftmost leaf once those children are numbered in
+    reverse.  An ancestor shares its key with the descendants the scan
+    meets first, so sorting by (key, depth) gives the scan order."""
+    off, arity = lat.offsets, lat.arity
+    slot = np.tile(np.arange(arity), lat.n_internal)
+    slot = np.where(np.repeat(flipped, arity), arity - 1 - slot, slot)
+    pos = np.zeros(lat.n_atoms, dtype=np.int64)
     for d in range(1, lat.depth + 1):
-        rev = np.repeat(flipped[d - 1], lat.arity)
-        k = np.tile(digit, lat.level_size(d - 1))
-        pos.append(np.repeat(pos[-1], lat.arity) * lat.arity + np.where(rev, lat.arity - 1 - k, k))
-    return [p * lat.arity ** (lat.depth - d) for d, p in enumerate(pos)]
+        width = arity ** (lat.depth - d)
+        pos[off[d]:off[d + 1]] = (np.repeat(pos[off[d - 1]:off[d]], arity)
+                                  + slot[off[d] - 1:off[d + 1] - 1] * width)
+    return pos
 
 
-def _check_members(lat: Lattice, members: list) -> tuple[np.ndarray, np.ndarray]:
-    """Depths and indices of the members, checked in one array test; the
-    first member outside the lattice, in input order, raises the error of
+def _check_members(lat: Lattice, members: list) -> np.ndarray:
+    """Flat positions of the members, checked in one array test; the first
+    member outside the lattice, in input order, raises the error of
     ``Lattice.check_atom``."""
     if not members:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64)
     try:
         pairs = np.array(list(zip(*members, strict=True)))
     except (TypeError, ValueError):
@@ -245,11 +254,11 @@ def _check_members(lat: Lattice, members: list) -> tuple[np.ndarray, np.ndarray]
         raise TypeError("members must be (depth, index) pairs of integers")
     depth, index = pairs.astype(np.int64)
     valid = (depth >= 0) & (depth <= lat.depth)
-    sizes = lat.arity ** np.arange(lat.depth + 1, dtype=np.int64)
+    sizes = np.diff(lat.offsets)
     valid &= (index >= 0) & (index < sizes[np.where(valid, depth, 0)])
     if not valid.all():
         lat.check_atom(members[int(np.argmin(valid))])
-    return depth, index
+    return np.asarray(lat.offsets)[depth] + index
 
 
 def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
@@ -274,41 +283,38 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
     if not roots:
         return forest
     f = _check_nonnegative(lat, f)
-    m_depth, m_index = _check_members(lat, list(members))
-    member = [np.zeros(lat.level_size(d), dtype=bool) for d in range(lat.depth + 1)]
-    for d in range(lat.depth + 1):
-        member[d][m_index[m_depth == d]] = True
-    avgs = atom_averages(f, mu)
-    arity = lat.arity
-
-    def value(d: int) -> np.ndarray:
-        """The averages compared with twice the owner's at depth d."""
-        return np.repeat(avgs[d - 1], arity) if modified else avgs[d]
+    # flat over the non-root atoms, atom k at k - 1: membership, and the
+    # averages compared with twice the owner's
+    member = np.bincount(_check_members(lat, list(members)), minlength=lat.n_atoms)[1:] > 0
+    off, arity = lat.offsets, lat.arity
+    avgs = _averages(f, mu)
+    value = np.repeat(avgs[:lat.n_internal], arity) if modified else avgs[1:]
 
     def pick(d: int, owner_avg: np.ndarray) -> np.ndarray:
+        gen = slice(off[d] - 1, off[d + 1] - 1)
         if modified:
-            return member[d] & (value(d) >= 2.0 * owner_avg) & (owner_avg != 0.0)
-        return member[d] & (value(d) > 2.0 * owner_avg)
+            return member[gen] & (value[gen] >= 2.0 * owner_avg) & (owner_avg != 0.0)
+        return member[gen] & (value[gen] > 2.0 * owner_avg)
 
     owner, tops, source, top_avg = _sweep(lat, ordered, avgs, pick)
     n_roots = len(ordered)
 
     # members that stay with their owner stay below its threshold
-    for d in range(1, lat.depth + 1):
-        inherited = np.repeat(owner[d - 1], arity)
-        owner_avg = top_avg[np.where(inherited >= 0, inherited, 0)]
-        stays = member[d] & (inherited >= 0) & (owner[d] == inherited)
-        if modified:
-            stays &= owner_avg != 0.0
-        over = np.flatnonzero(stays & (value(d) > 2.0 * owner_avg * (1.0 + 1e-12)))
-        if over.size:
-            a = Atom(d, int(over[0]))
-            raise RuntimeError(
-                f"parent of exhausted atom {a!r} exceeds the threshold" if modified
-                else f"exhausted atom {a!r} exceeds the stopping threshold"
-            )
+    inherited = np.repeat(owner[:lat.n_internal], arity)
+    owner_avg = top_avg[np.where(inherited >= 0, inherited, 0)]
+    stays = member & (inherited >= 0) & (owner[1:] == inherited)
+    if modified:
+        stays &= owner_avg != 0.0
+    over = np.flatnonzero(stays & (value > 2.0 * owner_avg * (1.0 + 1e-12)))
+    if over.size:
+        a = _atoms(lat, over[:1] + 1)[0]
+        raise RuntimeError(
+            f"parent of exhausted atom {a!r} exceeds the threshold" if modified
+            else f"exhausted atom {a!r} exceeds the stopping threshold"
+        )
     # the atoms selected under a top cover at most half of its mass
-    top_mass = np.array([mu.level_mass[t.depth][t.index] for t in tops])
+    top_at = _positions(lat, tops)
+    top_mass = mu.flat_mass[top_at]
     covered = np.bincount(source[n_roots:], weights=top_mass[n_roots:], minlength=len(tops))
     if np.any((top_mass > 0.0) & (covered > 0.5 * top_mass * (1.0 + 1e-12))):
         raise RuntimeError(
@@ -320,16 +326,12 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
     # the modified one adds the member children of a stopping parent in index
     # order when it meets the parent and then visits the other children last
     # to first
-    picked = np.array(tops[n_roots:], dtype=np.int64).reshape(-1, 2)
-    depth, index = picked[:, 0], picked[:, 1]
-    flipped = [np.zeros(lat.level_size(d), dtype=bool) for d in range(lat.depth)]
+    picked = top_at[n_roots:]  # flat order is (depth, index) order
+    key_at = (picked - 1) // arity if modified else picked
+    flipped = np.zeros(lat.n_internal, dtype=bool)
     if modified:
-        depth, index = depth - 1, index // arity
-        for d in range(lat.depth):
-            flipped[d][index[depth == d]] = True
-    pos = np.concatenate(_scan_positions(lat, flipped))
-    level_start = np.cumsum([0] + [lat.level_size(d) for d in range(lat.depth)])
-    order = np.lexsort((picked[:, 1], depth, pos[level_start[depth] + index], source[n_roots:]))
+        flipped[key_at] = True
+    order = np.lexsort((picked, _scan_positions(lat, flipped)[key_at], source[n_roots:]))
 
     found: list[list[Atom]] = [[] for _ in tops]
     for i in order.tolist():
@@ -373,33 +375,33 @@ def modified_stopping_forest(
 
 def carleson_constant(weights: Mapping[Atom, float], mu: Measure) -> float:
     """sup over atoms J with mu(J) > 0 of (sum of weights inside J) / mu(J);
-    +inf when positive weight sits under a massless atom."""
+    +inf when positive weight sits under a massless atom.  Weights must be
+    nonnegative, +inf allowed (it gives +inf); nan is rejected."""
     lat = mu.lattice
-    levels = [np.zeros(lat.level_size(d)) for d in range(lat.depth + 1)]
+    flat = np.zeros(lat.n_atoms)
     for atom, w in weights.items():
         atom = lat.check_atom(atom)
         w = float(w)
-        if w < 0:
-            raise ValueError(f"negative weight at {atom!r}")
-        levels[atom.depth][atom.index] += w
-    return _carleson_sup(levels, mu)
+        if not w >= 0:
+            raise ValueError(f"{'negative' if w < 0 else 'nan'} weight at {atom!r}")
+        flat[lat.offsets[atom.depth] + atom.index] += w
+    return _carleson_sup(flat, mu)
 
 
-def _carleson_sup(levels: list[np.ndarray], mu: Measure) -> float:
-    """:func:`carleson_constant` of nonnegative weights given per level."""
+def _carleson_sup(weights: np.ndarray, mu: Measure) -> float:
+    """:func:`carleson_constant` of nonnegative weights on the flat atoms
+    from the root on, as many as given; the others weigh 0."""
     lat = mu.lattice
-    totals = [lvl.copy() for lvl in levels]
+    off = lat.offsets
+    totals = np.zeros(lat.n_atoms)
+    totals[:weights.size] = weights
     for d in range(lat.depth - 1, -1, -1):
-        totals[d] += totals[d + 1].reshape(-1, lat.arity).sum(axis=1)
-    best = 0.0
-    for d in range(lat.depth + 1):
-        mass = mu.level_mass[d]
-        if np.any((mass == 0.0) & (totals[d] > 0.0)):
-            return math.inf
-        ratios = safe_divide(totals[d], mass)
-        if ratios.size:
-            best = max(best, float(ratios.max()))
-    return best
+        below = totals[off[d + 1]:off[d + 2]].reshape(-1, lat.arity)
+        totals[off[d]:off[d + 1]] += below.sum(axis=1)
+    mass = mu.flat_mass
+    if np.any((mass == 0.0) & (totals > 0.0)):
+        return math.inf
+    return float(safe_divide(totals, mass).max())
 
 
 def carleson_embedding_check(
@@ -414,14 +416,15 @@ def carleson_embedding_check(
     raise a ValueError that names p.
     """
     _check_exponents(p)
-    avgs = atom_averages(f, mu)
+    lat = mu.lattice
+    avgs = _averages(leaf_function(lat, f), mu)
     const = carleson_constant(weights, mu)
     try:
         with np.errstate(over="raise"):
             lhs = 0.0
             for atom, w in weights.items():
-                atom = mu.lattice.check_atom(atom)
-                lhs += float(w) * abs(_avg(avgs, atom)) ** p
+                atom = lat.check_atom(atom)
+                lhs += float(w) * abs(float(avgs[lat.offsets[atom.depth] + atom.index])) ** p
             bound = const * conjugate(p) ** p * lp_norm(f, p, mu) ** p
     except (FloatingPointError, OverflowError):
         raise ValueError(f"p={p} is too large: the p-th powers overflow") from None
@@ -442,17 +445,9 @@ def split_collections(
     f = _check_nonnegative(lat, f)
     g = _check_nonnegative(lat, g)
     p_prime = conjugate(p)
-    avg_f = atom_averages(f, mu)
-    avg_g = atom_averages(g, nu)
-    first: set[Atom] = set()
-    second: set[Atom] = set()
-    for d in range(lat.depth + 1):
-        lhs = avg_f[d] ** p * mu.level_mass[d]
-        rhs = avg_g[d] ** p_prime * nu.level_mass[d]
-        in_first = lhs >= rhs
-        first.update(Atom(d, i) for i in np.flatnonzero(in_first).tolist())
-        second.update(Atom(d, i) for i in np.flatnonzero(~in_first).tolist())
-    return first, second
+    in_first = _averages(f, mu) ** p * mu.flat_mass >= _averages(g, nu) ** p_prime * nu.flat_mass
+    return (set(_atoms(lat, np.flatnonzero(in_first))),
+            set(_atoms(lat, np.flatnonzero(~in_first))))
 
 
 @dataclass
@@ -535,9 +530,8 @@ def normalize_for_mirror(
     if not math.isfinite(top):
         raise ValueError("testing constants are infinite; instance cannot be normalized")
     if top > 0.0:
-        alpha = NonnegativeCoefficients(
-            lat, [alpha.level(d) / top for d in range(lat.depth)]
-        )
+        levels = np.split(alpha._flat / top, lat.offsets[1:lat.depth])
+        alpha = NonnegativeCoefficients(lat, levels)
     return alpha, f / nf, g / ng
 
 
@@ -572,31 +566,31 @@ def proof_mirror(
     first, second = split_collections(f, g, p, mu, nu)
     pairing_value = pairing(positive_apply(alpha, f, mu), g, nu)
 
-    # per-level terms, entry d at the depth-d atoms: each non-root atom's edge
-    # coefficient times the f-integral over its parent (edge_f) and times the
-    # g-integral over itself (edge_g), and their product, its pairing term.
-    # Per-atom reads go through Python floats (``tolist``), so that every
-    # ``** p`` below is a Python power.
-    ints_g = atom_integrals(g, nu)
-    levels = [alpha.level(d) for d in range(lat.depth)]
-    edge_f = [None] + lat.split(_edge_terms(alpha._flat, _parent_integrals(f, mu)), 1)
-    edge_g = [None] + [c.reshape(-1) * v for c, v in zip(levels, ints_g[1:])]
-    terms = [[]] + [(t * v).tolist() for t, v in zip(edge_f[1:], ints_g[1:])]
-    coef = [[]] + [c.reshape(-1).tolist() for c in levels]
-    avg_f = [a.tolist() for a in atom_averages(f, mu)]
-    avg_g = [a.tolist() for a in atom_averages(g, nu)]
-    mass_mu = [m.tolist() for m in mu.level_mass]
-    mass_nu = [m.tolist() for m in nu.level_mass]
+    # flat terms over the non-root atoms: each one's edge coefficient times
+    # the f-integral over its parent (edge_f) and times the g-integral over
+    # itself (edge_g), and their product, its pairing term.  Per-atom reads go
+    # through Python floats (``tolist``), so that every ``** p`` below is a
+    # Python power; those lists are indexed by flat position, 0.0 at the root.
+    off, arity = lat.offsets, lat.arity
+    ints_g = _integrals(g, nu)[1:]
+    coefs = alpha._flat.reshape(-1)
+    edge_f = _edge_terms(alpha._flat, _parent_integrals(f, mu))
+    edge_g = coefs * ints_g
+    terms = [0.0] + (edge_f * ints_g).tolist()
+    coef = [0.0] + coefs.tolist()
+    avg_f = _averages(f, mu).tolist()
+    avg_g = _averages(g, nu).tolist()
+    mass_mu = mu.flat_mass.tolist()
+    mass_nu = nu.flat_mass.tolist()
 
     # Carleson sequence of the direct-term lemma: one weight per internal atom
-    integs = lat.split(_edge_terms_adjoint(alpha._flat ** p, nu.flat_mass[1:]))
-    lemma_weights = [integ * mu.level_mass[d] ** p for d, integ in enumerate(integs)]
+    integs = _edge_terms_adjoint(alpha._flat ** p, nu.flat_mass[1:])
+    lemma_weights = integs * mu.flat_mass[:lat.n_internal] ** p
+    heavy = np.flatnonzero(lemma_weights)
     lemma_embed = sum(
-        w * abs(avg_f[d][i]) ** p
-        for d, lvl in enumerate(lemma_weights)
-        for i, w in zip(np.flatnonzero(lvl).tolist(), lvl[lvl != 0.0].tolist())
+        w * abs(avg_f[k]) ** p for k, w in zip(heavy.tolist(), lemma_weights[heavy].tolist())
     )
-    lemma_carleson = _carleson_sup(lemma_weights + [np.zeros(lat.n_leaves)], mu)
+    lemma_carleson = _carleson_sup(lemma_weights, mu)
     lemma = [
         InequalityCheck("carleson-sequence", lemma_carleson, 1.0 + 1e-12),
         InequalityCheck("lemma-embedding-bound", lemma_embed, p_prime ** p),
@@ -620,13 +614,11 @@ def proof_mirror(
         fn_other, m_other, e_conj = other
         processed = sorted(forest.processed)
         owner, tops, *_ = _sweep(lat, processed)
-        owned = [np.zeros(lat.level_size(d), dtype=bool) for d in range(lat.depth + 1)]
-        for a in members:
-            owned[a.depth][a.index] = True
-        for a in processed:
-            owned[a.depth][a.index] = False
-        local_terms = edge_g if on_parent else edge_f
-        local_terms = [None] + [np.where(o, t, 0.0) for o, t in zip(owned[1:], local_terms[1:])]
+        owned = np.zeros(lat.n_atoms, dtype=bool)
+        owned[_positions(lat, members)] = True
+        owned[_positions(lat, processed)] = False
+        local_terms = np.where(owned[1:], edge_g if on_parent else edge_f, 0.0)
+        leaf_owner = owner[lat.n_internal:]
 
         checks: list[InequalityCheck] = []
         per_plain: dict[Atom, float] = {}
@@ -639,23 +631,25 @@ def proof_mirror(
             lo, hi = top.index, top.index + 1
             run = np.zeros(1)
             for d in range(top.depth + 1, lat.depth + 1):
-                lo, hi = lo * lat.arity, hi * lat.arity
-                mine = np.where(owner[d][lo:hi] == k, local_terms[d][lo:hi], 0.0)
+                lo, hi = lo * arity, hi * arity
+                gen = slice(off[d] + lo, off[d] + hi)
+                mine = np.where(owner[gen] == k, local_terms[gen.start - 1:gen.stop - 1], 0.0)
                 if on_parent:
-                    for col in mine.reshape(-1, lat.arity).T:
+                    for col in mine.reshape(-1, arity).T:
                         run = run + col
-                    run = np.repeat(run, lat.arity)
+                    run = np.repeat(run, arity)
                 else:
-                    run = np.repeat(run, lat.arity) + mine
+                    run = np.repeat(run, arity) + mine
             local = np.zeros(lat.n_leaves)
             local[lo:hi] = run
+            at = off[top.depth] + top.index
             checks.append(InequalityCheck(
                 f"{label}-local-norm({top.depth},{top.index})", lp_norm(local, e, m_other),
-                2.0 * _avg(avg_own, top) * _avg(mass_own, top) ** (1.0 / e),
+                2.0 * avg_own[at] * mass_own[at] ** (1.0 / e),
             ))
             # indicator of the atoms selected under J: its leaves it does not own
             union = np.zeros(lat.n_leaves)
-            union[lo:hi] = owner[-1][lo:hi] != k
+            union[lo:hi] = leaf_owner[lo:hi] != k
             weighted = local * fn_other * m_other.leaf_mass
             contrib = float(np.sum(weighted))
             inner = float(np.sum(weighted * union))
@@ -669,10 +663,11 @@ def proof_mirror(
         stopping = forest.stopping_atoms
         stopping_sum = 0.0
         for a in sorted(stopping):
-            stopping_sum += terms[a.depth][a.index]
+            stopping_sum += terms[off[a.depth] + a.index]
         report = HalfReport(forest, local_sum, stopping_sum, per_plain, per_stopped)
-        total = sum(terms[a.depth][a.index] for a in sorted(members) if a.depth > 0)
-        embed = sum(_avg(avg_own, J) ** e * _avg(mass_own, J) for J in forest.processed)
+        total = sum(terms[off[a.depth] + a.index] for a in sorted(members) if a.depth > 0)
+        embed = sum(avg_own[k] ** e * mass_own[k]
+                    for k in _positions(lat, forest.processed).tolist())
         checks += [
             InequalityCheck(f"{label}-splitting-identity", abs(total - report.total),
                             1e-10 * max(abs(total), 1.0)),
@@ -683,11 +678,11 @@ def proof_mirror(
             *interlude,
         ]
         s2 = x_term = y_term = 0.0
-        for d, i in stopping:
-            up, j = d - 1, i // lat.arity
-            s2 += terms[d][i]
-            x_term += avg_f[up][j] ** p * coef[d][i] ** p * mass_mu[up][j] ** p * mass_nu[d][i]
-            y_term += avg_own[d][i] ** e * mass_own[d][i]
+        for k in _positions(lat, stopping).tolist():
+            up = (k - 1) // arity
+            s2 += terms[k]
+            x_term += avg_f[up] ** p * coef[k] ** p * mass_mu[up] ** p * mass_nu[k]
+            y_term += avg_own[k] ** e * mass_own[k]
         checks += [
             InequalityCheck(f"{label}-direct-hoelder", s2,
                             x_term ** (1.0 / p) * y_term ** (1.0 / p_prime)),

@@ -4,12 +4,14 @@ Every constant is a supremum over all atoms J of a ratio
 
     ( integral over J of (chain sum restricted to J)^power  ) / mass(J).
 
-One kernel, ``_cut_ratios``, serves every constant: it accumulates the
-per-depth terms into suffix sums along leaf ancestor chains (the chain of
-each cut depth), so the chain sums for all J come in O(atoms * depth) with no
-per-J rescan, and it returns each J's ratio; ``_sup`` turns the ratios into
-the constant.  The edge-chain kernel of :mod:`martpara.paraproduct` plays
-the same part for the operators; its transpose, ``_edge_terms_adjoint``,
+One kernel, ``_cut_ratios``, serves every constant.  Each constant hands it
+one flat term array with a row per internal atom (``Lattice.offsets``): a
+value per child for the direct constants, one value for the adjoint ones.
+It walks the cut depths from the deepest up with one leaf-length chain, to
+which each depth adds its spread terms, so the chain sums of all J come in
+O(atoms * depth) with no per-J rescan; ``_sup`` turns the ratios into the
+constant.  The edge-chain kernel of :mod:`martpara.paraproduct` plays the
+same part for the operators; its transpose, ``_edge_terms_adjoint``,
 integrates the coefficients against nu for the adjoint terms.
 
 Exponents must be finite and above 1, and the adjoint constant of the vector
@@ -23,6 +25,7 @@ larger than every finite float downstream.
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -30,45 +33,51 @@ from .lattice import Atom, Lattice
 from .measure import Measure, _check_exponents, _per_mass, conjugate, safe_divide
 from .paraproduct import EdgeCoefficients, NonnegativeCoefficients, Symbol, _edge_terms_adjoint
 
+#: one cut depth d: (d, the chain of depth d, the ratios of the depth-d atoms)
+Cut = tuple[int, Optional[np.ndarray], Optional[np.ndarray]]
+
 
 def _cut_ratios(
-    lat: Lattice,
-    terms: list[np.ndarray],
-    power: float,
-    weight: np.ndarray,
-    denom: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
-    """Cut chains and ratios of every atom J, per depth.
+    lat: Lattice, terms: np.ndarray, power: float, weight: np.ndarray, mass: np.ndarray
+) -> Iterator[Cut]:
+    """Cut chains and ratios of the internal atoms J, one depth at a time
+    from the deepest up.
 
-    ``terms[e]`` holds the terms of the internal atoms at depth e: one value
-    per child atom (child-attached) or one per atom (parent-attached); each
-    is spread to the leaves by its length.  ``chain[d]`` sums the spread
-    terms of all internal depths e >= d, and the ratio of J at depth d is
-    the integral over J of |chain[d]|^power * weight divided by denom[d][J].
-    Returns ``None`` when a massless J carries a positive numerator.
+    ``terms`` holds one row per internal atom: a value per child atom or
+    one value, each spread to the leaves below it.  At depth d the chain
+    sums, from 0.0 and deepest term first, the spread terms of all internal
+    depths e >= d; the ratio of a depth-d J is the integral over J of
+    |chain|^power * weight (summed only up to generation d) divided by its
+    flat ``mass``.  Leaves are skipped: their ratio is 0.  A massless J with
+    a positive numerator ends the walk with ratios None: the constant is +inf.
     """
-    chain = [None] * lat.depth + [np.zeros(lat.n_leaves)]
+    off = lat.offsets
+    chain = np.zeros(lat.n_leaves)
+    integrand = np.empty(lat.n_leaves)
+    sums = np.empty(lat.n_internal)
     for d in range(lat.depth - 1, -1, -1):
-        chain[d] = chain[d + 1] + np.repeat(terms[d], lat.n_leaves // terms[d].size)
-    ratios = []
-    for d in range(lat.depth + 1):
-        # in place: two fewer leaf-sized temporaries per depth
-        integrand = np.abs(chain[d])
+        row = terms[off[d]:off[d + 1]].reshape(-1)
+        spread = chain.reshape(row.size, -1)
+        spread += row[:, None]
+        np.abs(chain, out=integrand)
         integrand **= power
         integrand *= weight
-        num, den = lat.block_sums(integrand)[d], denom[d]
+        lat.sum_up(sums, integrand, stop=d)
+        num, den = sums[off[d]:off[d + 1]], mass[off[d]:off[d + 1]]
         if np.any((den == 0.0) & (num > 0.0)):
-            return None
-        ratios.append(safe_divide(num, den))
-    return chain, ratios
+            yield d, chain, None
+            return
+        yield d, chain, safe_divide(num, den)
 
 
-def _sup(cuts: tuple[list[np.ndarray], list[np.ndarray]] | None, p: float) -> float:
-    """(sup over atoms of the ratios)^(1/p); +inf where :func:`_cut_ratios`
-    found a massless J with a positive numerator."""
-    if cuts is None:
-        return math.inf
-    return max([0.0] + [float(ratios.max()) for ratios in cuts[1]]) ** (1.0 / p)
+def _sup(cuts: Iterable[Cut], p: float) -> float:
+    """(sup over atoms of the ratios)^(1/p); +inf at a cut with ratios None."""
+    best = 0.0
+    for _, _, ratios in cuts:
+        if ratios is None:
+            return math.inf
+        best = max(best, float(ratios.max()))
+    return best ** (1.0 / p)
 
 
 def direct_testing_symbol(symbol: Symbol, p: float, mu: Measure) -> float:
@@ -76,10 +85,9 @@ def direct_testing_symbol(symbol: Symbol, p: float, mu: Measure) -> float:
     integrate |sum over internal I inside J of b_I|^p against the symbol's
     reference measure and compare with mu(J)."""
     _check_exponents(p)
-    lat = symbol.lattice
     # signed chain: accumulate the raw values, take |.|^p afterwards
-    terms = [symbol.beta.child_values(e) for e in range(1, lat.depth + 1)]
-    return _sup(_cut_ratios(lat, terms, p, symbol.nu.leaf_mass, mu.level_mass), p)
+    cuts = _cut_ratios(symbol.lattice, symbol.beta._flat, p, symbol.nu.leaf_mass, mu.flat_mass)
+    return _sup(cuts, p)
 
 
 def direct_testing(
@@ -90,36 +98,25 @@ def direct_testing(
         B = sup_J [ int_J (sum_{I in J, internal} |b_I|^q)^(p/q) d nu / mu(J) ]^(1/p).
     """
     _check_exponents(p, q)
-    lat = beta.lattice
-    terms = [np.abs(beta.child_values(e)) ** q for e in range(1, lat.depth + 1)]
-    return _sup(_cut_ratios(lat, terms, p / q, nu.leaf_mass, mu.level_mass), p)
-
-
-def _adjoint_parent_terms(
-    beta: EdgeCoefficients, q: float, mu: Measure, nu: Measure
-) -> list[np.ndarray] | None:
-    """Per internal atom, the constant mass(I)^(-1) * int_I |b_I|^q d nu.
-
-    A massless atom whose component still carries nu-mass has no finite
-    term; the caller turns that into +inf.
-    """
-    integ = _edge_terms_adjoint(np.abs(beta._flat) ** q, nu.flat_mass[1:])
-    if np.any((mu.flat_mass[:integ.size] == 0.0) & (integ > 0.0)):
-        return None
-    return beta.lattice.split(_per_mass(integ, mu))
+    terms = np.abs(beta._flat)
+    terms **= q
+    return _sup(_cut_ratios(beta.lattice, terms, p / q, nu.leaf_mass, mu.flat_mass), p)
 
 
 def _adjoint_cuts(
     beta: EdgeCoefficients, p: float, q: float, mu: Measure, nu: Measure
-) -> tuple[tuple[list[np.ndarray], list[np.ndarray]] | None, float]:
-    """Checks p and q, then returns the cut chains and ratios of the adjoint
-    constant (``None`` when it is +inf) and its exponent r'."""
+) -> tuple[Iterable[Cut], float]:
+    """Checks p and q, then returns the cuts of the adjoint constant and its
+    exponent r'.  The term of internal atom I is mass(I)^(-1) * int_I |b_I|^q
+    d nu; a massless I whose component still carries nu-mass has no finite
+    term, and the one cut has ratios None."""
     _check_exponents(p, q, r=True)
     r_prime = conjugate(p / q)
-    terms = _adjoint_parent_terms(beta, q, mu, nu)
-    if terms is None:
-        return None, r_prime
-    return _cut_ratios(beta.lattice, terms, r_prime, mu.leaf_mass, nu.level_mass), r_prime
+    integ = _edge_terms_adjoint(np.abs(beta._flat) ** q, nu.flat_mass[1:])
+    if np.any((mu.flat_mass[:integ.size] == 0.0) & (integ > 0.0)):
+        return [(0, None, None)], r_prime
+    terms = _per_mass(integ, mu)
+    return _cut_ratios(beta.lattice, terms, r_prime, mu.leaf_mass, nu.flat_mass), r_prime
 
 
 def adjoint_testing(
@@ -144,23 +141,23 @@ def adjoint_witness_data(
     and rejects the same ones."""
     top = 3  # witnesses returned
     cuts, r_prime = _adjoint_cuts(beta, p, q, mu, nu)
-    if cuts is None:
-        return math.inf, []
     lat = beta.lattice
+    best = 0.0
+    # (ratio, atom, the chain on the atom's leaves), shallower depths first
     scored: list[tuple[float, Atom, np.ndarray]] = []
-    for d, (chain, ratios) in enumerate(zip(*cuts)):
-        order = np.argsort(ratios)[::-1][:top]
-        for i in order:
-            if ratios[i] <= 0.0:
-                continue
-            atom = Atom(d, int(i))
-            profile = np.zeros(lat.n_leaves)
-            sl = lat.leaf_slice(atom)
-            profile[sl] = chain[sl]
-            scored.append((float(ratios[i]), atom, profile))
+    for d, chain, ratios in cuts:
+        if ratios is None:
+            return math.inf, []
+        best = max(best, float(ratios.max()))
+        atoms = [Atom(d, i) for i in np.argsort(ratios)[::-1][:top].tolist() if ratios[i] > 0.0]
+        scored[:0] = [(float(ratios[a.index]), a, chain[lat.leaf_slice(a)].copy()) for a in atoms]
     scored.sort(key=lambda t: -t[0])
-    witnesses = [(atom, profile) for _, atom, profile in scored[:top]]
-    return _sup(cuts, r_prime), witnesses
+    witnesses = []
+    for _, atom, values in scored[:top]:
+        profile = np.zeros(lat.n_leaves)
+        profile[lat.leaf_slice(atom)] = values
+        witnesses.append((atom, profile))
+    return best ** (1.0 / r_prime), witnesses
 
 
 def positive_operator_testing(
@@ -177,12 +174,9 @@ def positive_operator_testing(
     """
     p_prime = conjugate(p)  # checks p
     lat = alpha.lattice
-
-    child_terms = [
-        alpha.child_values(e) * np.repeat(mu.level_mass[e - 1], lat.arity)
-        for e in range(1, lat.depth + 1)
-    ]
-    parent_terms = lat.split(_edge_terms_adjoint(alpha._flat, nu.flat_mass[1:]))
-    b = _sup(_cut_ratios(lat, child_terms, p, nu.leaf_mass, mu.level_mass), p)
-    b_star = _sup(_cut_ratios(lat, parent_terms, p_prime, mu.leaf_mass, nu.level_mass), p_prime)
+    child_terms = alpha._flat * mu.flat_mass[:lat.n_internal, None]
+    b = _sup(_cut_ratios(lat, child_terms, p, nu.leaf_mass, mu.flat_mass), p)
+    del child_terms  # freed before the adjoint walk
+    parent_terms = _edge_terms_adjoint(alpha._flat, nu.flat_mass[1:])
+    b_star = _sup(_cut_ratios(lat, parent_terms, p_prime, mu.leaf_mass, nu.flat_mass), p_prime)
     return b, b_star

@@ -39,12 +39,16 @@ from martpara.stopping import (
     HalfReport,
     InequalityCheck,
     StoppingForest,
-    _avg,
     _check_nonnegative,
     carleson_constant,
     split_collections,
 )
 from martpara.testing import positive_operator_testing
+
+
+def _avg(avgs: list[np.ndarray], atom: Atom) -> float:
+    """One atom's entry of per-generation averages (``atom_averages``)."""
+    return float(avgs[atom.depth][atom.index])
 
 
 # ---------------------------------------------------------------------------

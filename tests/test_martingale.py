@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -66,6 +68,15 @@ def test_rubio_de_francia_examples(binary_uniform):
     assert np.allclose(rubio_de_francia(np.zeros(2), mu, 2.0), 0.0)
     const = rubio_de_francia(np.array([3.0, 3.0]), mu, 2.0, tol=1e-14)
     assert np.allclose(const, 4.0, atol=1e-12)  # c * 2p'/(2p'-1) with p=2
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_rubio_de_francia_rejects_a_bad_tol(binary_uniform, tol):
+    """nan fails every comparison, so a plain ``tol <= 0`` test let it run
+    all of the series' rounds; it is rejected before the first."""
+    lat, mu = binary_uniform
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        rubio_de_francia(np.array([1.0, 3.0]), mu, 2.0, tol=tol)
 
 
 @given(st.integers(0, 3000))

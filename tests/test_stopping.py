@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from martpara import (
     carleson_constant,
     carleson_embedding_check,
     conjugate,
+    generate_random_instance,
     lp_norm,
     modified_stopping_forest,
     modified_stopping_generation,
@@ -94,6 +96,20 @@ def test_carleson_constant_examples():
     assert carleson_constant({Atom(2, 0): 1.0}, dead) == math.inf
     with pytest.raises(ValueError):
         carleson_constant({lat.root: -1.0}, mu)
+
+
+def test_carleson_constant_rejects_nan_weights():
+    """A nan weight is named like a negative one, on a leaf and on the root;
+    an infinite weight gives an infinite constant."""
+    inst = generate_random_instance(2, 3, seed=0, sparsity=0.0)
+    lat, mu = inst.lattice, inst.mu
+    weights = {a: 0.25 for a in lat.atoms()}
+    for atom in (Atom(3, 5), lat.root):
+        with pytest.raises(ValueError, match=rf"nan weight at {re.escape(repr(atom))}"):
+            carleson_constant({**weights, atom: math.nan}, mu)
+        with pytest.raises(ValueError, match="nan weight"):
+            carleson_embedding_check({**weights, atom: math.nan}, inst.f, 2.0, mu)
+    assert carleson_constant({**weights, Atom(3, 5): math.inf}, mu) == math.inf
 
 
 def test_embedding_check_example():

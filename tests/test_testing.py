@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,3 +201,26 @@ def test_adjoint_witness_data_rejects_what_adjoint_testing_rejects():
         assert str(got.value) == str(ref.value)
     value, _ = adjoint_witness_data(inst.beta, 4.0, 2.0, inst.mu, inst.nu)
     assert value == adjoint_testing(inst.beta, 4.0, 2.0, inst.mu, inst.nu)
+
+
+def test_testing_constants_hold_few_leaf_arrays():
+    """One call of each constant on 2^14 leaves holds under eight leaf arrays
+    of temporaries: one cut chain, one integrand, the flat terms and the
+    block sums.  Keeping every cut depth's chain alive held about twenty."""
+    inst = generate_random_instance(2, 14, seed=0, sparsity=0.0)
+    beta, mu, nu = inst.beta, inst.mu, inst.nu
+    alpha = beta.absolute()
+    bound = 8 * inst.lattice.n_leaves * np.dtype(float).itemsize
+    calls = {
+        "direct_testing": lambda: direct_testing(beta, 4.0, 2.0, mu, nu),
+        "adjoint_testing": lambda: adjoint_testing(beta, 4.0, 2.0, mu, nu),
+        "positive_operator_testing": lambda: positive_operator_testing(alpha, 3.0, mu, nu),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (name, peak)
