@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,16 +77,6 @@ class Lattice:
         base = atom.index * self.arity
         return [Atom(atom.depth + 1, base + k) for k in range(self.arity)]
 
-    def subtree(self, top: Atom) -> list[Atom]:
-        """All atoms contained in ``top`` (itself included), depth-then-index order."""
-        top = self.check_atom(top)
-        out = []
-        lo, hi = top.index, top.index + 1
-        for d in range(top.depth, self.depth + 1):
-            out.extend(Atom(d, i) for i in range(lo, hi))
-            lo, hi = lo * self.arity, hi * self.arity
-        return out
-
     def atoms(self) -> Iterator[Atom]:
         for d in range(self.depth + 1):
             for i in range(self.level_size(d)):
@@ -109,6 +99,9 @@ class Lattice:
     # view of it (``split``).  The children of the flat internal atoms are the
     # flat non-root atoms in order, so a (..., n_internal, arity) reshape of
     # the non-root part groups every atom's children along a trailing axis.
+    # The kernels take and return flat arrays: ``sum_up`` fills the internal
+    # generations bottom-up, and ``chain_sum`` adds a flat array of terms
+    # from any first generation top-down along every leaf's ancestor chain.
     # Every kernel works on the trailing axis: leading axes are a batch of
     # independent rows, each row giving the same bytes as the call on it alone.
     @cached_property
@@ -170,20 +163,22 @@ class Lattice:
         """Broadcast per-atom values at generation ``d`` to the leaf array."""
         return np.repeat(np.asarray(values, dtype=float), self.arity ** (self.depth - d), axis=-1)
 
-    def chain_sum(self, per_depth: Sequence[Optional[np.ndarray]]) -> np.ndarray:
-        """Leaf array of sums over each leaf's ancestor chain.
+    def chain_sum(self, terms: np.ndarray, first: int = 0) -> np.ndarray:
+        """Leaf array of sums over each leaf's ancestor chain of a flat array
+        of per-atom terms whose trailing axis starts at generation ``first``
+        and holds whole generations, as many as its length holds (``split``).
 
-        ``per_depth[d]`` holds the value attached to every generation-``d`` atom
-        (``None`` entries are skipped).  The sums run from 0.0 in generation
-        order, so a chain of -0.0 terms gives 0.0.
+        The sums run from 0.0 in generation order, so a chain of -0.0 terms
+        gives 0.0.
         """
-        run = np.zeros(1)
-        for d in range(self.depth + 1):
-            if d > 0:
+        off, base = self.offsets, self.offsets[first]
+        run = np.zeros(self.level_size(first))
+        for d in range(first, self.depth + 1):
+            if d > first:
                 run = run.repeat(self.arity, axis=-1)
-            vals = per_depth[d] if d < len(per_depth) else None
-            if vals is not None:
-                run = np.add(run, vals, out=run if run.shape == np.shape(vals) else None)
+            if off[d + 1] - base <= terms.shape[-1]:
+                vals = terms[..., off[d] - base:off[d + 1] - base]
+                run = np.add(run, vals, out=run if d > first else None)
         return run
 
 

@@ -1,7 +1,10 @@
 """Averaging and difference operators, square/maximal functions, majorant series.
 
 All operators act on leaf functions and respect the zero-mass convention of
-:mod:`martpara.measure` (averages over massless atoms are 0).
+:mod:`martpara.measure` (averages over massless atoms are 0).  The square,
+maximal and reconstruction functions read the generation-major flat averages
+(``Lattice.split``): the jump of every non-root atom is its average minus
+its parent's, one subtraction over the whole tree.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 import numpy as np
 
 from .lattice import Atom
-from .measure import Measure, atom_averages, average, conjugate, leaf_function
+from .measure import Measure, _averages, average, conjugate, leaf_function
 
 
 def expectation(f, atom: Atom, m: Measure) -> np.ndarray:
@@ -35,17 +38,13 @@ def martingale_difference(f, atom: Atom, m: Measure) -> np.ndarray:
     return out
 
 
-def _child_jumps(avg: list[np.ndarray], arity: int) -> list[np.ndarray]:
-    """Per-generation arrays (d = 1..depth) of the difference value taken on
-    each atom by its parent's martingale difference, from the averages."""
-    return [avg[d] - np.repeat(avg[d - 1], arity) for d in range(1, len(avg))]
-
-
 def square_function(f, m: Measure) -> np.ndarray:
     """Pointwise l2 size of all martingale differences: (sum over internal
     atoms of |difference|^2)^(1/2), evaluated on leaves."""
-    jumps = _child_jumps(atom_averages(f, m), m.lattice.arity)
-    return np.sqrt(m.lattice.chain_sum([None] + [j ** 2 for j in jumps]))
+    lat = m.lattice
+    avg = _averages(leaf_function(lat, f), m)
+    avg[1:] -= np.repeat(avg[:lat.n_internal], lat.arity)  # the jumps
+    return np.sqrt(lat.chain_sum(np.square(avg[1:], out=avg[1:]), 1))
 
 
 def reconstruct(f, m: Measure) -> np.ndarray:
@@ -53,18 +52,21 @@ def reconstruct(f, m: Measure) -> np.ndarray:
 
     Agrees with ``f`` on every positive-mass leaf.
     """
-    avg = atom_averages(f, m)
-    return m.lattice.chain_sum([avg[0]] + _child_jumps(avg, m.lattice.arity))
+    lat = m.lattice
+    avg = _averages(leaf_function(lat, f), m)
+    avg[1:] -= np.repeat(avg[:lat.n_internal], lat.arity)  # the jumps
+    return lat.chain_sum(avg)
 
 
 def maximal_function(f, m: Measure) -> np.ndarray:
     """At each leaf, the largest |average| over all atoms containing it
     (leaf atoms included)."""
-    lat = m.lattice
-    avg = atom_averages(f, m)
-    cur = np.abs(avg[0])
+    lat, off = m.lattice, m.lattice.offsets
+    avg = _averages(leaf_function(lat, f), m)
+    np.abs(avg, out=avg)
+    cur = avg[:1]
     for d in range(1, lat.depth + 1):
-        cur = np.maximum(np.repeat(cur, lat.arity), np.abs(avg[d]))
+        cur = np.maximum(np.repeat(cur, lat.arity), avg[off[d]:off[d + 1]])
     return cur
 
 

@@ -19,11 +19,12 @@ takes the path, and gives the bytes, it would alone.  An evaluation keeps
 every per-atom quantity of the whole batch in one generation-major flat
 array (``Lattice.split``), so it makes a fixed number of elementwise numpy
 calls whatever the depth; only the block sums and the chain sums loop over
-the generations.  On trees of 4-81 leaves an evaluation still costs mostly
-Python and numpy call overhead, so trying at once the halvings a
-backtracking row would try next more than halves the evaluations an ascent
-needs; larger batches, where the cost goes by the values, try fewer
-(``_CANDIDATE_VALUES``).
+the generations, and the gradient hands ``Lattice.chain_sum`` its flat
+internal-atom terms as they are.  On trees of 4-81 leaves an evaluation
+still costs mostly Python and numpy call overhead, so trying at once the
+halvings a backtracking row would try next more than halves the evaluations
+an ascent needs; larger batches, where the cost goes by the values, try
+fewer (``_CANDIDATE_VALUES``).
 
 ``grid_oracle_norm`` is the independent desk-scale oracle: a dense angular
 grid on the unit sphere, sign patterns included, no optimization.  It ranks
@@ -47,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import Atom, Lattice
+from .lattice import Lattice
 from .martingale import rubio_de_francia
 from .measure import Measure, _check_exponents, _per_mass, conjugate, lp_norm
 from .paraproduct import (
@@ -264,7 +265,8 @@ class _Rows:
 
         The output side is pulled back through the transpose of the edge
         chain, ``_edge_terms_adjoint``, and then through the averaging of x,
-        i.e. ``chain_sum`` times the mu leaf masses.
+        i.e. ``chain_sum`` of the flat internal-atom terms (generations 0 to
+        depth - 1) times the mu leaf masses.
         """
         op, lat, p, mu = self.op, self.op.lattice, self.op.p, self.op.mu
         den, live, out, val, chain_q = self._forward(x)
@@ -282,14 +284,14 @@ class _Rows:
                 pull = np.where(s != 0.0, np.abs(s) ** (q - 1.0), 0.0)
             t_sums = lat.flat_sums(gpq, op.nu.leaf_mass)
             inner = _edge_terms_adjoint(self.coeffs, pull * np.sign(s) * t_sums[:, 1:])
-            g_out = mu.leaf_mass * lat.chain_sum(lat.split(_per_mass(inner, mu))) / val_p
+            g_out = mu.leaf_mass * lat.chain_sum(_per_mass(inner, mu)) / val_p
         else:
             out = out[ok]
             u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val_p
             inner = _edge_terms_adjoint(self.coeffs, lat.flat_sums(u)[:, 1:])
             if op.kind != "positive":  # the operator reads averages, not integrals
                 inner *= self.inv_mass
-            g_out = mu.leaf_mass * lat.chain_sum(lat.split(inner))
+            g_out = mu.leaf_mass * lat.chain_sum(inner)
         g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den_p
         r = np.zeros(len(live))
         r[rows] = val / den
@@ -386,6 +388,18 @@ def _ascend(
         eta[idx[~hit]] = steps[~hit, -1] * 0.5
 
 
+def _write_indicators(lat: Lattice, x: np.ndarray) -> None:
+    """Write the indicator of every atom into the first n_atoms rows of the
+    zeroed (rows, n_leaves) array ``x``, in flat atom order: the indicators
+    of generation d are the diagonal of its rows' (size, size, leaves per
+    atom) view."""
+    off = lat.offsets
+    for d in range(lat.depth + 1):
+        size = lat.level_size(d)
+        diag = np.arange(size)
+        x[off[d]:off[d + 1]].reshape(size, size, -1)[diag, diag] = 1.0
+
+
 def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> NormEstimate:
     """Best Rayleigh ratio over all starts, each improved by gradient ascent.
 
@@ -408,17 +422,10 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
             f"{MAX_START_VALUES} values"
         )
 
-    # every start is written straight into its row of the batch; the
-    # indicators of generation d are the diagonal of its rows' (size, size,
-    # leaves per atom) view, rows in flat atom order
+    # every start is written straight into its row of the batch
     x = np.zeros((n_starts, lat.n_leaves))
-    off = lat.offsets
-    names = []
-    for d in range(lat.depth + 1):
-        size = lat.level_size(d)
-        diag = np.arange(size)
-        x[off[d]:off[d + 1]].reshape(size, size, -1)[diag, diag] = 1.0
-        names += [f"indicator({d},{i})" for i in range(size)]
+    _write_indicators(lat, x)
+    names = [f"indicator({d},{i})" for d, i in lat.atoms()]
     drawn = slice(len(names), len(names) + cfg.starts)
     np.random.default_rng(cfg.seed).standard_normal(out=x[drawn])  # as drawn one row at a time
     if op.positive_only:
@@ -493,28 +500,16 @@ def _square_forms(signed: np.ndarray) -> np.ndarray:
 
 
 def _operator_matrix(op: OperatorHandle, alive_idx: np.ndarray):
-    """Columns of the linear operator on the alive leaves; for the sequence
-    kind also the chain membership matrix of non-root atoms."""
+    """Columns of the linear operator on the alive leaves, one batched apply
+    to their indicators; for the sequence kind also the chain membership
+    matrix of non-root atoms, (leaves, n_atoms - 1), C-contiguous."""
     lat = op.lattice
-    cols = []
-    for j in alive_idx:
-        e = np.zeros(lat.n_leaves)
-        e[j] = 1.0
-        out = op.apply(e)
-        if op.kind == "vector_paraproduct":
-            cols.append(np.concatenate([out.level(d) for d in range(1, lat.depth + 1)]))
-        else:
-            cols.append(out)
-    mat = np.stack(cols, axis=1)
+    ind = np.zeros((lat.n_atoms, lat.n_leaves))
+    _write_indicators(lat, ind)
+    out = op.apply(ind[lat.n_internal:][alive_idx])
     if op.kind != "vector_paraproduct":
-        return mat, None
-    membership = []
-    for d in range(1, lat.depth + 1):
-        for i in range(lat.level_size(d)):
-            ind = np.zeros(lat.n_leaves)
-            ind[lat.leaf_slice(Atom(d, i))] = 1.0
-            membership.append(ind)
-    return mat, np.stack(membership, axis=1)  # (leaves, n_seq)
+        return np.ascontiguousarray(out.T), None
+    return np.ascontiguousarray(out._flat.T), np.ascontiguousarray(ind[1:].T)
 
 
 def grid_oracle_norm(op: OperatorHandle) -> float:

@@ -12,7 +12,10 @@ Coefficients, averages and sequence fields are generation-major flat arrays
 (``Lattice.split``): the coefficients of the internal atoms form one
 (n_internal, arity) array whose rows' children are the non-root atoms in
 flat order, so each kernel is one elementwise numpy call over every
-generation at once, not one per generation.
+generation at once, not one per generation.  The edge terms are flat over
+the non-root atoms, and ``Lattice.chain_sum(terms, 1)`` adds them along
+the chains; ``EdgeCoefficients.level`` and ``SequenceField.level`` are
+views of the flat arrays.
 
 * ``paraproduct_apply``     -- sum over internal atoms of (mu-average of f) * b_I,
   where b_I are the mean-zero components of a :class:`Symbol`;
@@ -26,15 +29,14 @@ generation at once, not one per generation.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .lattice import Atom, Lattice
 from .measure import (
-    Measure, _check_exponents, _leaf_rows, _parent_averages, _parent_integrals, leaf_function,
-    lp_norm, safe_divide,
+    Measure, _check_exponents, _leaf_rows, _parent_averages, _parent_integrals, _per_mass,
+    leaf_function, lp_norm, safe_divide,
 )
 
 
@@ -51,8 +53,6 @@ class EdgeCoefficients:
     def __init__(self, lattice: Lattice, levels: Optional[Sequence[np.ndarray]] = None):
         self.lattice = lattice
         self._flat = np.zeros((lattice.n_internal, lattice.arity))
-        off = lattice.offsets
-        self._levels = [self._flat[off[d]:off[d + 1]] for d in range(lattice.depth)]
         if levels is not None:
             if len(levels) != lattice.depth:
                 raise ValueError(f"expected {lattice.depth} coefficient levels")
@@ -62,7 +62,7 @@ class EdgeCoefficients:
                     raise ValueError(f"level {d} has shape {arr.shape}")
                 if not np.all(np.isfinite(arr)):
                     raise ValueError(f"level {d} has non-finite entries")
-                self._levels[d][...] = arr
+                self.level(d)[...] = arr
 
     @classmethod
     def from_dict(cls, lattice: Lattice, entries: Mapping[tuple[int, int, int], float]):
@@ -80,7 +80,9 @@ class EdgeCoefficients:
         return cls(lattice, levels)
 
     def level(self, d: int) -> np.ndarray:
-        return self._levels[d]
+        """Writable view of the generation-``d`` rows of the flat array."""
+        off = self.lattice.offsets
+        return self._flat[off[d]:off[d + 1]]
 
     def component(self, atom: Atom) -> np.ndarray:
         """The step function b_I = sum of coefficient * child indicator, as leaves."""
@@ -89,19 +91,21 @@ class EdgeCoefficients:
             raise ValueError(f"component requires an internal atom, got leaf {atom!r}")
         out = np.zeros(self.lattice.n_leaves)
         for k, child in enumerate(self.lattice.children(atom)):
-            out[self.lattice.leaf_slice(child)] = self._levels[atom.depth][atom.index, k]
+            out[self.lattice.leaf_slice(child)] = self.level(atom.depth)[atom.index, k]
         return out
 
     def scaled(self, t: float) -> "EdgeCoefficients":
-        return type(self)(self.lattice, [t * lvl for lvl in self._levels])
+        return type(self)(self.lattice, [t * self.level(d) for d in range(self.lattice.depth)])
 
     def absolute(self) -> "NonnegativeCoefficients":
         """The coefficients |b|: those of the positive operator on |beta|."""
-        return NonnegativeCoefficients(self.lattice, [np.abs(lvl) for lvl in self._levels])
+        levels = [np.abs(self.level(d)) for d in range(self.lattice.depth)]
+        return NonnegativeCoefficients(self.lattice, levels)
 
     def to_dict(self) -> dict[tuple[int, int, int], float]:
         out = {}
-        for d, lvl in enumerate(self._levels):
+        for d in range(self.lattice.depth):
+            lvl = self.level(d)
             for i, k in zip(*np.nonzero(lvl)):
                 out[(d, int(i), int(k))] = float(lvl[i, k])
         return out
@@ -112,8 +116,8 @@ class NonnegativeCoefficients(EdgeCoefficients):
 
     def __init__(self, lattice: Lattice, levels: Optional[Sequence[np.ndarray]] = None):
         super().__init__(lattice, levels)
-        for d, lvl in enumerate(self._levels):
-            if np.any(lvl < 0):
+        for d in range(lattice.depth):
+            if np.any(self.level(d) < 0):
                 raise ValueError(f"negative coefficient at level {d}")
 
 
@@ -178,25 +182,16 @@ class SequenceField:
         self.lattice = lattice
         self._flat = flat
 
-    @cached_property
-    def _levels(self) -> list[np.ndarray]:
-        return self.lattice.split(self._flat, 1)
-
     def level(self, d: int) -> np.ndarray:
-        """Values at generation ``d`` (1..depth)."""
+        """Values at generation ``d`` (1..depth), a view of the flat array."""
         if not 1 <= d <= self.lattice.depth:
             raise ValueError(f"sequence levels span 1..{self.lattice.depth}, got {d}")
-        return self._levels[d - 1]
-
-    def value(self, atom: Atom) -> float:
-        atom = self.lattice.check_atom(atom)
-        if atom.depth == 0:
-            raise ValueError("sequence fields are indexed by non-root atoms")
-        return float(self._levels[atom.depth - 1][atom.index])
+        off = self.lattice.offsets
+        return self._flat[..., off[d] - 1:off[d + 1] - 1]
 
     def q_power_chain(self, q: float) -> np.ndarray:
         """Leaf array of sum over the ancestor chain of |value|^q."""
-        return self.lattice.chain_sum([None] + self.lattice.split(np.abs(self._flat) ** q, 1))
+        return self.lattice.chain_sum(np.abs(self._flat) ** q, 1)
 
 
 def _edge_terms(coeffs: np.ndarray, parent_vals: np.ndarray) -> np.ndarray:
@@ -220,7 +215,7 @@ def _edge_chain(lat: Lattice, coeffs: np.ndarray, parent_vals: np.ndarray) -> np
     """Leaf array of the edge terms summed along each leaf's ancestor chain."""
     terms = _edge_terms(coeffs, parent_vals)
     del parent_vals  # a temporary argument (the caller's averages) is freed here
-    return lat.chain_sum([None] + lat.split(terms, 1))
+    return lat.chain_sum(terms, 1)
 
 
 def paraproduct_apply(symbol: Symbol, f, mu: Measure) -> np.ndarray:
@@ -321,9 +316,8 @@ def positive_from_symbol(beta: EdgeCoefficients, q: float, mu: Measure) -> Nonne
     """Edge coefficients mass(I)^(-1) |beta|^q turning the shifted operator
     into an instance of :func:`positive_apply` (zero on massless parents)."""
     _check_exponents(q=q)
-    lat = beta.lattice
-    levels = []
-    for d in range(lat.depth):
-        inv = safe_divide(np.ones_like(mu.level_mass[d]), mu.level_mass[d])
-        levels.append(np.abs(beta.level(d)) ** q * inv[:, None])
-    return NonnegativeCoefficients(lat, levels)
+    lat, off = beta.lattice, beta.lattice.offsets
+    coeffs = np.abs(beta._flat)
+    coeffs **= q
+    coeffs *= _per_mass(np.ones(lat.n_internal), mu)[:, None]
+    return NonnegativeCoefficients(lat, [coeffs[off[d]:off[d + 1]] for d in range(lat.depth)])

@@ -530,8 +530,7 @@ def normalize_for_mirror(
     if not math.isfinite(top):
         raise ValueError("testing constants are infinite; instance cannot be normalized")
     if top > 0.0:
-        levels = np.split(alpha._flat / top, lat.offsets[1:lat.depth])
-        alpha = NonnegativeCoefficients(lat, levels)
+        alpha = NonnegativeCoefficients(lat, [alpha.level(d) / top for d in range(lat.depth)])
     return alpha, f / nf, g / ng
 
 

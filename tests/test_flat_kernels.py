@@ -67,16 +67,19 @@ def test_integrals_and_averages_match_per_generation(case):
 
 @given(cases(), st.data())
 def test_chain_sum_matches_per_generation(case, data):
+    """Flat terms from generation ``first`` (0 or 1), holding any number of
+    whole generations: all of them, the internal ones only (the gradient's
+    n_internal) or fewer; chains of -0.0 terms sum to 0.0."""
     lat, _, lead, _ = case
-    per_depth = [
-        data.draw(st.one_of(
-            st.none(),
-            hnp.arrays(float, (*data.draw(st.sampled_from([(), lead])), lat.level_size(d)),
-                       elements=VALUES),
-        ))
-        for d in range(data.draw(st.integers(0, lat.depth + 1)))
-    ]
-    assert same_bytes(lat.chain_sum(per_depth), naive_chain_sum(lat, per_depth))
+    first = data.draw(st.integers(0, 1))
+    last = data.draw(st.integers(first, lat.depth + 1))
+    width = lat.offsets[last] - lat.offsets[first]
+    elements = data.draw(st.sampled_from([VALUES, st.just(-0.0)]))
+    terms = data.draw(hnp.arrays(float, (*lead, width), elements=elements))
+    out = lat.chain_sum(terms, first)
+    assert same_bytes(out, naive_chain_sum(lat, [None] * first + lat.split(terms, first)))
+    if (terms == 0.0).all():
+        assert not np.signbit(out).any()
 
 
 @given(cases(), st.data())

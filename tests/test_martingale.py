@@ -10,6 +10,7 @@ from martpara import (
     build_lattice,
     conjugate,
     expectation,
+    generate_random_instance,
     lp_norm,
     martingale_difference,
     maximal_function,
@@ -77,6 +78,16 @@ def test_rubio_de_francia_rejects_a_bad_tol(binary_uniform, tol):
     lat, mu = binary_uniform
     with pytest.raises(ValueError, match="tol must be a finite number > 0"):
         rubio_de_francia(np.array([1.0, 3.0]), mu, 2.0, tol=tol)
+
+
+@pytest.mark.parametrize("fn", [square_function, reconstruct, maximal_function])
+@pytest.mark.parametrize("shape", [(2, 8), (1, 8)])
+def test_martingale_functions_take_one_leaf_function(fn, shape):
+    """A batch of leaf functions is refused up front: (2, 8) used to fail
+    inside numpy broadcasting and (1, 8) to return a (1, 8) array."""
+    mu = generate_random_instance(2, 3, seed=0).mu
+    with pytest.raises(ValueError, match="expected 8 leaf values"):
+        fn(np.ones(shape), mu)
 
 
 @given(st.integers(0, 3000))

@@ -74,8 +74,7 @@ def _handle(kind, p, q, mu, nu, beta):
     if kind == "paraproduct":
         return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
     if kind == "positive":
-        alpha = NonnegativeCoefficients(beta.lattice, [np.abs(c) for c in beta._levels])
-        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=alpha)
+        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=beta.absolute())
     return OperatorHandle(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
 
 

@@ -115,8 +115,8 @@ def test_paraproduct_examples(binary_uniform):
 def test_vector_paraproduct_examples(binary_uniform):
     lat, mu = binary_uniform
     s = vector_paraproduct(haar_beta(lat), np.array([1.0, 3.0]), mu)
-    assert s.value(Atom(1, 0)) == 2.0
-    assert s.value(Atom(1, 1)) == -2.0
+    assert s.level(1)[0] == 2.0
+    assert s.level(1)[1] == -2.0
     zero = vector_paraproduct(haar_beta(lat), np.zeros(2), mu)
     assert np.allclose(zero.level(1), 0.0)
     # massless parent produces zero entries by the averaging convention
@@ -278,8 +278,7 @@ def test_paraproduct_reassembles_from_sequence_field(seed):
     sym = project_mean_zero(beta, nu)
     out = paraproduct_apply(sym, f, mu)
     s = vector_paraproduct(sym.beta, f, mu)
-    per_depth = [None] + [s.level(d) for d in range(1, lat.depth + 1)]
-    assert np.allclose(out, lat.chain_sum(per_depth), atol=1e-12)
+    assert np.allclose(out, lat.chain_sum(s._flat, 1), atol=1e-12)
     assert lp_norm(out, 2.0, nu) == pytest.approx(
         sequence_norm(s, 2.0, 2.0, nu), rel=1e-10, abs=1e-12
     )

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from martpara import (
     EdgeCoefficients,
     Measure,
-    NonnegativeCoefficients,
     OperatorHandle,
     atom_averages,
     build_lattice,
@@ -62,20 +61,15 @@ def test_block_sums_rows(case):
         assert all(same_bytes(b[row], s) for b, s in zip(batched, single))
 
 
-@given(batches(), st.data())
-def test_chain_sum_rows(case, data):
+@given(batches(), st.sampled_from([(0, "all"), (1, "all"), (0, "internal")]), st.data())
+def test_chain_sum_rows(case, span, data):
     lat, _, x = case
-    per_depth = [
-        data.draw(st.one_of(
-            st.none(),
-            hnp.arrays(float, (len(x), lat.level_size(d)), elements=VALUES),
-        ))
-        for d in range(lat.depth + 1)
-    ]
-    batched = lat.chain_sum(per_depth)
+    first, part = span
+    end = lat.n_atoms if part == "all" else lat.n_internal
+    terms = data.draw(hnp.arrays(float, (len(x), end - lat.offsets[first]), elements=VALUES))
+    batched = lat.chain_sum(terms, first)
     for row in range(len(x)):
-        single = lat.chain_sum([None if v is None else v[row] for v in per_depth])
-        assert same_bytes(np.broadcast_to(batched, (len(x), lat.n_leaves))[row], single)
+        assert same_bytes(batched[row], lat.chain_sum(terms[row], first))
 
 
 @given(batches())
@@ -98,8 +92,7 @@ def _handle(kind, p, q, mu, nu, beta):
     if kind == "paraproduct":
         return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
     if kind == "positive":
-        alpha = NonnegativeCoefficients(beta.lattice, [np.abs(c) for c in beta._levels])
-        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=alpha)
+        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=beta.absolute())
     return OperatorHandle(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
 
 
