@@ -22,19 +22,10 @@ from .paraproduct import EdgeCoefficients, Symbol, power_apply
 from .testing import adjoint_testing, direct_testing
 
 
-def _surviving_mask(level: int, size: int) -> np.ndarray:
-    """Boolean mask over depth-``level`` atoms whose ternary digits avoid 1."""
-    idx = np.arange(size)
-    mask = np.ones(size, dtype=bool)
-    for _ in range(level):
-        mask &= (idx % 3) != 1
-        idx //= 3
-    return mask
-
-
 def _first_middle_digit(n_leaves: int, depth: int) -> np.ndarray:
-    """For each leaf, the 1-based position of the first ternary digit equal
-    to 1 (0 when every digit avoids 1, i.e. the leaf survives)."""
+    """For each of the ``n_leaves`` atoms of generation ``depth``, the
+    1-based position of the first of its ``depth`` ternary digits equal to 1
+    (0 when every digit avoids 1, i.e. the atom survives)."""
     idx = np.arange(n_leaves)
     out = np.zeros(n_leaves, dtype=int)
     for pos in range(1, depth + 1):
@@ -76,14 +67,14 @@ def build_cantor_instance(depth: int, p: float, r: float) -> CantorInstance:
     n = lat.n_leaves
 
     mu = Measure(lat, np.full(n, 3.0 ** (-depth)))
-    nu_leaf = np.where(_surviving_mask(depth, n), 2.0 ** (-depth), 0.0)
+    nu_leaf = np.where(_first_middle_digit(n, depth) == 0, 2.0 ** (-depth), 0.0)
     nu = Measure(lat, nu_leaf)
 
     levels = []
     for d in range(depth):
         lvl = np.zeros((lat.level_size(d), 3))
         amp = math.exp((d / p) * math.log(2.0 / 3.0))
-        rows = _surviving_mask(d, lat.level_size(d))
+        rows = _first_middle_digit(lat.level_size(d), d) == 0
         lvl[rows, 0] = -amp
         lvl[rows, 2] = amp
         levels.append(lvl)
@@ -124,7 +115,7 @@ def chain_energy(instance: CantorInstance, region_depth: int) -> float:
     lat = instance.lattice
     h = power_apply(instance.symbol.beta, instance.f, 2.0, instance.mu)
     region = instance.lattice.spread(
-        _surviving_mask(region_depth, lat.level_size(region_depth)).astype(float),
+        (_first_middle_digit(lat.level_size(region_depth), region_depth) == 0).astype(float),
         region_depth,
     )
     return float(np.sum(h ** (instance.p / 2.0) * region * instance.nu.leaf_mass))

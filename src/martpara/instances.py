@@ -70,8 +70,11 @@ def instance_from_json(text: str) -> Instance:
     for key in ("arity", "depth", "mu", "nu", "beta"):
         if key not in payload:
             raise InstanceFormatError(f"missing field {key!r}")
+    for key in ("arity", "depth"):
+        if type(payload[key]) is not int:  # a JSON integer; bool is an int subclass
+            raise InstanceFormatError(f"bad field {key!r}: {payload[key]!r} is not an integer")
     try:
-        lattice = build_lattice(int(payload["arity"]), int(payload["depth"]))
+        lattice = build_lattice(payload["arity"], payload["depth"])
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad field 'arity'/'depth': {exc}") from exc
 

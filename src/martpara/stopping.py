@@ -14,7 +14,9 @@ see ``Lattice.offsets``; the parent of flat atom k > 0 is (k - 1) // arity):
 every atom inherits its parent's owner, the smallest processed atom
 containing it, and a selected atom becomes the owner of its subtree.  The
 members, the averages and the masses the constructions read are flat
-arrays too, so every check runs as one array test over all atoms.
+arrays too, so every check runs as one array test over all atoms.  A
+step's exhausted members come from the same sweep, and atoms or plain
+(depth, index) pairs become flat positions through one checked converter.
 
 ``proof_mirror`` replays the bilinear estimate of the shifted positive
 operator as a ledger of checkable identities and inequalities with explicit
@@ -65,9 +67,27 @@ def _check_nonnegative(lat: Lattice, f) -> np.ndarray:
 
 
 def _positions(lat: Lattice, atoms: Iterable[Atom]) -> np.ndarray:
-    """Flat positions of atoms, in the order given."""
-    pairs = np.array(list(atoms), dtype=np.int64).reshape(-1, 2)
-    return np.asarray(lat.offsets)[pairs[:, 0]] + pairs[:, 1]
+    """Flat positions of atoms, in the order given, checked in one array
+    test on their numbers (numpy would copy each namedtuple into a list);
+    the first atom outside the lattice, in input order, fails ``Lattice.check_atom``."""
+    atoms = list(atoms)
+    if not atoms:
+        return np.zeros(0, dtype=np.int64)
+    try:
+        pairs = np.array([x for a in atoms for x in a] if set(map(len, atoms)) == {2} else [])
+    except (TypeError, ValueError):
+        pairs = np.zeros(0)
+    if pairs.dtype.kind not in "biu" or pairs.shape != (2 * len(atoms),):
+        for a in atoms:
+            lat.check_atom(a)
+        raise TypeError("atoms must be (depth, index) pairs of integers")
+    depth, index = pairs.astype(np.int64).reshape(-1, 2).T
+    valid = (depth >= 0) & (depth <= lat.depth)
+    sizes = np.diff(lat.offsets)
+    valid &= (index >= 0) & (index < sizes[np.where(valid, depth, 0)])
+    if not valid.all():
+        lat.check_atom(atoms[int(np.argmin(valid))])
+    return np.asarray(lat.offsets)[depth] + index
 
 
 def _atoms(lat: Lattice, positions: np.ndarray) -> list[Atom]:
@@ -99,8 +119,7 @@ def stopping_generation(
     top = lat.check_atom(top)
     members = list(collection)
     selected = _grow_forest(False, members, f, mu, [top]).selected[top]
-    valid = set(_atoms(lat, _check_members(lat, members)))
-    return selected, exhausted_members(lat, valid, selected, top)
+    return selected, exhausted_members(lat, members, selected, top)
 
 
 def modified_stopping_generation(
@@ -123,20 +142,14 @@ def modified_stopping_generation(
 
 
 def exhausted_members(
-    lat: Lattice, members: set[Atom], selected: set[Atom], top: Atom
+    lat: Lattice, members: Iterable[Atom], selected: Iterable[Atom], top: Atom
 ) -> set[Atom]:
-    """Members inside ``top`` not contained in any selected atom, found by
-    walking up from each member to the root."""
-    out = set()
-    for a in members:
-        if not lat.contains(top, a):
-            continue
-        cur = a
-        while cur not in selected and cur.depth > 0:
-            cur = Atom(cur.depth - 1, cur.index // lat.arity)
-        if cur not in selected:
-            out.add(a)
-    return out
+    """Members inside ``top`` not contained in any selected atom: those the
+    owner sweep from ``top`` reaches and the one from the selected atoms
+    leaves without an owner."""
+    at = _positions(lat, members)
+    free = (_sweep(lat, [top])[0][at] >= 0) & (_sweep(lat, list(selected))[0][at] < 0)
+    return set(_atoms(lat, at[free]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +172,7 @@ class StoppingForest:
 
     @property
     def stopping_atoms(self) -> set[Atom]:
-        out: set[Atom] = set()
-        for gen in self.generations:
-            out |= gen
-        return out
+        return set().union(*self.generations)
 
     @property
     def processed(self) -> set[Atom]:
@@ -238,29 +248,6 @@ def _scan_positions(lat: Lattice, flipped: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _check_members(lat: Lattice, members: list) -> np.ndarray:
-    """Flat positions of the members, checked in one array test; the first
-    member outside the lattice, in input order, raises the error of
-    ``Lattice.check_atom``."""
-    if not members:
-        return np.zeros(0, dtype=np.int64)
-    try:
-        pairs = np.array(list(zip(*members, strict=True)))
-    except (TypeError, ValueError):
-        pairs = np.zeros(0)
-    if pairs.dtype.kind not in "biu" or pairs.shape != (2, len(members)):
-        for a in members:
-            lat.check_atom(a)
-        raise TypeError("members must be (depth, index) pairs of integers")
-    depth, index = pairs.astype(np.int64)
-    valid = (depth >= 0) & (depth <= lat.depth)
-    sizes = np.diff(lat.offsets)
-    valid &= (index >= 0) & (index < sizes[np.where(valid, depth, 0)])
-    if not valid.all():
-        lat.check_atom(members[int(np.argmin(valid))])
-    return np.asarray(lat.offsets)[depth] + index
-
-
 def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
                  roots: Iterable[Atom]) -> StoppingForest:
     """Both constructions in one sweep from a disjoint root collection.
@@ -285,7 +272,7 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
     f = _check_nonnegative(lat, f)
     # flat over the non-root atoms, atom k at k - 1: membership, and the
     # averages compared with twice the owner's
-    member = np.bincount(_check_members(lat, list(members)), minlength=lat.n_atoms)[1:] > 0
+    member = np.bincount(_positions(lat, members), minlength=lat.n_atoms)[1:] > 0
     off, arity = lat.offsets, lat.arity
     avgs = _averages(f, mu)
     value = np.repeat(avgs[:lat.n_internal], arity) if modified else avgs[1:]
@@ -422,9 +409,8 @@ def carleson_embedding_check(
     try:
         with np.errstate(over="raise"):
             lhs = 0.0
-            for atom, w in weights.items():
-                atom = lat.check_atom(atom)
-                lhs += float(w) * abs(float(avgs[lat.offsets[atom.depth] + atom.index])) ** p
+            for w, avg in zip(weights.values(), avgs[_positions(lat, weights)].tolist()):
+                lhs += float(w) * abs(avg) ** p
             bound = const * conjugate(p) ** p * lp_norm(f, p, mu) ** p
     except (FloatingPointError, OverflowError):
         raise ValueError(f"p={p} is too large: the p-th powers overflow") from None

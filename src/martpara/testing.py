@@ -25,6 +25,7 @@ larger than every finite float downstream.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -60,7 +61,8 @@ def _cut_ratios(
         spread = chain.reshape(row.size, -1)
         spread += row[:, None]
         np.abs(chain, out=integrand)
-        integrand **= power
+        with np.errstate(over="raise"):
+            integrand **= power
         integrand *= weight
         lat.sum_up(sums, integrand, stop=d)
         num, den = sums[off[d]:off[d + 1]], mass[off[d]:off[d + 1]]
@@ -68,6 +70,16 @@ def _cut_ratios(
             yield d, chain, None
             return
         yield d, chain, safe_divide(num, den)
+
+
+@contextmanager
+def _powers_of(p: float) -> Iterator[None]:
+    """Reports an overflowing power step of a testing constant, raised
+    under ``np.errstate(over="raise")``, as a ValueError that names p."""
+    try:
+        yield
+    except FloatingPointError:
+        raise ValueError(f"p={p} is too large: the testing powers overflow") from None
 
 
 def _sup(cuts: Iterable[Cut], p: float) -> float:
@@ -87,7 +99,8 @@ def direct_testing_symbol(symbol: Symbol, p: float, mu: Measure) -> float:
     _check_exponents(p)
     # signed chain: accumulate the raw values, take |.|^p afterwards
     cuts = _cut_ratios(symbol.lattice, symbol.beta._flat, p, symbol.nu.leaf_mass, mu.flat_mass)
-    return _sup(cuts, p)
+    with _powers_of(p):
+        return _sup(cuts, p)
 
 
 def direct_testing(
@@ -99,8 +112,10 @@ def direct_testing(
     """
     _check_exponents(p, q)
     terms = np.abs(beta._flat)
-    terms **= q
-    return _sup(_cut_ratios(beta.lattice, terms, p / q, nu.leaf_mass, mu.flat_mass), p)
+    with _powers_of(p):
+        with np.errstate(over="raise"):
+            terms **= q
+        return _sup(_cut_ratios(beta.lattice, terms, p / q, nu.leaf_mass, mu.flat_mass), p)
 
 
 def _adjoint_cuts(
@@ -129,7 +144,8 @@ def adjoint_testing(
     with t_I = (nu(I)/mu(I)) * nu-average over I of |b_I|^q, i.e.
     mass_mu(I)^(-1) int_I |b_I|^q d nu.
     """
-    return _sup(*_adjoint_cuts(beta, p, q, mu, nu))
+    with _powers_of(p):
+        return _sup(*_adjoint_cuts(beta, p, q, mu, nu))
 
 
 def adjoint_witness_data(
@@ -145,12 +161,14 @@ def adjoint_witness_data(
     best = 0.0
     # (ratio, atom, the chain on the atom's leaves), shallower depths first
     scored: list[tuple[float, Atom, np.ndarray]] = []
-    for d, chain, ratios in cuts:
-        if ratios is None:
-            return math.inf, []
-        best = max(best, float(ratios.max()))
-        atoms = [Atom(d, i) for i in np.argsort(ratios)[::-1][:top].tolist() if ratios[i] > 0.0]
-        scored[:0] = [(float(ratios[a.index]), a, chain[lat.leaf_slice(a)].copy()) for a in atoms]
+    with _powers_of(p):
+        for d, chain, ratios in cuts:
+            if ratios is None:
+                return math.inf, []
+            best = max(best, float(ratios.max()))
+            atoms = [Atom(d, i) for i in np.argsort(ratios)[::-1][:top].tolist() if ratios[i] > 0.0]
+            scored[:0] = [(float(ratios[a.index]), a, chain[lat.leaf_slice(a)].copy())
+                          for a in atoms]
     scored.sort(key=lambda t: -t[0])
     witnesses = []
     for _, atom, values in scored[:top]:
@@ -175,8 +193,9 @@ def positive_operator_testing(
     p_prime = conjugate(p)  # checks p
     lat = alpha.lattice
     child_terms = alpha._flat * mu.flat_mass[:lat.n_internal, None]
-    b = _sup(_cut_ratios(lat, child_terms, p, nu.leaf_mass, mu.flat_mass), p)
-    del child_terms  # freed before the adjoint walk
-    parent_terms = _edge_terms_adjoint(alpha._flat, nu.flat_mass[1:])
-    b_star = _sup(_cut_ratios(lat, parent_terms, p_prime, mu.leaf_mass, nu.flat_mass), p_prime)
+    with _powers_of(p):
+        b = _sup(_cut_ratios(lat, child_terms, p, nu.leaf_mass, mu.flat_mass), p)
+        del child_terms  # freed before the adjoint walk
+        parent_terms = _edge_terms_adjoint(alpha._flat, nu.flat_mass[1:])
+        b_star = _sup(_cut_ratios(lat, parent_terms, p_prime, mu.leaf_mass, nu.flat_mass), p_prime)
     return b, b_star

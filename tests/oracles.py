@@ -150,10 +150,6 @@ def internal_atoms(lat: Lattice):
             yield Atom(d, i)
 
 
-def child_slot(lat: Lattice, child: Atom) -> int:
-    return child.index % lat.arity
-
-
 def beta_value(beta, atom: Atom, slot: int) -> float:
     return float(beta.level(atom.depth)[atom.index, slot])
 

@@ -224,9 +224,9 @@ def test_oversized_input_exits_2(tmp_path, capsys):
     assert main(["testing", "--instance", str(huge)]) == 2
     assert "mu" in capsys.readouterr().err
     # past some p the separation experiment's values, and the embedding's
-    # p-th powers, overflow: the error names p
+    # and the testing constants' powers, overflow: the error names p
     runs = [["counterexample", "--p", p, "--nmax", "3"] for p in ("2000", "1e16", "1e308")]
-    for argv in runs + [["embedding", "--p", "1e308"]]:
+    for argv in runs + [["embedding", "--p", "1e308"], ["testing", "--p", "1e308", "--q", "2"]]:
         assert main(argv) == 2
         assert f"p={float(argv[2])} is too large" in capsys.readouterr().err
 

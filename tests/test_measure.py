@@ -148,6 +148,10 @@ def test_instance_rejects_malformed():
     for bad_f in ({"a": 1}, [[1], [1, 2]], [1, 2, 3]):
         with pytest.raises(InstanceFormatError, match="'f'"):
             instance_from_json(json.dumps({**good, "f": bad_f}))
+    # sizes are JSON integers: no truncated floats, no booleans
+    for key, bad in (("arity", 2.7), ("depth", 2.9), ("depth", True)):
+        with pytest.raises(InstanceFormatError, match=f"'{key}'"):
+            instance_from_json(json.dumps({**good, key: bad}))
 
 
 def test_generator_determinism_and_sparsity():

@@ -332,6 +332,32 @@ def test_generations_equal_the_set_based_scans():
             )
 
 
+def test_exhausted_members_takes_plain_pairs():
+    """Members, selected atoms and top may be plain (depth, index) pairs, as
+    at every other stopping entry point; the result is a set of atoms."""
+    lat = build_lattice(3, 3)
+    atoms = list(lat.atoms())
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        members = [tuple(a) for a in atoms if rng.random() < 0.5]
+        selected = [tuple(atoms[k]) for k in rng.choice(len(atoms), 3, replace=False).tolist()]
+        top = tuple(atoms[int(rng.integers(lat.offsets[2]))])
+        got = exhausted_members(lat, members, selected, top)
+        assert got == naive_exhausted_members(
+            lat, [Atom(*a) for a in members], [Atom(*s) for s in selected], Atom(*top)
+        )
+        assert all(type(a) is Atom for a in got)
+
+
+def test_exhausted_members_rejects_atoms_outside_the_lattice():
+    lat = build_lattice(2, 2)
+    for members, selected, top in (([Atom(1, 0), Atom(5, 0)], [], lat.root),
+                                   ([Atom(1, 0)], [], Atom(0, 5)),
+                                   ([Atom(1, 0)], [Atom(2, 7)], lat.root)):
+        with pytest.raises(ValueError, match="not in lattice"):
+            exhausted_members(lat, members, selected, top)
+
+
 def outcome(fn, *args, view=forest_layout):
     try:
         return view(fn(*args))
