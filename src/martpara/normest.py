@@ -30,14 +30,20 @@ fewer (``_CANDIDATE_VALUES``).
 grid on the unit sphere, sign patterns included, no optimization.  It ranks
 the grid points by the p-th power of the ratio and returns the ratio of each
 block's best point recomputed from scratch, so its value too is a sound
-lower bound.  The ranking is a trig-quadratic scan: with every angle but the
-last one (t) fixed, each squared output under each sign pattern is a
+lower bound.  The ranking is a trig-polynomial scan: with every angle but
+the last one (t) fixed, each squared output under each sign pattern is a
 quadratic form in (cos t, sin t), so two matrix products score a block of
-directions under every pattern.  At the fixed resolution, 1e-2, the grid of
-a 4-leaf operator has 159^3 directions times up to 8 sign patterns, about
-0.03-0.4 s on one core of a 2-core machine (the 24 operators of the
-acceptance battery: about 1.3 s).  A block holds at most ``_GRID_VALUES`` =
-2^16 values (form rows times directions), so the scan needs about 1 MB.
+directions under every pattern.  Where the power after that square is 2
+(p = 4; the vector kind at (4, 2) or q = 4; the shifted kind at r = 4) the
+forms are squared on their coefficients, into quartic forms, and the nu
+weights or the chain membership fold in after it; the 4-leaf vector kind at
+(4, 2) then scans one form row per sign pattern instead of six.  At the
+fixed resolution, 1e-2, the grid of a 4-leaf operator has 159^3 directions
+times up to 8 sign patterns, about 0.03-0.15 s on one core of a 2-core
+machine where every power folds in, up to about 2 s where the scan takes a
+power of neither 1 nor 2 (the 24 operators of the acceptance battery: about
+0.9 s in all).  A block holds at most ``_GRID_VALUES`` = 2^16 values (form
+rows times directions), so the scan needs about 1 MB.
 """
 
 from __future__ import annotations
@@ -472,31 +478,31 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
 # brute-force oracle on tiny instances
 # ---------------------------------------------------------------------------
 
-_GRID_VALUES = 1 << 16  # values per block of the grid scan: (form rows + 1 for den^p) x directions
+#: values per block of the grid scan, (form rows + 1 for den^p) x directions,
+#: the rows counted after the folds (8 for a 4-leaf vector kind at (4, 2):
+#: one per sign pattern, so a block holds 45 prefixes); the scan's buffers
+#: take about 1 MB, and the battery's 24 operators scan in about 0.9 s
+_GRID_VALUES = 1 << 16
 _GRID_RESOLUTION = 1e-2  # angle step of the grid
 
 
-def _pair_fold(n: int) -> np.ndarray:
-    """(n * n, n (n + 1) / 2) 0/1 matrix adding the entries (i, j) and (j, i)
-    of a flattened n x n array into pair i <= j, pairs in row-major order."""
-    iu, ju = np.triu_indices(n)
-    fold = np.zeros((n, n, len(iu)))
-    fold[iu, ju, np.arange(len(iu))] = 1.0
-    fold[ju, iu, np.arange(len(iu))] = 1.0
-    return fold.reshape(n * n, -1)
-
-
-def _square_forms(signed: np.ndarray) -> np.ndarray:
-    """Squares of the rows of ``signed @ x`` on x = (u_0, ..., u_{k-3},
-    u_{k-2} cos t, u_{k-2} sin t), as forms: shape (rows, prefix pairs, 6),
-    the coefficients of u_i u_j (i <= j, row-major) times the trig basis
-    (1, cos t, sin t, cos^2 t, cos t sin t, sin^2 t)."""
-    n_rows, k = signed.shape
-    lin = np.zeros((n_rows, k - 1, 3))  # each row, linear in u and in (1, cos t, sin t)
-    lin[:, :k - 2, 0] = signed[:, :k - 2]
-    lin[:, k - 2, 1:] = signed[:, k - 2:]
-    outer = (lin[:, :, None, :, None] * lin[:, None, :, None, :]).reshape(n_rows, (k - 1) ** 2, 9)
-    return _pair_fold(k - 1).T @ outer @ _pair_fold(3)
+def _product_fold(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Products of two monomials, as monomials.  For the n monomials whose
+    exponents are the rows of ``exps``, returns the (n * n, m) 0/1 matrix that
+    adds the product of monomials i and j (row i * n + j) into the monomial of
+    their summed exponents, the m summed exponents in the order they first
+    appear, and for each the first pair (i, j) that makes it.  On the n
+    variables themselves (``exps`` the identity) these are the pairs i <= j
+    in row-major order."""
+    n = len(exps)
+    sums = (exps[:, None, :] + exps[None, :, :]).reshape(n * n, -1)
+    _, first, inverse = np.unique(sums, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    fold = np.zeros((n * n, len(first)))
+    fold[np.arange(n * n), rank[inverse.reshape(-1)]] = 1.0
+    first = np.sort(first)
+    return fold, sums[first], first // n, first % n
 
 
 def _operator_matrix(op: OperatorHandle, alive_idx: np.ndarray):
@@ -522,14 +528,18 @@ def grid_oracle_norm(op: OperatorHandle) -> float:
 
     The scan ranks the grid points by num^p / den^p, which orders them as the
     ratio does.  With the first k - 2 angles (a prefix) fixed and t the last
-    one, every squared output under every sign pattern is a form in
-    (1, cos t, sin t, cos^2 t, cos t sin t, sin^2 t) whose coefficients are
-    linear in the prefix products u_i u_j (``_square_forms``); where the
-    power after the square is 1 (p = 2, or q = 2 for the vector kind) the
-    linear map that follows (nu weights or chain membership) is folded into
-    the forms.  A block of prefixes takes one product with the forms and one
-    with the trig basis, in a buffer of at most ``_GRID_VALUES`` values;
-    den^p is a per-prefix constant plus sigma^p (w cos^p t + w' sin^p t).
+    one, every squared output under every sign pattern is a form in the trig
+    monomials of degree 2 in (1, cos t, sin t) whose coefficients are linear
+    in the prefix monomials of degree 2 (u_i u_j, sigma included), the
+    square taken on the coefficients (``_product_fold``).  The steps after
+    the square, a power and then a linear map (nu weights, or first the
+    chain membership for the vector kind), fold into the forms in order
+    while the power is 1; the first power 2 squares the forms once more,
+    into degree 4 in both sets of monomials, before its map folds in.  The
+    steps left act on the scanned values.  A block of prefixes takes one
+    product with the forms and one with the trig basis, in a buffer of at
+    most ``_GRID_VALUES`` values; den^p is a per-prefix constant plus
+    sigma^p (w cos^p t + w' sin^p t).
     The returned value is the ratio of each block's best point, rebuilt from
     the left-to-right direction products and recomputed by ``ratios``,
     maximised over the blocks, so it is a sound lower bound.
@@ -574,25 +584,54 @@ def grid_oracle_norm(op: OperatorHandle) -> float:
             patterns.append(s)
         signs = np.array(patterns).T  # (k, n_pat)
     n_pat = signs.shape[1]
-    iu, ju = np.triu_indices(k - 1)
 
     # The forms of every (output, pattern) row, laid out (output, prefix
-    # pair, pattern x basis) so that each linear map after a power is one
-    # matrix product.  The operator is scaled by a power of two so that the
-    # squares stay in range, which leaves the order of the points as it is.
+    # monomial, pattern, trig monomial) so that each linear map over the
+    # outputs is one matrix product.  They start linear in the prefix
+    # coordinates (u_0, ..., u_{k-3}, sigma) and in (1, cos t, sin t).  The
+    # operator is scaled by a power of two so that the squares stay in
+    # range, which leaves the order of the points as it is.
     scale = np.ldexp(1.0, -np.frexp(np.abs(mat).max())[1])
-    signed = ((scale * mat)[:, None, :] * signs.T).reshape(-1, k)
-    forms = _square_forms(signed).reshape(len(mat), n_pat, -1, 6).transpose(0, 2, 1, 3)
-    forms = forms.reshape(len(mat), -1)
+    signed = (scale * mat)[:, None, :] * signs.T  # (output, pattern, leaf)
+    forms = np.zeros((len(mat), k - 1, n_pat, 3))
+    forms[:, :k - 2, :, 0] = signed[:, :, :k - 2].transpose(0, 2, 1)
+    forms[:, k - 2, :, 1:] = signed[:, :, k - 2:]
+    exps = [np.eye(k - 1, dtype=np.int64), np.eye(3, dtype=np.int64)]
+    pairs = [[], []]  # per square and side, the pairs whose products are the new monomials
+
+    def square(forms: np.ndarray) -> np.ndarray:
+        """The squares of the forms, on the monomials of twice the degree."""
+        n, m, _, t = forms.shape
+        folds = []
+        for side in (0, 1):
+            fold, exps[side], i, j = _product_fold(exps[side])
+            folds.append(fold)
+            pairs[side].append((i, j))
+        outer = forms[:, :, None, :, :, None] * forms[:, None, :, :, None, :]
+        outer = (folds[0].T @ outer.reshape(n, m * m, -1)).reshape(-1, t * t) @ folds[1]
+        return outer.reshape(n, len(exps[0]), n_pat, len(exps[1]))
+
+    # Square, then fold the steps after the square into the forms in order:
+    # a power 1 leaves its linear map to fold in, and the first power 2
+    # squares the forms once more before its map folds in.  The steps left
+    # act on the scanned values.
+    forms = square(forms)
     if op.kind == "vector_paraproduct":
         after = [(op.q / 2.0, membership), (p / op.q, v[None, :])]
     else:
         after = [(p / 2.0, v[None, :])]
-    if after[0][0] == 1.0:  # no power between the square and its linear map: fold the map in
-        forms = after.pop(0)[1] @ forms
+    squared = False
+    while after and (after[0][0] == 1.0 or (after[0][0] == 2.0 and not squared)):
+        power, lin = after.pop(0)
+        if power == 2.0:
+            forms, squared = square(forms), True
+        forms = (lin @ forms.reshape(len(forms), -1)).reshape(len(lin), *forms.shape[1:])
     n_rows = len(forms) * n_pat
-    forms = forms.reshape(len(forms), len(iu), n_pat * 6)
-    basis = np.stack([np.ones(npts), cos_t, sin_t, cos_t * cos_t, cos_t * sin_t, sin_t * sin_t])
+    n_terms = len(exps[1])
+    forms = forms.reshape(len(forms), len(exps[0]), n_pat * n_terms)
+    basis = np.stack([np.ones(npts), cos_t, sin_t])
+    for left, right in pairs[1]:
+        basis = basis[left] * basis[right]
     den_tail = w[k - 2] * cos_t ** p + w[k - 1] * sin_t ** p
 
     # Directions in C order over the k - 1 angles.  A block is a run of
@@ -613,8 +652,11 @@ def grid_oracle_norm(op: OperatorHandle) -> float:
             u[a] = sin_prod * cos_t[i_a]
             sin_prod = sin_prod * sin_t[i_a]
         u[k - 2] = sin_prod
+        mono = u
+        for left, right in pairs[0]:
+            mono = mono[left] * mono[right]
         vals = buf[:len(pre) * n_rows * npts].reshape(-1, npts)
-        np.matmul(((u[iu] * u[ju]).T @ forms).reshape(-1, 6), basis, out=vals)
+        np.matmul((mono.T @ forms).reshape(-1, n_terms), basis, out=vals)
         vals = vals.reshape(len(forms), -1)
         for power, lin in after:
             if power == 2.0:  # np.square: about 3x faster than np.power(., 2.0)

@@ -242,19 +242,46 @@ def assert_matches_naive_grid(op):
 # every kind on the 2- and 3-leaf instances, two 4-leaf operators (the naive
 # 4-leaf scans take 0.5-5 s each, so only two of the twelve), and on 2a and
 # 3u the exponents whose power after the square is not 1: p = 3, and
-# (p, q) = (3, 1.5) for the vector kind
+# (p, q) = (3, 1.5) for the vector kind, which run numerically after the
+# square; p = 4 for the positive kind and the paraproduct, whose forms are
+# squared; and for the vector kind (4, 4), squared before the membership
+# fold, and (6, 4), squared and then raised to 1.5
+_SMALL = [(label, op) for label, op in _tiny_operators() if label.split("/")[0] in ("2a", "3u")]
 _AGREEMENT_OPS = [
     (label, op) for label, op in _tiny_operators()
     if label.split("/")[0] in ("2u", "2a", "3u") or label in ("2x2z/positive", "4a/paraproduct")
 ] + [
     (f"{label}/p3", replace(op, p=3.0, q=1.5) if op.kind == "vector_paraproduct" else replace(op, p=3.0))
-    for label, op in _tiny_operators() if label.split("/")[0] in ("2a", "3u")
+    for label, op in _SMALL
+] + [
+    (f"{label}/p4", replace(op, p=4.0))
+    for label, op in _SMALL if op.kind in ("positive", "paraproduct")
+] + [
+    (f"{label}/p{p:g}q4", replace(op, p=p, q=4.0))
+    for label, op in _SMALL if op.kind == "vector_paraproduct" for p in (4.0, 6.0)
 ]
 
 
 @pytest.mark.parametrize("label,op", _AGREEMENT_OPS, ids=[label for label, _ in _AGREEMENT_OPS])
 def test_grid_oracle_matches_naive_scan(label, op):
     assert_matches_naive_grid(op)
+
+
+@pytest.mark.parametrize("label", ["2a", "2x2z"])
+@pytest.mark.parametrize("kind", ["vector_paraproduct", "paraproduct"])
+def test_grid_oracle_scales_with_the_measures(label, kind):
+    """Scaling nu by t scales the oracle by t^(1/p), and scaling mu by t
+    scales it by t^(-1/p), far out in the floating-point range."""
+    _, lat, mu, nu, beta = next(inst for inst in _tiny_instances() if inst[0] == label)
+    p = 4.0
+    base = grid_oracle_norm(OperatorHandle.from_beta(kind, beta, p, 2.0, mu, nu))
+    for t in (1e-250, 1e250):
+        scaled = Measure(lat, t * nu.leaf_mass)
+        got = grid_oracle_norm(OperatorHandle.from_beta(kind, beta, p, 2.0, mu, scaled))
+        assert got == pytest.approx(base * t ** (1.0 / p), rel=1e-14, abs=0.0), ("nu", t)
+        scaled = Measure(lat, t * mu.leaf_mass)
+        got = grid_oracle_norm(OperatorHandle.from_beta(kind, beta, p, 2.0, scaled, nu))
+        assert got == pytest.approx(base * t ** (-1.0 / p), rel=1e-14, abs=0.0), ("mu", t)
 
 
 @pytest.mark.parametrize("mu_leaf", [[0.4, 0.0, 0.8, 0.6], [0.0, 0.0, 0.5, 0.0]])

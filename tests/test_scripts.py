@@ -4,25 +4,55 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_explore_norms(*flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "explore_norms.py"), *flags],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def test_explore_norms_runs():
     """The one script without a CLI twin runs end to end (it calls
     ``necessity_report``, so the norm ascent and its gradient)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "explore_norms.py"), "--trials", "1",
-         "--depth", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_explore_norms("--trials", "1", "--depth", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["seed", "B", "B*", "A_est", "B/A", "B*/(cA^q)"]
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("flags,names", [
+    (["--p", "1.5", "--q", "2"], "r = p/q"),
+    (["--p", "4", "--q", "4"], "r = p/q"),
+    (["--p", "nan"], "p must"),
+    (["--q", "inf"], "q must"),
+    (["--depth", "0"], "depth"),
+    (["--arity", "1"], "arity"),
+    (["--trials", "-3"], "trials"),
+    (["--trials", "0"], "trials"),
+])
+def test_explore_norms_rejects_flags_it_cannot_run(flags, names, capsys):
+    """One error line naming the flag, exit 2, and nothing on stdout: no
+    header first, no traceback."""
+    assert _load_script("explore_norms").main(["--depth", "2", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and names in err and err.count("\n") == 1, err
+
+
+def test_explore_norms_exits_2_on_bad_flags():
+    proc = run_explore_norms("--p", "4", "--q", "4")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: r = p/q must be a finite number > 1, got p=4.0, q=4.0\n"
 
 
 def _load_script(name):
