@@ -24,7 +24,7 @@ from .instances import (
     save_instance,
 )
 from .measure import conjugate, lp_norm
-from .normest import KINDS, AscentConfig, OperatorHandle, norm_lower_bound
+from .normest import KINDS, AscentConfig, OperatorHandle, necessity_report, norm_lower_bound
 from .stopping import (
     carleson_constant,
     carleson_embedding_check,
@@ -82,6 +82,23 @@ def cmd_norm(args: argparse.Namespace) -> int:
         "converged": est.converged,
     }
     _emit(json.dumps(payload, indent=1) + "\n", args.out)
+    return 0
+
+
+def cmd_necessity(args: argparse.Namespace) -> int:
+    cfg = AscentConfig(starts=8, max_iter=40, ascend_top=4, seed=args.seed)
+    lines = ["instance,p,q,B,Bstar,A,B/A,Bstar/(cA^q)"]
+    for t in range(args.trials):
+        seed = args.seed + t
+        inst = generate_random_instance(args.arity, args.depth, seed=seed, mu_sparsity=0.0)
+        rep = necessity_report(inst.beta, args.p, args.q, inst.mu, inst.nu, cfg)
+        a = rep.norm_estimate.value
+        ratios = (0.0, 0.0)
+        if a > 0:
+            ratios = (rep.b_direct / a, rep.b_adjoint / (rep.factor * a ** args.q))
+        values = (args.p, args.q, rep.b_direct, rep.b_adjoint, a) + ratios
+        lines.append(",".join([f"seed{seed}"] + [_fmt(v) for v in values]))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -204,9 +221,17 @@ _COMMANDS = {
                        ("--p", "--r", "--nmax", "--out")),
     "embedding": (cmd_embedding, "run embedding trials, emit CSV",
                   _INSTANCE + ("--p", "--tol", "--trials", "--out")),
+    "necessity": (cmd_necessity, "compare testing constants with norm estimates, emit CSV",
+                  ("--arity", "--depth", "--seed", "--p", "--q", "--trials", "--out")),
     "suite": (cmd_suite, "run the full acceptance battery", ("--quick", "--out")),
     "generate": (cmd_generate, "write a random instance file",
                  ("--arity", "--depth", "--sparsity", "--seed", "--out")),
+}
+# defaults in place of the shared ones: counterexample needs p > 2 (4 is the
+# exponent of criterion 1), necessity p > q
+_DEFAULTS = {
+    "counterexample": dict(p=4.0),
+    "necessity": dict(p=4.0, depth=4, trials=20),
 }
 
 
@@ -220,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
-        if name == "counterexample":
-            sp.set_defaults(p=4.0)  # it needs p > 2; 4 is the exponent of criterion 1
+        sp.set_defaults(**_DEFAULTS.get(name, {}))
     return parser
 
 

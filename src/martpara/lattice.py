@@ -109,6 +109,12 @@ class Lattice:
         """Start of every generation in the flat layout, and the total, n_atoms."""
         return tuple((self.arity ** d - 1) // (self.arity - 1) for d in range(self.depth + 2))
 
+    @cached_property
+    def flat_atoms(self) -> tuple[Atom, ...]:
+        """Every atom in the flat layout, one ``Atom`` per position, made on
+        first use so that code turning flat positions into atoms reuses them."""
+        return tuple(self.atoms())
+
     @property
     def n_internal(self) -> int:
         return self.offsets[self.depth]

@@ -206,6 +206,14 @@ class AscentConfig:
     ascend_top: Optional[int] = None          # ascend only the best k starts
     extra_starts: Sequence[np.ndarray] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        counts = {"starts": self.starts, "max_iter": self.max_iter}
+        if self.ascend_top is not None:
+            counts["ascend_top"] = self.ascend_top
+        for name, value in counts.items():
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
 
 @dataclass
 class NormEstimate:

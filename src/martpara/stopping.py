@@ -92,9 +92,8 @@ def _positions(lat: Lattice, atoms: Iterable[Atom]) -> np.ndarray:
 
 def _atoms(lat: Lattice, positions: np.ndarray) -> list[Atom]:
     """The atoms at flat positions, in the order given."""
-    off = np.asarray(lat.offsets)
-    depth = np.searchsorted(off, positions, side="right") - 1
-    return list(map(Atom, depth.tolist(), (positions - off[depth]).tolist()))
+    table = lat.flat_atoms
+    return [table[k] for k in positions.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def _sweep(lat: Lattice, seeds: list[Atom], avgs=None, pick=None):
             own[picked] = np.arange(len(tops), len(tops) + picked.size)
             source.append(inherited[picked])
             top_avg = np.concatenate([top_avg, avgs[off[d] + picked]])
-            tops.extend(Atom(d, i) for i in picked.tolist())
+            tops.extend(_atoms(lat, off[d] + picked))
     return owner, tops, np.concatenate(source), top_avg
 
 

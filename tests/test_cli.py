@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from martpara.cli import main
+from martpara.cli import _COMMANDS, main
 from martpara.instances import generate_random_instance, load_instance, save_instance
 
 
@@ -42,6 +42,7 @@ GOLDEN = {
         f"norm_{kind}": ["norm", "--depth", "2", "--p", "4", "--q", "2", "--kind", kind]
         for kind in ("vector_paraproduct", "shifted", "positive", "paraproduct")
     },
+    "necessity_trials3": ["necessity", "--trials", "3"],
 }
 
 
@@ -50,6 +51,12 @@ def test_cli_output_is_byte_identical(name, capsys):
     code = main(GOLDEN[name])
     got = f"exit {code}\n".encode() + capsys.readouterr().out.encode()
     assert got == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+def test_every_subcommand_has_a_golden():
+    """Byte identity covers every subcommand: ``suite`` is pinned by its
+    SHA-256 and ``generate`` by its round trip."""
+    assert {argv[0] for argv in GOLDEN.values()} == set(_COMMANDS) - {"suite", "generate"}
 
 
 def test_suite_quick_stdout_is_pinned(capsys):
@@ -109,6 +116,59 @@ def test_testing_csv_recomputable_from_instance(tmp_path, capsys):
     inst = load_instance(path)
     assert float(row[3]) == direct_testing(inst.beta, 4.0, 2.0, inst.mu, inst.nu)
     assert float(row[4]) == adjoint_testing(inst.beta, 4.0, 2.0, inst.mu, inst.nu)
+
+
+def test_necessity_csv_recomputable_from_instances(capsys):
+    """Every emitted value must match ``necessity_report`` on the same seeded
+    instances and ascent settings; the ratios are B/A and B*/(4p/(p-q) A^q)."""
+    from martpara import AscentConfig, necessity_report
+
+    code, out = run_cli(["necessity", "--arity", "3", "--depth", "2", "--seed", "5",
+                         "--trials", "2", "--p", "3", "--q", "2"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "instance,p,q,B,Bstar,A,B/A,Bstar/(cA^q)"
+    assert len(lines) == 3
+    cfg = AscentConfig(starts=8, max_iter=40, ascend_top=4, seed=5)
+    for t, line in enumerate(lines[1:]):
+        label, *values = line.split(",")
+        inst = generate_random_instance(3, 2, seed=5 + t, mu_sparsity=0.0)
+        rep = necessity_report(inst.beta, 3.0, 2.0, inst.mu, inst.nu, cfg)
+        a = rep.norm_estimate.value
+        assert a > 0
+        want = [3.0, 2.0, rep.b_direct, rep.b_adjoint, a,
+                rep.b_direct / a, rep.b_adjoint / (rep.factor * a ** 2.0)]
+        assert label == f"seed{5 + t}"
+        assert [float(v) for v in values] == want
+
+
+def test_necessity_ratios_are_zero_where_the_estimate_is(monkeypatch, capsys):
+    from martpara import cli
+
+    real = cli.necessity_report
+
+    def zero_estimate(*args):
+        rep = real(*args)
+        rep.norm_estimate.value = 0.0
+        return rep
+
+    monkeypatch.setattr(cli, "necessity_report", zero_estimate)
+    code, out = run_cli(["necessity", "--depth", "2", "--trials", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].endswith(",0.0,0.0,0.0")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--p", "1.5", "--q", "2"], "r = p/q must be a finite number > 1, got p=1.5, q=2.0"),
+    (["--p", "4", "--q", "4"], "r = p/q must be a finite number > 1, got p=4.0, q=4.0"),
+    (["--depth", "0"], "depth must be in [1, 16], got 0"),
+    (["--arity", "1"], "arity must be >= 2, got 1"),
+], ids=["p1.5-q2", "p4-q4", "depth0", "arity1"])
+def test_necessity_rejects_flags_it_cannot_run(flags, message, capsys):
+    """One error line naming the flag, exit 2, and nothing on stdout: no
+    header first, no traceback."""
+    assert main(["necessity", "--trials", "2", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_testing_determinism(capsys):
@@ -248,6 +308,7 @@ _EXPECTED = {"--tol": "a finite number >= 0", "--trials": "an integer >= 1"}
         ("testing", "--p"), ("testing", "--q"), ("norm", "--p"), ("norm", "--q"),
         ("mirror", "--p"), ("counterexample", "--p"), ("embedding", "--p"),
         ("embedding", "--tol"), ("testing", "--trials"), ("embedding", "--trials"),
+        ("necessity", "--p"), ("necessity", "--q"), ("necessity", "--trials"),
     ]
     for value in ["nan", "inf", "-inf", "1e400", "two"]
     + {"--tol": ["-1"], "--trials": ["-1", "0", "1.5"]}.get(flag, [])

@@ -195,6 +195,20 @@ def test_oversized_start_batch_is_refused_before_it_is_built():
         norm_lower_bound(op, AscentConfig(starts=starts, max_iter=0))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("starts", -3), ("starts", -20), ("starts", 2.5), ("max_iter", -5), ("max_iter", None),
+    ("ascend_top", -1), ("ascend_top", 1.0),
+])
+def test_ascent_config_rejects_bad_counts(field, value):
+    """A negative or non-integer count names its field (``starts=-3`` used
+    to fail inside numpy, ``ascend_top=-1`` and ``max_iter=-5`` to skip the
+    ascent silently); zero counts and ``ascend_top=None`` stay valid."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got {value!r}$"):
+        AscentConfig(**{field: value})
+    AscentConfig(starts=0, max_iter=0, ascend_top=0)
+    AscentConfig(starts=np.int64(2), ascend_top=None)
+
+
 def test_certificate_start_of_wrong_shape_is_refused():
     """Certificate starts are written into rows of the start batch, so one of
     the wrong length must raise rather than broadcast across its row."""
