@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +172,21 @@ def test_necessity_rejects_flags_it_cannot_run(flags, message, capsys):
     header first, no traceback."""
     assert main(["necessity", "--trials", "2", *flags]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_necessity_exits_2_on_bad_flags():
+    """The process itself, not just ``main``, exits 2 on flags it cannot run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "martpara.cli", "necessity", "--p", "4", "--q", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: r = p/q must be a finite number > 1, got p=4.0, q=4.0\n"
 
 
 def test_testing_determinism(capsys):
