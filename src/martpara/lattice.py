@@ -17,6 +17,8 @@ import numpy as np
 MAX_DEPTH = 16
 #: largest arity**depth accepted; leaf arrays are allocated at this length
 MAX_LEAVES = 2 ** 24
+#: smallest arity at which ``np.add.reduce`` sums siblings pairwise
+PAIRWISE_ARITY = 8
 
 
 class Atom(NamedTuple):
@@ -97,11 +99,21 @@ class Lattice:
     # Per-generation data lives in one generation-major flat array: generation
     # 0 first, atom (d, i) at ``offsets[d] + i``, and each generation is a
     # view of it (``split``).  The children of the flat internal atoms are the
-    # flat non-root atoms in order, so a (..., n_internal, arity) reshape of
-    # the non-root part groups every atom's children along a trailing axis.
+    # flat non-root atoms in order, so every atom's children are one run of
+    # ``arity`` adjacent entries of the non-root part.
     # The kernels take and return flat arrays: ``sum_up`` fills the internal
     # generations bottom-up, and ``chain_sum`` adds a flat array of terms
     # from any first generation top-down along every leaf's ancestor chain.
+    # Every sibling sum goes through ``sibling_sums`` (``sum_up`` through
+    # ``_add_runs``) and has the bytes of ``np.add.reduce`` over a trailing
+    # axis of length arity.  Below arity 8 it adds the runs' k-th entries with
+    # arity - 1 strided ``np.add`` calls, at memory speed, where the reduce
+    # runs a short loop per run.  Both add left to right, but the reduce
+    # starts from +0.0, so siblings that are all -0.0 sum to 0.0: one
+    # ``+= 0.0`` per call gives that (in ``sum_up`` once over all the
+    # generations it filled, as a -0.0 sum changes no sum above it but its
+    # sign).  From arity 8 up the reduce sums pairwise, which strided adds do
+    # not reproduce, so it stays there.
     # Every kernel works on the trailing axis: leading axes are a batch of
     # independent rows, each row giving the same bytes as the call on it alone.
     @cached_property
@@ -133,14 +145,21 @@ class Lattice:
     def sum_up(self, internal: np.ndarray, leaves: np.ndarray, stop: int = 0) -> None:
         """Fill ``internal`` (..., n_internal) with the sums of ``leaves`` over
         the leaf block of every internal atom at generation ``stop`` or
-        deeper, bottom-up, siblings summed along a trailing axis of length
-        arity; the generations above ``stop`` are left as they are."""
-        off, lead = self.offsets, leaves.shape[:-1]
-        src = leaves
+        deeper, bottom-up, each generation the sibling sums of the one below;
+        the generations above ``stop`` are left as they are.
+
+        Below arity 8 the sums are strided adds and one ``+= 0.0`` over all
+        the generations filled gives them ``np.add.reduce``'s start from
+        +0.0 (a block of -0.0 sums to 0.0); from arity 8 up they are
+        ``np.add.reduce``'s pairwise sums.
+        """
+        off, src = self.offsets, leaves
         for d in range(self.depth - 1, stop - 1, -1):
             dst = internal[..., off[d]:off[d + 1]]
-            np.add.reduce(src.reshape(*lead, dst.shape[-1], self.arity), axis=-1, out=dst)
+            _add_runs(src, self.arity, dst)
             src = dst
+        if self.arity < PAIRWISE_ARITY:
+            internal[..., off[stop]:off[self.depth]] += 0.0
 
     def flat_sums(self, values: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
         """Flat (..., n_atoms) sums over every atom's leaf block of the leaf
@@ -186,6 +205,32 @@ class Lattice:
                 vals = terms[..., off[d] - base:off[d + 1] - base]
                 run = np.add(run, vals, out=run if d > first else None)
         return run
+
+
+def _add_runs(values: np.ndarray, arity: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sums of every run of ``arity`` adjacent entries along the trailing
+    axis of ``values``, into ``out`` if given: strided adds left to right
+    below arity 8, which may leave -0.0 where ``np.add.reduce`` gives 0.0,
+    and ``np.add.reduce`` from arity 8 up."""
+    if arity >= PAIRWISE_ARITY:
+        runs = values.reshape(*values.shape[:-1], values.shape[-1] // arity, arity)
+        return np.add.reduce(runs, axis=-1, out=out)
+    out = np.add(values[..., 0::arity], values[..., 1::arity], out=out)
+    for k in range(2, arity):
+        out += values[..., k::arity]
+    return out
+
+
+def sibling_sums(values: np.ndarray, arity: int) -> np.ndarray:
+    """Sums of every run of ``arity`` adjacent entries along the trailing
+    axis of ``values`` (every atom's children, in the flat layout), with the
+    bytes of ``np.add.reduce`` over a trailing axis of length ``arity``.
+    Float sums start from +0.0, so a run of -0.0 sums to 0.0; integer sums
+    are exact."""
+    out = _add_runs(values, arity)
+    if arity < PAIRWISE_ARITY and out.dtype.kind == "f":
+        out += 0.0
+    return out
 
 
 def build_lattice(arity: int, depth: int) -> Lattice:

@@ -64,10 +64,10 @@ def maximal_function(f, m: Measure) -> np.ndarray:
     lat, off = m.lattice, m.lattice.offsets
     avg = _averages(leaf_function(lat, f), m)
     np.abs(avg, out=avg)
-    cur = avg[:1]
-    for d in range(1, lat.depth + 1):
-        cur = np.maximum(np.repeat(cur, lat.arity), avg[off[d]:off[d + 1]])
-    return cur
+    for d in range(1, lat.depth + 1):  # top-down: each atom takes its parent's max
+        children = avg[off[d]:off[d + 1]].reshape(-1, lat.arity)
+        np.maximum(avg[off[d - 1]:off[d], None], children, out=children)
+    return avg[off[lat.depth]:]
 
 
 def rubio_de_francia(f, m: Measure, p: float, tol: float = 1e-12) -> np.ndarray:

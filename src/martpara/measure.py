@@ -49,6 +49,8 @@ class Measure:
         self.flat_mass = flat
         self.leaf_mass = flat[lattice.n_internal:]
         self.level_mass = lattice.split(flat)
+        #: whether some atom has mass 0 (or -0.0), where averages are 0
+        self.has_massless_atom = not bool((flat > 0.0).all())
 
     def mass(self, atom: Atom) -> float:
         atom = self.lattice.check_atom(atom)
@@ -98,9 +100,10 @@ def _integrals(f: np.ndarray, m: Measure) -> np.ndarray:
 def _per_mass(vals: np.ndarray, m: Measure) -> np.ndarray:
     """Flat values divided by the masses of their atoms, 0 on zero-mass
     atoms: the trailing axis starts at the root and may stop at any atom."""
-    n = vals.shape[-1]
+    mass = m.flat_mass[:vals.shape[-1]]
+    if not m.has_massless_atom:
+        return np.divide(vals, mass)
     out = np.zeros(vals.shape)
-    mass = m.flat_mass[:n]
     np.divide(vals, mass, out=out, where=mass > 0.0)
     return out
 

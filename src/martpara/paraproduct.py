@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .lattice import Atom, Lattice
+from .lattice import Atom, Lattice, sibling_sums
 from .measure import (
     Measure, _check_exponents, _leaf_rows, _parent_averages, _parent_integrals, _per_mass,
     leaf_function, lp_norm, safe_divide,
@@ -127,8 +127,9 @@ _MEAN_ZERO_RTOL = 1e-9  # tolerance of the Symbol check, relative to sum |b| nu
 def _mean_zero_excess(lvl: np.ndarray, child_mass: np.ndarray):
     """Per-atom integral of the component, its tolerance, and where the
     integral exceeds the tolerance (the check :class:`Symbol` applies)."""
-    sums = (lvl * child_mass).sum(axis=1)
-    caps = _MEAN_ZERO_RTOL * (np.abs(lvl) * child_mass).sum(axis=1)
+    arity = lvl.shape[-1]
+    sums = sibling_sums((lvl * child_mass).reshape(-1), arity)
+    caps = _MEAN_ZERO_RTOL * sibling_sums((np.abs(lvl) * child_mass).reshape(-1), arity)
     return sums, caps, np.abs(sums) > caps
 
 
@@ -207,8 +208,7 @@ def _edge_terms_adjoint(coeffs: np.ndarray, child_vals: np.ndarray) -> np.ndarra
     coefficients times the values attached to its children, summed over the
     children, flat (..., n_internal) from the flat values (..., n_atoms - 1)
     of the non-root atoms.  Leading axes of the values are a batch."""
-    return np.add.reduce(coeffs * child_vals.reshape(*child_vals.shape[:-1], *coeffs.shape),
-                         axis=-1)
+    return sibling_sums(coeffs.reshape(-1) * child_vals, coeffs.shape[-1])
 
 
 def _edge_chain(lat: Lattice, coeffs: np.ndarray, parent_vals: np.ndarray) -> np.ndarray:
@@ -295,9 +295,9 @@ def project_mean_zero(beta: EdgeCoefficients, nu: Measure) -> Symbol:
         lvl = beta.level(d)
         child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
         active = child_mass > 0
-        n_active = active.sum(axis=1, keepdims=True)
-        totals = child_mass.sum(axis=1)
-        means = safe_divide((lvl * child_mass).sum(axis=1), totals)
+        n_active = sibling_sums(active.reshape(-1).astype(np.intp), lat.arity)[:, None]
+        totals = nu.level_mass[d]  # the sibling sums of the child masses
+        means = safe_divide(sibling_sums((lvl * child_mass).reshape(-1), lat.arity), totals)
         out = np.where(active & (n_active > 1), lvl - means[:, None], lvl)
         out[active & (n_active == 1)] = 0.0
         bad = _mean_zero_excess(out, child_mass)[2]
@@ -306,7 +306,7 @@ def project_mean_zero(beta: EdgeCoefficients, nu: Measure) -> Symbol:
             c, m, act = lvl[rows], child_mass[rows], active[rows]
             ref = c[np.arange(len(rows)), m.argmax(axis=1)]
             dev = np.where(act, c - ref[:, None], 0.0)
-            dbar = (dev * m).sum(axis=1) / totals[rows]
+            dbar = sibling_sums((dev * m).reshape(-1), lat.arity) / totals[rows]
             out[rows] = np.where(act, dev - dbar[:, None], c)
         levels.append(out)
     return Symbol(EdgeCoefficients(lat, levels), nu)

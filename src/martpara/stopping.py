@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lattice import Atom, Lattice
+from .lattice import Atom, Lattice, sibling_sums
 from .measure import (
     Measure,
     REL_TOL,
@@ -382,8 +382,7 @@ def _carleson_sup(weights: np.ndarray, mu: Measure) -> float:
     totals = np.zeros(lat.n_atoms)
     totals[:weights.size] = weights
     for d in range(lat.depth - 1, -1, -1):
-        below = totals[off[d + 1]:off[d + 2]].reshape(-1, lat.arity)
-        totals[off[d]:off[d + 1]] += below.sum(axis=1)
+        totals[off[d]:off[d + 1]] += sibling_sums(totals[off[d + 1]:off[d + 2]], lat.arity)
     mass = mu.flat_mass
     if np.any((mass == 0.0) & (totals > 0.0)):
         return math.inf

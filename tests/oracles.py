@@ -30,6 +30,7 @@ from martpara.normest import (
     _project,
 )
 from martpara.paraproduct import (
+    _MEAN_ZERO_RTOL,
     NonnegativeCoefficients,
     pairing,
     positive_apply,
@@ -107,6 +108,73 @@ def naive_edge_terms_adjoint(levels, child_vals) -> list[np.ndarray]:
     return [
         (c * w.reshape(*w.shape[:-1], *c.shape)).sum(axis=-1) for c, w in zip(levels, child_vals)
     ]
+
+
+def naive_mean_zero_excess(lvl, child_mass):
+    """Per-atom integral of a component level (n, arity) against the child
+    masses (n, arity), its tolerance, and where the integral exceeds it."""
+    sums = (lvl * child_mass).sum(axis=1)
+    caps = _MEAN_ZERO_RTOL * (np.abs(lvl) * child_mass).sum(axis=1)
+    return sums, caps, np.abs(sums) > caps
+
+
+def naive_symbol_error(lat: Lattice, levels, nu: Measure):
+    """The message of the first atom whose component is not nu-mean-zero,
+    or None: the check ``Symbol`` applies, one generation at a time."""
+    for d, lvl in enumerate(levels):
+        sums, caps, bad = naive_mean_zero_excess(lvl, nu.level_mass[d + 1].reshape(-1, lat.arity))
+        if np.any(bad):
+            i = int(np.nonzero(bad)[0][0])
+            return (f"symbol is not mean-zero at atom ({d}, {i}): "
+                    f"integral {sums[i]:.3e} exceeds tolerance {caps[i]:.3e}")
+    return None
+
+
+def naive_project_mean_zero(lat: Lattice, levels, nu: Measure) -> list[np.ndarray]:
+    """The corrected levels of ``project_mean_zero``, one generation at a
+    time, every per-atom sum one ``.sum(axis=1)``."""
+    out_levels = []
+    for d, lvl in enumerate(levels):
+        child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
+        active = child_mass > 0
+        n_active = active.sum(axis=1, keepdims=True)
+        totals = child_mass.sum(axis=1)
+        means = safe_divide((lvl * child_mass).sum(axis=1), totals)
+        out = np.where(active & (n_active > 1), lvl - means[:, None], lvl)
+        out[active & (n_active == 1)] = 0.0
+        bad = naive_mean_zero_excess(out, child_mass)[2]
+        if np.any(bad):
+            rows = np.nonzero(bad)[0]
+            c, m, act = lvl[rows], child_mass[rows], active[rows]
+            ref = c[np.arange(len(rows)), m.argmax(axis=1)]
+            dev = np.where(act, c - ref[:, None], 0.0)
+            dbar = (dev * m).sum(axis=1) / totals[rows]
+            out[rows] = np.where(act, dev - dbar[:, None], c)
+        out_levels.append(out)
+    return out_levels
+
+
+def naive_carleson_sup(lat: Lattice, weights: np.ndarray, mu: Measure) -> float:
+    """``_carleson_sup``: every atom's total is its own weight plus the sum
+    of its children's totals, one generation at a time."""
+    flat = np.zeros(lat.n_atoms)
+    flat[:weights.size] = weights
+    totals = lat.split(flat)
+    for d in range(lat.depth - 1, -1, -1):
+        totals[d] += totals[d + 1].reshape(-1, lat.arity).sum(axis=1)
+    if np.any((mu.flat_mass == 0.0) & (flat > 0.0)):
+        return math.inf
+    return float(safe_divide(flat, mu.flat_mass).max())
+
+
+def naive_maximal_levels(lat: Lattice, f, m: Measure) -> np.ndarray:
+    """``maximal_function``: the running max of |average| spread down one
+    generation at a time."""
+    avgs = naive_atom_averages(f, m)
+    cur = np.abs(avgs[0])
+    for d in range(1, lat.depth + 1):
+        cur = np.maximum(np.repeat(cur, lat.arity), np.abs(avgs[d]))
+    return cur
 
 
 def naive_edge_levels(op) -> list[np.ndarray]:

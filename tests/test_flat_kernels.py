@@ -1,39 +1,74 @@
 """The flat kernels give, byte for byte, the per-generation kernels they
-replaced (``naive_*`` in ``oracles.py``): on 1-D and batched rows, arity 2-5,
-zero masses and signed zeros."""
+replaced (``naive_*`` in ``oracles.py``): on 1-D and batched rows, arity 2-9
+(sibling sums by strided adds below arity 8, pairwise from 8 up), zero and
+-0.0 masses and signed zeros.  A guard keeps every sibling sum in the one
+kernel."""
+
+import ast
+import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from martpara import EdgeCoefficients, Measure, atom_averages, atom_integrals, build_lattice
-from martpara.paraproduct import _edge_terms, _edge_terms_adjoint
+import martpara
+from martpara import (
+    EdgeCoefficients,
+    Measure,
+    Symbol,
+    atom_averages,
+    atom_integrals,
+    build_lattice,
+    maximal_function,
+    project_mean_zero,
+)
+from martpara.lattice import sibling_sums
+from martpara.measure import _per_mass, safe_divide
+from martpara.paraproduct import _edge_terms, _edge_terms_adjoint, _mean_zero_excess
+from martpara.stopping import _carleson_sup
 
 from oracles import (
     naive_atom_averages,
     naive_atom_integrals,
     naive_block_sums,
+    naive_carleson_sup,
     naive_chain_sum,
     naive_edge_terms,
     naive_edge_terms_adjoint,
+    naive_maximal_levels,
+    naive_mean_zero_excess,
+    naive_project_mean_zero,
+    naive_symbol_error,
 )
 
 VALUES = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e150]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e150, 2.0 ** 53]),
 )
+#: leaf masses with zeros and -0.0, or all positive (no massless atom)
+MASSES = st.sampled_from([[0.0, -0.0, 0.25, 1.0, 3.5], [0.25, 1.0, 3.5]])
+
+
+def edge_levels(data, lat) -> list[np.ndarray]:
+    """Per-generation edge coefficients (level_size(d), arity)."""
+    return [data.draw(hnp.arrays(float, (lat.level_size(d), lat.arity), elements=VALUES))
+            for d in range(lat.depth)]
 
 
 @st.composite
 def cases(draw):
-    """(lattice, measure, lead shape, leaf rows): masses with zeros, rows
-    with signed zeros, no batch axis or one of 0-4 rows."""
-    arity = draw(st.integers(2, 5))
+    """(lattice, measure, lead shape, leaf rows): masses with or without
+    zeros, rows with signed zeros or all -0.0, no batch axis or one of 0-4
+    rows; the depth is capped so that a tree has at most 81 leaves."""
+    arity = draw(st.integers(2, 9))
     depth = draw(st.integers(1, 3 if arity < 5 else 2))
     lat = build_lattice(arity, depth)
-    mass = draw(hnp.arrays(float, lat.n_leaves, elements=st.sampled_from([0.0, 0.25, 1.0, 3.5])))
+    mass = draw(hnp.arrays(float, lat.n_leaves, elements=st.sampled_from(draw(MASSES))))
     lead = draw(st.sampled_from([(), (1,), (3,), (0,), (4,)]))
-    x = draw(hnp.arrays(float, (*lead, lat.n_leaves), elements=VALUES))
+    x = draw(st.one_of(hnp.arrays(float, (*lead, lat.n_leaves), elements=VALUES),
+                       st.builds(np.full, st.just((*lead, lat.n_leaves)), st.just(-0.0))))
     return lat, Measure(lat, mass), lead, x
 
 
@@ -56,6 +91,18 @@ def test_block_sums_and_masses_match_per_generation(case):
     weighted = naive_block_sums(lat, x * mu.leaf_mass)
     assert same_levels(lat.split(lat.flat_sums(x, mu.leaf_mass)), weighted)
     assert same_levels(mu.level_mass, naive_block_sums(lat, mu.leaf_mass))
+
+
+@pytest.mark.parametrize("arity", range(2, 10))
+def test_sibling_sums_match_per_generation_on_random_values(arity):
+    """Values of many magnitudes make the order of the sums show in the last
+    bits, so strided adds at arity 8 or pairwise sums below it would fail."""
+    lat = build_lattice(arity, 3)
+    rng = np.random.default_rng(arity)
+    x = rng.uniform(-1.0, 1.0, (3, lat.n_leaves)) * 10.0 ** rng.integers(-8, 9, (3, lat.n_leaves))
+    assert same_bytes(sibling_sums(x, arity), x.reshape(3, -1, arity).sum(axis=-1))
+    assert same_levels(lat.block_sums(x), naive_block_sums(lat, x))
+    assert same_levels(lat.block_sums(x[0]), naive_block_sums(lat, x[0]))
 
 
 @given(cases())
@@ -85,10 +132,7 @@ def test_chain_sum_matches_per_generation(case, data):
 @given(cases(), st.data())
 def test_edge_terms_match_per_generation(case, data):
     lat, _, lead, _ = case
-    levels = [
-        data.draw(hnp.arrays(float, (lat.level_size(d), lat.arity), elements=VALUES))
-        for d in range(lat.depth)
-    ]
+    levels = edge_levels(data, lat)
     flat = EdgeCoefficients(lat, levels)._flat
     parents = data.draw(hnp.arrays(float, (*lead, lat.n_internal), elements=VALUES))
     children = data.draw(hnp.arrays(float, (*lead, lat.n_atoms - 1), elements=VALUES))
@@ -97,3 +141,192 @@ def test_edge_terms_match_per_generation(case, data):
     adjoint = _edge_terms_adjoint(flat, children)
     assert same_levels(lat.split(adjoint),
                        naive_edge_terms_adjoint(levels, lat.split(children, 1)))
+
+
+@given(cases(), st.data())
+def test_per_mass_matches_masked_divide(case, data):
+    """Both branches, with and without an atom of mass 0 or -0.0, give the
+    masked divide: 0 on massless atoms, the quotient elsewhere."""
+    lat, mu, lead, _ = case
+    n = data.draw(st.integers(0, lat.n_atoms))
+    vals = data.draw(hnp.arrays(float, (*lead, n), elements=VALUES))
+    assert mu.has_massless_atom == bool((mu.flat_mass <= 0.0).any())
+    assert same_bytes(_per_mass(vals, mu), safe_divide(vals, mu.flat_mass[:n]))
+
+
+@pytest.mark.parametrize("masses,massless", [
+    ([0.5, 2.0], False), ([0.0, 2.0], True), ([-0.0, 2.0], True), ([0.0, -0.0], True),
+])
+def test_per_mass_branches(masses, massless):
+    lat = build_lattice(2, 1)
+    mu = Measure(lat, masses)
+    assert mu.has_massless_atom is massless
+    vals = np.array([[3.0, -0.0, 1.0], [-1e300, 7.0, -0.0]])
+    assert same_bytes(_per_mass(vals, mu), safe_divide(vals, mu.flat_mass))
+
+
+@given(cases(), st.data())
+def test_symbol_check_matches_per_generation(case, data):
+    lat, nu, _, _ = case
+    levels = edge_levels(data, lat)
+    for d, lvl in enumerate(levels):
+        child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
+        got, want = _mean_zero_excess(lvl, child_mass), naive_mean_zero_excess(lvl, child_mass)
+        assert same_levels(got, want)
+    error = naive_symbol_error(lat, levels, nu)
+    if error is None:
+        Symbol(EdgeCoefficients(lat, levels), nu)
+    else:
+        with pytest.raises(ValueError) as exc:
+            Symbol(EdgeCoefficients(lat, levels), nu)
+        assert str(exc.value) == error
+
+
+@given(cases(), st.data())
+def test_project_mean_zero_matches_per_generation(case, data):
+    lat, nu, _, _ = case
+    levels = edge_levels(data, lat)
+    want = naive_project_mean_zero(lat, levels, nu)
+    error = naive_symbol_error(lat, want, nu)
+    if error is None:
+        got = project_mean_zero(EdgeCoefficients(lat, levels), nu).beta
+        assert same_levels([got.level(d) for d in range(lat.depth)], want)
+    else:
+        with pytest.raises(ValueError) as exc:
+            project_mean_zero(EdgeCoefficients(lat, levels), nu)
+        assert str(exc.value) == error
+
+
+@given(cases(), st.data())
+def test_carleson_sup_matches_per_generation(case, data):
+    """Own weight plus the children's totals, weights from the root on as
+    many as given, with -0.0, +inf and overflowing sums."""
+    lat, mu, _, _ = case
+    n = data.draw(st.integers(0, lat.n_atoms))
+    weights = data.draw(hnp.arrays(float, n, elements=st.sampled_from(
+        [0.0, -0.0, 0.5, 3.0, 0.1, 1e308, math.inf])))
+    got, want = _carleson_sup(weights, mu), naive_carleson_sup(lat, weights, mu)
+    assert same_bytes(np.float64(got), np.float64(want))
+
+
+@given(cases())
+def test_maximal_function_matches_per_generation(case):
+    lat, mu, _, x = case
+    for row in x.reshape(-1, lat.n_leaves):  # it takes one leaf function
+        assert same_bytes(maximal_function(row, mu), naive_maximal_levels(lat, row, mu))
+
+
+# -- no sibling sum outside the kernel -----------------------------------------
+
+SRC = Path(martpara.__file__).resolve().parent
+KERNEL = ("lattice.py", "_add_runs")
+
+
+def _sibling_reshape(node) -> bool:
+    """Whether ``node`` is a ``.reshape(..., arity)`` call: its last
+    argument names an arity or unpacks another array's shape (whose last
+    axis is the one the siblings span, as ``*coeffs.shape``)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reshape" and node.args):
+        return False
+    last = node.args[-1]
+    if isinstance(last, ast.Starred):
+        return isinstance(last.value, ast.Attribute) and last.value.attr == "shape"
+    return any((isinstance(n, ast.Name) and n.id == "arity")
+               or (isinstance(n, ast.Attribute) and n.attr == "arity") for n in ast.walk(last))
+
+
+def _reshapes(node, names) -> bool:
+    """Whether ``node`` holds a ``.reshape(..., arity)`` call or one of ``names``."""
+    return any(_sibling_reshape(n) or (isinstance(n, ast.Name) and n.id in names)
+               for n in ast.walk(node))
+
+
+def _summed(call: ast.Call):
+    """The array an ``np.add.reduce(x, ...)``, ``x.sum(axis=...)`` or
+    ``np.sum(x, axis=...)`` call reduces along an axis, else None."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    has_axis = any(k.arg == "axis" for k in call.keywords)
+    if func.attr == "reduce" and isinstance(func.value, ast.Attribute) \
+            and func.value.attr == "add" and call.args:
+        return call.args[0]
+    if func.attr == "sum" and isinstance(func.value, ast.Name) and func.value.id == "np":
+        return call.args[0] if call.args and (has_axis or len(call.args) > 1) else None
+    if func.attr == "sum" and (has_axis or call.args):
+        return func.value
+    return None
+
+
+def sibling_reductions(path: Path) -> list[str]:
+    """Every reduction along an axis of a sibling-reshaped array in ``path``,
+    outside the kernel, as "file:line".  An array is sibling-reshaped when
+    its expression holds a ``.reshape(..., arity)`` call or a reshaped name:
+    one a function binds to such an array, or a parameter that a call in the
+    module passes one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    names: dict[str, set[str]] = {name: set() for name in fns}
+    grew = True
+    while grew:
+        grew = False
+        for name, fn in fns.items():
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and _reshapes(node.value, names[name]):
+                    bound = [(name, n.id) for target in node.targets
+                             for n in ast.walk(target) if isinstance(n, ast.Name)]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in fns):
+                    params = [a.arg for a in fns[node.func.id].args.args]
+                    bound = [(node.func.id, param) for param, arg in zip(params, node.args)
+                             if _reshapes(arg, names[name])]
+                else:
+                    continue
+                for owner, var in bound:
+                    if var not in names[owner]:
+                        names[owner].add(var)
+                        grew = True
+    found = set()
+    for name, fn in fns.items():
+        if (path.name, name) == KERNEL:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                summed = _summed(node)
+                if summed is not None and _reshapes(summed, names[name]):
+                    found.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_every_sibling_sum_goes_through_the_kernel():
+    """A sibling sum written as a reduction over a reshape would sum in
+    numpy's order, not the kernel's, and at a loop per run."""
+    paths = sorted(SRC.glob("*.py"))
+    assert (SRC / KERNEL[0]) in paths
+    assert f"def {KERNEL[1]}(" in (SRC / KERNEL[0]).read_text(encoding="utf-8")
+    found = [hit for path in paths for hit in sibling_reductions(path)]
+    assert not found, found
+
+
+def test_the_guard_sees_a_readded_sibling_sum(tmp_path):
+    bad = tmp_path / "paraproduct.py"
+    bad.write_text(
+        "def up(src, dst, lead, arity):\n"
+        "    np.add.reduce(src.reshape(*lead, dst.shape[-1], arity), axis=-1, out=dst)\n"
+        "def adjoint(coeffs, vals):\n"
+        "    return np.add.reduce(coeffs * vals.reshape(*vals.shape[:-1], *coeffs.shape), -1)\n"
+        "def excess(lvl, mass, arity):\n"
+        "    child_mass = mass.reshape(-1, arity)\n"
+        "    active = child_mass > 0\n"
+        "    return active.sum(axis=1), np.sum(lvl * child_mass, 1), child_mass.sum(1)\n"
+        "def helper(lvl, child_mass):\n"
+        "    return (lvl * child_mass).sum(axis=1)\n"
+        "def caller(lvl, mass, arity):\n"
+        "    return helper(lvl, mass.reshape(-1, arity))\n"
+        "def fine(x, m, arity):\n"
+        "    y = x.reshape(-1, arity).min(axis=1) + m.reshape(-1, 4).sum(axis=1)\n"
+        "    return np.add.reduce(x * m, axis=-1), y, x.sum()\n"
+    )
+    assert sibling_reductions(bad) == [
+        "paraproduct.py:2", "paraproduct.py:4", "paraproduct.py:8", "paraproduct.py:10"]
