@@ -1,9 +1,9 @@
 """Lower bounds for operator norms, a brute-force oracle, and equivalence reports.
 
 ``OperatorHandle.from_beta`` is the one catalogue of the four operators the
-paper builds from a symbol beta; the CLI, the acceptance battery and the
-reports take their handles from it.  Anything defined per kind from beta,
-such as the transpose K^T a certified norm bracket iterates with, goes there.
+paper builds from a symbol beta, each in one of two shapes; the CLI, the
+battery and the reports take their handles from it.  Anything defined per
+shape, such as the transpose K^T of the certified bracket, goes on the handle.
 
 ``norm_lower_bound`` runs projected gradient ascent on the Rayleigh ratio
 ||T f|| / ||f|| over leaf values.  Every reported value is the ratio of a
@@ -56,17 +56,16 @@ import numpy as np
 
 from .lattice import Lattice
 from .martingale import rubio_de_francia
-from .measure import Measure, _check_exponents, _per_mass, conjugate, lp_norm
+from .measure import (
+    Measure, _check_exponents, _leaf_rows, _parent_averages, _parent_integrals, _per_mass,
+    conjugate, lp_norm,
+)
 from .paraproduct import (
     EdgeCoefficients,
-    NonnegativeCoefficients,
-    Symbol,
+    _edge_chain,
     _edge_terms_adjoint,
-    paraproduct_apply,
-    positive_apply,
     project_mean_zero,
     sequence_norm,
-    shifted_apply,
     vector_paraproduct,
 )
 from .testing import adjoint_witness_data, direct_testing
@@ -94,16 +93,27 @@ _STEP_TOL = 1e-10
 _EXCHANGE_ROUNDS = 6  # most certificate exchanges in ``equivalence_report``
 
 
-@dataclass(frozen=True)
-class OperatorHandle:
-    """An operator on L^p(mu) together with its output space.
+def _check_lattices(**parts) -> None:
+    """Raise a ValueError naming each part's lattice unless they are one."""
+    parts = {name: part for name, part in parts.items() if part is not None}
+    if len({part.lattice for part in parts.values()}) > 1:
+        where = ", ".join(f"{name} on {part.lattice}" for name, part in parts.items())
+        raise ValueError(f"the operator's parts live on different lattices: {where}")
 
-    kind                output norm                     ``from_beta`` builds it on
-    ----                -----------                     --------------------------
-    vector_paraproduct  sequence norm (p, q) w.r.t. nu  beta
-    shifted             L^p(nu)                         |beta|^q, at r = p/q
-    positive            L^p(nu)                         |beta|
-    paraproduct         L^p(nu)                         beta made nu-mean-zero
+
+@dataclass(frozen=True, eq=False)  # compared by identity: C is an array
+class OperatorHandle:
+    """An operator on L^p(mu) and its output space, in one of two shapes: a
+    linear handle is ``_edge_chain(C, parent values)`` into L^p(nu) on its
+    flat (n_internal, arity) coefficients C, a vector one the vector
+    paraproduct of beta into the sequence norm (p, q) w.r.t. nu.
+
+    kind                shape   ``from_beta`` builds it on  parent values
+    ----                -----   --------------------------  -------------
+    paraproduct         linear  C = beta made nu-mean-zero  averages
+    shifted             linear  C = |beta|^q, at r = p/q    averages
+    positive            linear  C = |beta|                  integrals
+    vector_paraproduct  vector  beta, q                     averages
     """
 
     kind: str
@@ -111,9 +121,8 @@ class OperatorHandle:
     mu: Measure
     nu: Measure
     q: Optional[float] = None
-    symbol: Optional[Symbol] = None
     beta: Optional[EdgeCoefficients] = None
-    alpha: Optional[NonnegativeCoefficients] = None
+    coeffs: Optional[np.ndarray] = None
 
     @classmethod
     def from_beta(
@@ -123,38 +132,41 @@ class OperatorHandle:
         (see the table above).  The shifted kind runs at r = p/q, so
         :func:`_check_exponents` asks r > 1 of it; the positive kind and the
         paraproduct ignore q."""
+        _check_lattices(beta=beta, mu=mu, nu=nu)
         if kind == "vector_paraproduct":
             return cls(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
         if kind == "shifted":
             _check_exponents(p, q, r=True)
-            return cls(kind=kind, p=p / q, q=q, mu=mu, nu=nu, beta=beta)
+            return cls(kind=kind, p=p / q, mu=mu, nu=nu, coeffs=np.abs(beta._flat) ** q)
         if kind == "positive":
-            return cls(kind=kind, p=p, mu=mu, nu=nu, alpha=beta.absolute())
+            return cls(kind=kind, p=p, mu=mu, nu=nu, coeffs=np.abs(beta._flat))
         if kind == "paraproduct":
-            return cls(kind=kind, p=p, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
+            return cls(kind=kind, p=p, mu=mu, nu=nu, coeffs=project_mean_zero(beta, nu).beta._flat)
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         _check_exponents(self.p)
-        needed = {
-            "paraproduct": self.symbol,
-            "vector_paraproduct": self.beta,
-            "shifted": self.beta,
-            "positive": self.alpha,
-        }[self.kind]
-        if needed is None:
-            raise ValueError(f"kind {self.kind!r} is missing its coefficients")
-        if self.kind in ("vector_paraproduct", "shifted"):
-            if self.q is None:
-                raise ValueError(f"kind {self.kind!r} needs the exponent q")
-            # the vector kind's output norm is a quasi-norm for q <= 1
-            _check_exponents(q=self.q, low=0.0 if self.kind == "vector_paraproduct" else 1.0)
+        _check_lattices(beta=self.beta, mu=self.mu, nu=self.nu)
+        shape = (self.lattice.n_internal, self.lattice.arity)
+        if self.linear and (np.shape(self.coeffs) != shape or (self.beta, self.q) != (None, None)):
+            raise ValueError(f"kind {self.kind!r} takes {shape} flat coefficients, no beta or q")
+        if not self.linear and (self.beta is None or self.q is None or self.coeffs is not None):
+            raise ValueError(f"kind {self.kind!r} takes beta and the exponent q")
+        _check_exponents(q=self.q, low=0.0)  # None when linear; a quasi-norm for q <= 1
 
     @property
     def lattice(self) -> Lattice:
         return self.mu.lattice
+
+    @property
+    def linear(self) -> bool:
+        return self.kind != "vector_paraproduct"
+
+    @property
+    def reads_integrals(self) -> bool:  # the parent values of the edge chain, else averages
+        return self.kind == "positive"
 
     @property
     def positive_only(self) -> bool:
@@ -162,18 +174,16 @@ class OperatorHandle:
 
     # -- evaluation ----------------------------------------------------------
     def apply(self, x: np.ndarray):
-        if self.kind == "paraproduct":
-            return paraproduct_apply(self.symbol, x, self.mu)
-        if self.kind == "vector_paraproduct":
+        if not self.linear:
             return vector_paraproduct(self.beta, x, self.mu)
-        if self.kind == "shifted":
-            return shifted_apply(self.beta, x, self.q, self.mu)
-        return positive_apply(self.alpha, x, self.mu)
+        x = _leaf_rows(self.lattice, x)
+        parent_vals = _parent_integrals if self.reads_integrals else _parent_averages
+        return _edge_chain(self.lattice, self.coeffs, parent_vals(x, self.mu))
 
     def output_norm(self, out) -> float:
-        if self.kind == "vector_paraproduct":
-            return sequence_norm(out, self.p, self.q, self.nu)
-        return lp_norm(out, self.p, self.nu)
+        if self.linear:
+            return lp_norm(out, self.p, self.nu)
+        return sequence_norm(out, self.p, self.q, self.nu)
 
     def input_norm(self, x: np.ndarray) -> float:
         return lp_norm(x, self.p, self.mu)
@@ -183,17 +193,6 @@ class OperatorHandle:
         if den == 0.0:
             return 0.0
         return self.output_norm(self.apply(x)) / den
-
-    # flat (n_internal, arity) edge coefficients of the linear map: signed
-    # for the paraproduct and the vector kind, |b_I|^q for the shifted kind
-    def _edge_coefficients(self) -> np.ndarray:
-        if self.kind == "paraproduct":
-            return self.symbol.beta._flat
-        if self.kind == "positive":
-            return self.alpha._flat
-        if self.kind == "shifted":
-            return np.abs(self.beta._flat) ** self.q
-        return self.beta._flat
 
 
 @dataclass
@@ -249,18 +248,18 @@ class _Rows:
 
     def __init__(self, op: OperatorHandle) -> None:
         self.op = op
-        self.coeffs = op._edge_coefficients()
+        self.coeffs = op.coeffs if op.linear else op.beta._flat
         self.inv_mass = _per_mass(np.ones(op.lattice.n_internal), op.mu)
 
     def _forward(self, x: np.ndarray):
         """Input norms, the rows of positive input norm, their outputs, the
-        output norms and, for the vector kind, the q-power chains of the
+        output norms and, for the vector shape, the q-power chains of the
         outputs that the norms are taken from (else None)."""
         op = self.op
         den = op.input_norm(x)
         live = den > 0.0
         out = op.apply(x[live])
-        if op.kind != "vector_paraproduct":
+        if op.linear:
             return den, live, out, op.output_norm(out), None
         chain = out.q_power_chain(op.q)  # the bytes of sequence_norm, chain kept
         return den, live, out, lp_norm(chain ** (1.0 / op.q), op.p, op.nu), chain
@@ -289,7 +288,7 @@ class _Rows:
         x, den, val = x[rows], den[rows], val[ok]
         val_p = np.array([v ** p for v in val.tolist()])[:, None]
         den_p = np.array([v ** p for v in den.tolist()])[:, None]
-        if op.kind == "vector_paraproduct":
+        if not op.linear:
             q, s, chain_q = op.q, out._flat[ok], chain_q[ok]
             # nu-weighted G^{p-q} with a zero guard where the chain vanishes,
             # and |s|^(q-1), which is inf at s = 0 for q < 1, with one too
@@ -303,7 +302,7 @@ class _Rows:
             out = out[ok]
             u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val_p
             inner = _edge_terms_adjoint(self.coeffs, lat.flat_sums(u)[:, 1:])
-            if op.kind != "positive":  # the operator reads averages, not integrals
+            if not op.reads_integrals:
                 inner *= self.inv_mass
             g_out = mu.leaf_mass * lat.chain_sum(inner)
         g_in = mu.leaf_mass * np.abs(x) ** (p - 1.0) * np.sign(x) / den_p
@@ -515,13 +514,13 @@ def _product_fold(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 def _operator_matrix(op: OperatorHandle, alive_idx: np.ndarray):
     """Columns of the linear operator on the alive leaves, one batched apply
-    to their indicators; for the sequence kind also the chain membership
+    to their indicators; for the vector shape also the chain membership
     matrix of non-root atoms, (leaves, n_atoms - 1), C-contiguous."""
     lat = op.lattice
     ind = np.zeros((lat.n_atoms, lat.n_leaves))
     _write_indicators(lat, ind)
     out = op.apply(ind[lat.n_internal:][alive_idx])
-    if op.kind != "vector_paraproduct":
+    if op.linear:
         return np.ascontiguousarray(out.T), None
     return np.ascontiguousarray(out._flat.T), np.ascontiguousarray(ind[1:].T)
 
@@ -567,7 +566,7 @@ def grid_oracle_norm(op: OperatorHandle) -> float:
     def ratios(X: np.ndarray) -> np.ndarray:
         den = (w[:, None] * np.abs(X) ** op.p).sum(axis=0) ** (1.0 / op.p)
         out = mat @ X
-        if op.kind == "vector_paraproduct":
+        if not op.linear:
             chain = membership @ np.abs(out) ** op.q
             num = (v[:, None] * chain ** (op.p / op.q)).sum(axis=0) ** (1.0 / op.p)
         else:
@@ -624,7 +623,7 @@ def grid_oracle_norm(op: OperatorHandle) -> float:
     # squares the forms once more before its map folds in.  The steps left
     # act on the scanned values.
     forms = square(forms)
-    if op.kind == "vector_paraproduct":
+    if not op.linear:
         after = [(op.q / 2.0, membership), (p / op.q, v[None, :])]
     else:
         after = [(p / 2.0, v[None, :])]

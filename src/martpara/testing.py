@@ -74,12 +74,13 @@ def _cut_ratios(
 
 @contextmanager
 def _powers_of(p: float) -> Iterator[None]:
-    """Reports an overflowing power step of a testing constant, raised
-    under ``np.errstate(over="raise")``, as a ValueError that names p."""
+    """Reports an overflowing power step of a testing constant, raised under
+    ``np.errstate(over="raise")``, as a ValueError naming its two causes."""
     try:
         yield
     except FloatingPointError:
-        raise ValueError(f"p={p} is too large: the testing powers overflow") from None
+        cause = f"p={p} or the instance's values are too large"
+        raise ValueError(f"{cause}: the testing powers overflow") from None
 
 
 def _sup(cuts: Iterable[Cut], p: float) -> float:

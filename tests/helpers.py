@@ -1,6 +1,6 @@
 import numpy as np
 
-from martpara import EdgeCoefficients, Measure, build_lattice
+from martpara import EdgeCoefficients, Measure, OperatorHandle, build_lattice
 
 
 def random_setup(arity, depth, seed, sparsity=0.2, mu_sparsity=None, nu_sparsity=None):
@@ -23,6 +23,18 @@ def random_setup(arity, depth, seed, sparsity=0.2, mu_sparsity=None, nu_sparsity
     )
     f = rng.standard_normal(n)
     return lat, mu, nu, beta, f
+
+
+def handle_at(kind, p, q, mu, nu, beta):
+    """``OperatorHandle.from_beta``'s handle of ``kind`` running at p: the
+    shifted kind, which runs at r = p/q, is asked for p * q, and gives p back
+    exactly where p * q is exact (every (p, q) the tests use)."""
+    return OperatorHandle.from_beta(kind, beta, p * q if kind == "shifted" else p, q, mu, nu)
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def check_additivity(measure, rel=1e-12):

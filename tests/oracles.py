@@ -178,18 +178,11 @@ def naive_maximal_levels(lat: Lattice, f, m: Measure) -> np.ndarray:
 
 
 def naive_edge_levels(op) -> list[np.ndarray]:
-    """Per-generation edge coefficients of the operator's linear map: signed
-    for the paraproduct and the vector kind, |b_I|^q for the shifted kind."""
-    if op.kind == "paraproduct":
-        coeffs = op.symbol.beta
-    elif op.kind == "positive":
-        coeffs = op.alpha
-    else:
-        coeffs = op.beta
-    levels = [coeffs.level(d) for d in range(op.lattice.depth)]
-    if op.kind == "shifted":
-        return [np.abs(c) ** op.q for c in levels]
-    return levels
+    """Per-generation edge coefficients of the operator's edge chain: the
+    flat C of a linear handle, beta for the vector shape."""
+    flat = op.coeffs if op.linear else op.beta._flat
+    off = op.lattice.offsets
+    return [flat[off[d]:off[d + 1]] for d in range(op.lattice.depth)]
 
 
 def leaves_of(lat: Lattice, atom: Atom) -> range:
@@ -458,11 +451,11 @@ def naive_grid_oracle(op, resolution: float = 1e-2) -> float:
     def ratios(X: np.ndarray) -> np.ndarray:
         den = (w[:, None] * np.abs(X) ** op.p).sum(axis=0) ** (1.0 / op.p)
         out = mat @ X
-        if op.kind == "vector_paraproduct":
+        if op.linear:
+            num = (v[:, None] * np.abs(out) ** op.p).sum(axis=0) ** (1.0 / op.p)
+        else:
             chain = membership @ np.abs(out) ** op.q
             num = (v[:, None] * chain ** (op.p / op.q)).sum(axis=0) ** (1.0 / op.p)
-        else:
-            num = (v[:, None] * np.abs(out) ** op.p).sum(axis=0) ** (1.0 / op.p)
         res = np.zeros_like(num)
         np.divide(num, den, out=res, where=den > 0)
         return res
@@ -524,7 +517,7 @@ def naive_value_and_grad(op, x: np.ndarray):
     if val == 0.0:
         return 0.0, None
     lat, p, mu = op.lattice, op.p, op.mu
-    if op.kind == "vector_paraproduct":
+    if not op.linear:
         q = op.q
         chain_q = out.q_power_chain(q)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -540,7 +533,7 @@ def naive_value_and_grad(op, x: np.ndarray):
     else:
         u = op.nu.leaf_mass * np.abs(out) ** (p - 1.0) * np.sign(out) / val ** p
         per_depth = naive_edge_terms_adjoint(naive_edge_levels(op), naive_block_sums(lat, u)[1:])
-        if op.kind != "positive":
+        if not op.reads_integrals:
             per_depth = [
                 v * safe_divide(np.ones_like(m), m) for v, m in zip(per_depth, mu.level_mass)
             ]

@@ -302,11 +302,22 @@ def test_oversized_input_exits_2(tmp_path, capsys):
     assert main(["testing", "--instance", str(huge)]) == 2
     assert "mu" in capsys.readouterr().err
     # past some p the separation experiment's values, and the embedding's
-    # and the testing constants' powers, overflow: the error names p
+    # and the testing constants' powers, overflow: the error names p.  The
+    # testing constants' powers (which the separation experiment also
+    # takes) overflow on huge coefficients too, so their error names both
+    # causes, p with its value and the instance's values
+    both = "p={} or the instance's values are too large"
     runs = [["counterexample", "--p", p, "--nmax", "3"] for p in ("2000", "1e16", "1e308")]
     for argv in runs + [["embedding", "--p", "1e308"], ["testing", "--p", "1e308", "--q", "2"]]:
         assert main(argv) == 2
-        assert f"p={float(argv[2])} is too large" in capsys.readouterr().err
+        p = float(argv[2])
+        err = capsys.readouterr().err
+        assert f"p={p} is too large" in err or both.format(p) in err, err
+    huge_beta = tmp_path / "huge_beta.json"
+    huge_beta.write_text('{"arity": 2, "depth": 1, "mu": [1, 1], "nu": [1, 1],'
+                         ' "beta": {"0,0,0": 1e200, "0,0,1": -1e200}}')
+    assert main(["testing", "--instance", str(huge_beta), "--p", "2", "--q", "2"]) == 2
+    assert both.format(2.0) in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():

@@ -74,7 +74,7 @@ def _entries():
         ("from_beta/paraproduct", "p", 1.0,
          lambda x: OperatorHandle.from_beta("paraproduct", BETA, x, 2.0, MU, NU)),
         ("norm_lower_bound", "p", 1.0,
-         lambda x: norm_lower_bound(OperatorHandle(kind="positive", p=x, mu=MU, nu=NU, alpha=alpha))),
+         lambda x: norm_lower_bound(OperatorHandle.from_beta("positive", BETA, x, 2.0, MU, NU))),
         ("lp_norm", "p", 0.0, lambda x: lp_norm(F, x, MU)),
         ("sequence_norm", "p", 0.0, lambda x: sequence_norm(field, x, 2.0, NU)),
         ("sequence_norm", "q", 0.0, lambda x: sequence_norm(field, 2.0, x, NU)),

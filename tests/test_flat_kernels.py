@@ -29,6 +29,8 @@ from martpara.measure import _per_mass, safe_divide
 from martpara.paraproduct import _edge_terms, _edge_terms_adjoint, _mean_zero_excess
 from martpara.stopping import _carleson_sup
 
+from helpers import same_bytes
+
 from oracles import (
     naive_atom_averages,
     naive_atom_integrals,
@@ -70,11 +72,6 @@ def cases(draw):
     x = draw(st.one_of(hnp.arrays(float, (*lead, lat.n_leaves), elements=VALUES),
                        st.builds(np.full, st.just((*lead, lat.n_leaves)), st.just(-0.0))))
     return lat, Measure(lat, mass), lead, x
-
-
-def same_bytes(got, want) -> bool:
-    got, want = np.asarray(got), np.asarray(want)
-    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def same_levels(got, want) -> bool:

@@ -1,5 +1,8 @@
+import ast
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +11,7 @@ from martpara import (
     AscentConfig,
     EdgeCoefficients,
     Measure,
-    NonnegativeCoefficients,
     OperatorHandle,
-    Symbol,
     adjoint_testing,
     build_lattice,
     direct_testing,
@@ -19,25 +20,29 @@ from martpara import (
     grid_oracle_norm,
     necessity_report,
     norm_lower_bound,
+    paraproduct_apply,
+    positive_apply,
     project_mean_zero,
+    shifted_apply,
+    vector_paraproduct,
 )
+import martpara
 from martpara import normest
 from martpara.normest import KINDS, MAX_START_VALUES, _Rows
 from martpara.suite import _tiny_instances, _tiny_operators
 
-from helpers import random_setup
+from helpers import handle_at, random_setup, same_bytes
 from oracles import naive_grid_oracle, naive_norm_lower_bound
 
 LIGHT = AscentConfig(starts=8, max_iter=60, ascend_top=6, seed=0)
 
 
-def haar_op(kind="paraproduct", p=2.0, q=2.0):
+def haar_op(p=2.0, t=1.0):
+    """The paraproduct of t times the two-leaf Haar symbol, already mean-zero."""
     lat = build_lattice(2, 1)
     mu = Measure(lat, [0.5, 0.5])
-    beta = EdgeCoefficients.from_dict(lat, {(0, 0, 0): 1.0, (0, 0, 1): -1.0})
-    if kind == "paraproduct":
-        return OperatorHandle(kind=kind, p=p, mu=mu, nu=mu, symbol=Symbol(beta, mu))
-    return OperatorHandle(kind=kind, p=p, q=q, mu=mu, nu=mu, beta=beta)
+    beta = EdgeCoefficients.from_dict(lat, {(0, 0, 0): t, (0, 0, 1): -t})
+    return OperatorHandle.from_beta("paraproduct", beta, p, 2.0, mu, mu)
 
 
 def test_haar_paraproduct_norm_is_one():
@@ -70,14 +75,6 @@ def test_all_dead_measure_is_an_error():
         norm_lower_bound(op, LIGHT)
 
 
-def _handle(kind, p, q, mu, nu, beta):
-    if kind == "paraproduct":
-        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
-    if kind == "positive":
-        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=beta.absolute())
-    return OperatorHandle(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
-
-
 @pytest.mark.parametrize("p,q", [(3.0, 1.5), (1.5, 3.0), (4.0, 2.0)])
 @pytest.mark.parametrize("kind", ["paraproduct", "vector_paraproduct", "shifted", "positive"])
 def test_value_and_grad_matches_central_differences(kind, p, q):
@@ -89,7 +86,7 @@ def test_value_and_grad_matches_central_differences(kind, p, q):
     for arity, depth in ((2, 3), (3, 2)):
         for seed in range(3):
             lat, mu, nu, beta, x = random_setup(arity, depth, seed, sparsity=0.3)
-            op = _handle(kind, p, q, mu, nu, beta)
+            op = handle_at(kind, p, q, mu, nu, beta)
             vals, grads, _ = _Rows(op).value_and_grad(x[None])
             val, grad = vals[0], grads[0]
             assert val == pytest.approx(op.ratio(x), rel=1e-15)
@@ -106,73 +103,101 @@ def test_value_and_grad_matches_central_differences(kind, p, q):
 
 
 def test_handle_validation():
+    """A handle takes the fields of its shape and no others: flat
+    coefficients of the lattice's shape for a linear kind, beta and q for
+    the vector kind."""
     lat = build_lattice(2, 1)
     mu = Measure(lat, [0.5, 0.5])
+    coeffs = np.ones((lat.n_internal, lat.arity))
     with pytest.raises(ValueError):
         OperatorHandle(kind="nope", p=2.0, mu=mu, nu=mu)
-    with pytest.raises(ValueError):
+    linear = r"takes \(1, 2\) flat coefficients, no beta or q"
+    with pytest.raises(ValueError, match=linear):
         OperatorHandle(kind="shifted", p=2.0, mu=mu, nu=mu, beta=EdgeCoefficients(lat))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=linear):
         OperatorHandle(kind="positive", p=2.0, mu=mu, nu=mu)
+    with pytest.raises(ValueError, match=linear):
+        OperatorHandle(kind="paraproduct", p=2.0, q=2.0, mu=mu, nu=mu, coeffs=coeffs)
+    with pytest.raises(ValueError, match=linear):
+        OperatorHandle(kind="positive", p=2.0, mu=mu, nu=mu, coeffs=coeffs.T)
+    with pytest.raises(ValueError, match="takes beta and the exponent q"):
+        OperatorHandle(kind="vector_paraproduct", p=2.0, mu=mu, nu=mu, beta=EdgeCoefficients(lat))
+    with pytest.raises(ValueError, match="takes beta and the exponent q"):
+        OperatorHandle(kind="vector_paraproduct", p=2.0, q=2.0, mu=mu, nu=mu,
+                       beta=EdgeCoefficients(lat), coeffs=coeffs)
     with pytest.raises(ValueError):
         OperatorHandle(kind="vector_paraproduct", p=2.0, q=0.0, mu=mu, nu=mu, beta=EdgeCoefficients(lat))
+    OperatorHandle(kind="positive", p=2.0, mu=mu, nu=mu, coeffs=coeffs)
 
 
-def hand_built(kind, beta, p, q, mu, nu):
-    """Each kind as the CLI and the acceptance battery built it by hand
-    before ``OperatorHandle.from_beta``."""
+def public_apply(kind, beta, q, mu, nu):
+    """The public apply the handle of ``kind`` stands for, as a function of x."""
     if kind == "vector_paraproduct":
-        return OperatorHandle(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
+        return lambda x: vector_paraproduct(beta, x, mu)._flat
     if kind == "shifted":
-        return OperatorHandle(kind=kind, p=p / q, q=q, mu=mu, nu=nu, beta=beta)
-    lat = beta.lattice
+        return lambda x: shifted_apply(beta, x, q, mu)
     if kind == "positive":
-        alpha = NonnegativeCoefficients(lat, [np.abs(beta.level(d)) for d in range(lat.depth)])
-        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=alpha)
-    return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
+        return lambda x: positive_apply(beta.absolute(), x, mu)
+    return lambda x: paraproduct_apply(project_mean_zero(beta, nu), x, mu)
 
 
-def handle_fields(op):
-    """Every field of a handle, exponents, measures and coefficients as
-    bytes (with the coefficients' class)."""
-    def levels(c):
-        if c is None:
-            return None
-        return type(c).__name__, [c.level(d).tobytes() for d in range(c.lattice.depth)]
+def signed_batch(mu, seed):
+    """Four leaf functions: one with signed zeros, one living on the
+    mu-massless leaves only (-0.0 elsewhere), a zero one and a plain one."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, mu.lattice.n_leaves))
+    x[0, rng.random(mu.lattice.n_leaves) < 0.5] = -0.0
+    x[1] = np.where(mu.leaf_mass > 0.0, -0.0, x[1])
+    x[2] = 0.0
+    return x
 
-    return (
-        op.kind,
-        np.float64(op.p).tobytes(),
-        None if op.q is None else np.float64(op.q).tobytes(),
-        op.mu.leaf_mass.tobytes(),
-        op.nu.leaf_mass.tobytes(),
-        None if op.symbol is None else (op.symbol.nu.leaf_mass.tobytes(), levels(op.symbol.beta)),
-        levels(op.beta),
-        levels(op.alpha),
-    )
+
+def assert_applies_as_public(op, beta, q, nu, x):
+    """``op.apply`` gives the bytes of its public apply on the batch x and
+    on each of its rows."""
+    want = public_apply(op.kind, beta, q, op.mu, nu)
+    for rows in [x, *x]:
+        got = op.apply(rows)
+        assert same_bytes(got if op.linear else got._flat, want(rows)), op.kind
 
 
 def test_from_beta_builds_the_hand_built_handles():
-    """``from_beta`` gives, field by field and byte for byte, the handle each
-    kind was built as: on random instances with massless leaves, at the
-    CLI's exponents (p, q) and at the battery's (p = 2 for the positive and
-    paraproduct kinds), and on the battery's tiny instances."""
+    """Every kind's handle from ``from_beta`` applies, byte for byte, as the
+    public apply it stands for: ``paraproduct_apply`` on the projected
+    symbol, ``shifted_apply``, ``positive_apply`` on |beta| and
+    ``vector_paraproduct``; and it runs at the exponent that kind takes.
+    On random instances with massless leaves in mu and nu, with every
+    coefficient and with about a third of them zeroed, on batches with
+    signed zeros and rows living on mu-massless leaves, and on the battery's
+    tiny operators."""
     cases = []
     for arity, depth, seed in ((2, 1, 0), (3, 2, 1), (2, 4, 2), (4, 2, 3)):
         lat, mu, nu, beta, _ = random_setup(arity, depth, seed, sparsity=0.3)
-        cases.append((beta, mu, nu))
-    cases += [(beta, mu, nu) for _, _, mu, nu, beta in _tiny_instances()]
-    for beta, mu, nu in cases:
+        rng = np.random.default_rng(seed)
+        zeroed = EdgeCoefficients(lat, [np.where(rng.random(lvl.shape) < 1 / 3, 0.0, lvl)
+                                        for lvl in map(beta.level, range(depth))])
+        cases += [(beta, mu, nu), (zeroed, mu, nu)]
+    instances = {label: (beta, mu, nu) for label, _, mu, nu, beta in _tiny_instances()}
+    cases += instances.values()
+    massless = 0
+    for k, (beta, mu, nu) in enumerate(cases):
+        x = signed_batch(mu, k)
+        massless += int(np.any(x[1] != 0.0))
         for p, q in ((4.0, 2.0), (3.0, 1.5), (2.5, 1.25)):
             for kind in KINDS:
-                got = OperatorHandle.from_beta(kind, beta, p, q, mu, nu)
-                assert handle_fields(got) == handle_fields(hand_built(kind, beta, p, q, mu, nu))
-    want = []
-    for label, _, mu, nu, beta in _tiny_instances():
-        for kind, name, p in (("vector_paraproduct", "vector", 4.0), ("shifted", "shifted", 4.0),
-                              ("positive", "positive", 2.0), ("paraproduct", "paraproduct", 2.0)):
-            want.append((f"{label}/{name}", handle_fields(hand_built(kind, beta, p, 2.0, mu, nu))))
-    assert [(label, handle_fields(op)) for label, op in _tiny_operators()] == want
+                op = OperatorHandle.from_beta(kind, beta, p, q, mu, nu)
+                assert op.p == (p / q if kind == "shifted" else p)
+                assert op.q == (q if kind == "vector_paraproduct" else None)
+                assert_applies_as_public(op, beta, q, nu, x)
+    assert massless
+    names = {"vector_paraproduct": "vector"}
+    ops = _tiny_operators()
+    assert [label for label, _ in ops] == [
+        f"{inst}/{names.get(kind, kind)}" for inst in instances for kind in KINDS]
+    for k, (label, op) in enumerate(ops):
+        beta, mu, nu = instances[label.split("/")[0]]
+        assert op.p == (4.0 if op.kind == "vector_paraproduct" else 2.0)
+        assert_applies_as_public(op, beta, 2.0, nu, signed_batch(mu, k))
 
 
 def test_from_beta_rejects_what_it_cannot_build():
@@ -182,6 +207,30 @@ def test_from_beta_rejects_what_it_cannot_build():
             OperatorHandle.from_beta("shifted", beta, p, q, mu, nu)
     with pytest.raises(ValueError, match="unknown operator kind"):
         OperatorHandle.from_beta("nope", beta, 4.0, 2.0, mu, nu)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_handle_rejects_parts_on_different_lattices(kind):
+    """beta, mu and nu on different lattices raise a ValueError that names
+    each one's lattice, before ``from_beta`` derives a coefficient (each
+    mismatch used to give a numpy broadcast error, and the paraproduct
+    ``project_mean_zero``'s IndexError); a handle built directly checks them
+    too."""
+    _, mu, nu, beta, _ = random_setup(2, 2, seed=0)
+    _, _, nu_deep, beta_deep, _ = random_setup(2, 3, seed=0)
+    _, _, _, beta_wide, _ = random_setup(3, 2, seed=0)
+    for b, m, n in ((beta_deep, mu, nu), (beta, mu, nu_deep), (beta_wide, mu, nu)):
+        where = f"beta on {b.lattice}, mu on {m.lattice}, nu on {n.lattice}"
+        message = f"^the operator's parts live on different lattices: {re.escape(where)}$"
+        with pytest.raises(ValueError, match=message):
+            OperatorHandle.from_beta(kind, b, 4.0, 2.0, m, n)
+        if kind == "vector_paraproduct":
+            with pytest.raises(ValueError, match=message):
+                OperatorHandle(kind=kind, p=4.0, q=2.0, mu=m, nu=n, beta=b)
+    coeffs = OperatorHandle.from_beta("positive", beta, 4.0, 2.0, mu, nu).coeffs
+    with pytest.raises(ValueError, match=re.escape("mu on Lattice(arity=2, depth=2), nu on "
+                                                   "Lattice(arity=2, depth=3)") + "$"):
+        OperatorHandle(kind="positive", p=4.0, mu=mu, nu=nu_deep, coeffs=coeffs)
 
 
 def test_oversized_start_batch_is_refused_before_it_is_built():
@@ -230,14 +279,11 @@ def test_oracle_examples():
     # the worked two-leaf paraproduct
     assert grid_oracle_norm(haar_op()) == pytest.approx(1.0, abs=1e-3)
     # exact degree-one homogeneity on the same grid
-    beta2 = EdgeCoefficients.from_dict(lat, {(0, 0, 0): 2.0, (0, 0, 1): -2.0})
-    op2 = OperatorHandle(kind="paraproduct", p=2.0, mu=mu, nu=mu, symbol=Symbol(beta2, mu))
-    assert grid_oracle_norm(op2) == pytest.approx(2.0 * grid_oracle_norm(haar_op()))
+    assert grid_oracle_norm(haar_op(t=2.0)) == pytest.approx(2.0 * grid_oracle_norm(haar_op()))
     # and at a scale where the squared outputs would overflow unscaled
     huge = 2.0 ** 560
-    beta_huge = EdgeCoefficients.from_dict(lat, {(0, 0, 0): huge, (0, 0, 1): -huge})
-    op_huge = OperatorHandle(kind="paraproduct", p=1.5, mu=mu, nu=mu, symbol=Symbol(beta_huge, mu))
-    assert grid_oracle_norm(op_huge) == pytest.approx(huge * grid_oracle_norm(haar_op(p=1.5)))
+    want = huge * grid_oracle_norm(haar_op(p=1.5))
+    assert grid_oracle_norm(haar_op(1.5, huge)) == pytest.approx(want)
 
 
 def test_oracle_rejects_big_instances():
@@ -308,11 +354,8 @@ def test_grid_oracle_matches_naive_scan_on_dead_leaves(mu_leaf, kind):
     mu = Measure(lat, mu_leaf)
     nu = Measure(lat, 0.1 + rng.random(4))
     beta = EdgeCoefficients(lat, [rng.standard_normal((lat.level_size(d), 2)) for d in range(2)])
-    if kind == "paraproduct":
-        op = OperatorHandle(kind=kind, p=2.0, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
-    else:
-        op = OperatorHandle(kind=kind, p=4.0, q=2.0, mu=mu, nu=nu, beta=beta)
-    assert_matches_naive_grid(op)
+    assert_matches_naive_grid(
+        OperatorHandle.from_beta(kind, beta, 2.0 if kind == "paraproduct" else 4.0, 2.0, mu, nu))
 
 
 @pytest.mark.parametrize("seed", [1, 5, 9])
@@ -323,15 +366,8 @@ def test_ascent_meets_oracle_small(seed, kind):
     mu = Measure(lat, 0.2 + rng.random(2))
     nu = Measure(lat, 0.2 + rng.random(2))
     beta = EdgeCoefficients(lat, [rng.standard_normal((1, 2))])
-    if kind == "positive":
-        op = OperatorHandle(
-            kind=kind, p=2.0, mu=mu, nu=nu,
-            alpha=NonnegativeCoefficients(lat, [np.abs(beta.level(0))]),
-        )
-    elif kind == "shifted":
-        op = OperatorHandle(kind=kind, p=2.0, q=2.0, mu=mu, nu=nu, beta=beta)
-    else:
-        op = OperatorHandle(kind=kind, p=4.0, q=2.0, mu=mu, nu=nu, beta=beta)
+    # the shifted kind runs at r = 4/2, the positive kind at p = 2
+    op = OperatorHandle.from_beta(kind, beta, 2.0 if kind == "positive" else 4.0, 2.0, mu, nu)
     est = norm_lower_bound(op, AscentConfig(starts=16, max_iter=200, seed=0))
     oracle = grid_oracle_norm(op)
     assert abs(est.value - oracle) <= max(1e-3, 2e-2)
@@ -341,7 +377,7 @@ def test_ascent_meets_oracle_small(seed, kind):
 
 def test_positive_kind_maximizer_is_nonnegative():
     lat, mu, nu, beta, _ = random_setup(2, 3, seed=3, sparsity=0.0)
-    op = OperatorHandle(kind="shifted", p=2.0, q=2.0, mu=mu, nu=nu, beta=beta)
+    op = OperatorHandle.from_beta("shifted", beta, 4.0, 2.0, mu, nu)
     est = norm_lower_bound(op, LIGHT)
     assert np.all(est.argmax >= 0.0)
 
@@ -465,7 +501,7 @@ def test_lock_step_ascent_matches_per_start_oracle(kind, sparsity, monkeypatch):
                                             sparsity=sparsity)
         if not np.any(mu.leaf_mass > 0.0):
             continue
-        op = _handle(kind, 3.0 if kind == "vector_paraproduct" else 2.5, 1.5, mu, nu, beta)
+        op = handle_at(kind, 3.0 if kind == "vector_paraproduct" else 2.5, 1.5, mu, nu, beta)
         extra = (np.zeros(lat.n_leaves), np.where(mu.leaf_mass > 0.0, 0.0, 1.0), f)
         configs = [
             AscentConfig(starts=2, max_iter=10, seed=k),
@@ -557,8 +593,79 @@ def test_start_batch_peak_memory(kind):
 @pytest.mark.parametrize("kind", ["paraproduct", "vector_paraproduct", "shifted", "positive"])
 def test_lock_step_ascent_matches_oracle_on_zero_operator(kind):
     lat, mu, nu, _, _ = random_setup(3, 2, seed=8, sparsity=0.3)
-    op = _handle(kind, 2.0, 2.0, mu, nu, EdgeCoefficients(lat))
+    op = handle_at(kind, 2.0, 2.0, mu, nu, EdgeCoefficients(lat))
     cfg = AscentConfig(starts=3, max_iter=20, ascend_top=4, extra_starts=(np.zeros(lat.n_leaves),))
     est = norm_lower_bound(op, cfg)
     assert est.value == 0.0 and est.iterations == 0 and est.converged
     assert_same_estimate(est, naive_norm_lower_bound(op, cfg))
+
+
+# -- no branch on an operator kind outside the handle's shapes -----------------
+
+SRC = Path(martpara.__file__).resolve().parent
+#: the methods of ``OperatorHandle`` in normest.py that may branch on its kind
+SHAPE_METHODS = ("from_beta", "__post_init__", "linear", "reads_integrals", "positive_only")
+
+
+def _kind_attribute(node) -> bool:
+    """Whether ``node`` reads ``.kind`` of something other than a dtype."""
+    return (isinstance(node, ast.Attribute) and node.attr == "kind"
+            and not (isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"))
+
+
+def kind_branches(path: Path) -> list[str]:
+    """Every comparison, subscript or ``match`` on a ``.kind`` in ``path``,
+    as "file:line", outside the ``SHAPE_METHODS`` of normest.py's
+    ``OperatorHandle``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = set()
+    for cls in tree.body if path.name == "normest.py" else ():
+        if isinstance(cls, ast.ClassDef) and cls.name == "OperatorHandle":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in SHAPE_METHODS:
+                    allowed.update(map(id, ast.walk(fn)))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Subscript):
+            operands = [node.slice]
+        elif isinstance(node, ast.Match):
+            operands = [node.subject]
+        else:
+            continue
+        if id(node) not in allowed and any(map(_kind_attribute, (
+                n for operand in operands for n in ast.walk(operand)))):
+            found.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_only_the_shapes_branch_on_the_kind():
+    """The rest of the package branches on ``linear``, ``reads_integrals``
+    and ``positive_only``, each a difference in the mathematics."""
+    paths = sorted(SRC.glob("*.py"))
+    assert SRC / "normest.py" in paths
+    assert not [hit for path in paths for hit in kind_branches(path)]
+    tree = ast.parse((SRC / "normest.py").read_text(encoding="utf-8"))
+    handle = next(n for n in tree.body if getattr(n, "name", None) == "OperatorHandle")
+    assert set(SHAPE_METHODS) <= {fn.name for fn in handle.body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_the_guard_sees_a_readded_kind_branch(tmp_path):
+    bad = tmp_path / "normest.py"
+    bad.write_text(
+        "class OperatorHandle:\n"
+        "    def __post_init__(self):\n"
+        "        if self.kind not in KINDS: raise ValueError\n"
+        "    def apply(self, x):\n"
+        "        if self.kind == 'paraproduct': return x\n"
+        "    @property\n"
+        "    def linear(self):\n"
+        "        return self.kind != 'vector_paraproduct'\n"
+        "def grad(op, x):\n"
+        "    scale = {'positive': 1.0}[op.kind]\n"
+        "    match op.kind:\n"
+        "        case 'shifted': pass\n"
+        "    return x.dtype.kind == 'f', 'positive' in (op.kind,)\n"
+    )
+    assert kind_branches(bad) == ["normest.py:5", "normest.py:10", "normest.py:11", "normest.py:13"]

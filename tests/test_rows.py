@@ -6,17 +6,10 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from martpara import (
-    EdgeCoefficients,
-    Measure,
-    OperatorHandle,
-    atom_averages,
-    build_lattice,
-    lp_norm,
-    project_mean_zero,
-)
+from martpara import EdgeCoefficients, Measure, atom_averages, build_lattice, lp_norm
 from martpara.normest import KINDS, _Rows
 
+from helpers import handle_at, same_bytes
 from oracles import naive_value_and_grad
 
 SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
@@ -45,11 +38,6 @@ def batches(draw):
         elif kind == "dead leaves only":
             x[row] = np.where(mass > 0.0, 0.0, x[row])
     return lat, Measure(lat, mass), x
-
-
-def same_bytes(got, want) -> bool:
-    got, want = np.asarray(got), np.asarray(want)
-    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @given(batches())
@@ -88,14 +76,6 @@ def test_lp_norm_rows(case, p):
         assert same_bytes(batched[row], np.float64(lp_norm(x[row], p, mu)))
 
 
-def _handle(kind, p, q, mu, nu, beta):
-    if kind == "paraproduct":
-        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, symbol=project_mean_zero(beta, nu))
-    if kind == "positive":
-        return OperatorHandle(kind=kind, p=p, mu=mu, nu=nu, alpha=beta.absolute())
-    return OperatorHandle(kind=kind, p=p, q=q, mu=mu, nu=nu, beta=beta)
-
-
 @given(
     batches(),
     st.sampled_from(KINDS),
@@ -115,7 +95,7 @@ def test_value_and_grad_rows(case, kind, pq, seed, zero_coefficients):
         (0.0 if zero_coefficients else 1.0) * rng.standard_normal((lat.level_size(d), lat.arity))
         for d in range(lat.depth)
     ])
-    rows = _Rows(_handle(kind, p, q, mu, nu, beta))
+    rows = _Rows(handle_at(kind, p, q, mu, nu, beta))
     if rows.op.positive_only:
         x = np.abs(x)
     ratio, grad, has_grad = rows.value_and_grad(x)
