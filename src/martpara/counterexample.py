@@ -141,15 +141,18 @@ def divergence_report(n_max: int, p: float, r: float) -> list[DivergenceRow]:
     rows: list[DivergenceRow] = []
     prev_q = -math.inf
     for n in range(2, n_max + 1):
+        inst = build_cantor_instance(n, p, r)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                inst = build_cantor_instance(n, p, r)
                 b = direct_testing(inst.symbol.beta, p, 2.0, inst.mu, inst.nu)
                 b_star = adjoint_testing(inst.symbol.beta, p, 2.0, inst.mu, inst.nu)
                 q_val = chain_energy(inst, n)
             partial = sum(k ** (-2.0 * r) for k in range(1, n + 1))
             lower = 3.0 ** (-p) * 1.5 * partial ** (p / 2.0)
-        except (FloatingPointError, OverflowError):
+        # the instance is built from p and r, which it checked, so a
+        # ValueError of the testing constants is their power overflowing,
+        # and p is what is too large
+        except (FloatingPointError, OverflowError, ValueError):
             raise ValueError(f"p={p} is too large: the values of row n={n} overflow") from None
         if b > cap * (1.0 + 1e-9):
             raise RuntimeError(f"direct constant {b} exceeds the cap {cap} at n={n}")

@@ -5,6 +5,16 @@ All operators act on leaf functions and respect the zero-mass convention of
 maximal and reconstruction functions read the generation-major flat averages
 (``Lattice.split``): the jump of every non-root atom is its average minus
 its parent's, one subtraction over the whole tree.
+
+The maximal function and the Rubio de Francia series share one kernel
+(``_maximal_into``), which overwrites a flat (n_atoms,) buffer in place:
+the leaf generation takes f times the leaf masses, ``Lattice.sum_up``
+fills the generations above, a divide by the masses and an abs make them
+|averages|, and a top-down max raises every atom to its parent's value.
+``maximal_function`` hands it a fresh buffer per call;
+``rubio_de_francia`` allocates one buffer and one leaf-length term buffer
+per call and feeds each iterate back from the buffer's own leaf
+generation, so its iterations allocate nothing.
 """
 
 from __future__ import annotations
@@ -58,16 +68,57 @@ def reconstruct(f, m: Measure) -> np.ndarray:
     return lat.chain_sum(avg)
 
 
+#: the top-down max runs as ``arity`` strided maxima, one per child
+#: position, on a generation of at least this many parents and at arity at
+#: most ``STRIDED_MAX_ARITY``; elsewhere it broadcasts each parent over its
+#: run of children, in fewer calls (small generations) or with fewer passes
+#: over the children's cache lines (large arity)
+STRIDED_MAX_PARENTS = 512
+STRIDED_MAX_ARITY = 4
+
+
+def _maximal_into(flat: np.ndarray, f: np.ndarray, m: Measure, positive) -> np.ndarray:
+    """Overwrite the flat (n_atoms,) buffer ``flat`` with every atom's
+    largest |average| of the finite leaf function ``f`` over the atoms
+    containing it, and return its leaf generation, the maximal function.
+    ``f`` may be that leaf generation itself.  ``positive`` is
+    ``m.flat_mass > 0.0``, or True where no atom is massless.
+
+    The sums and divides are those of ``_averages`` and the max is exact, so
+    the bytes are those of the per-generation running max.  A massless
+    atom's integral is +-0.0 (f is finite and every leaf mass below it is
+    +-0.0), so it is left undivided and the abs makes it the 0.0 that
+    ``_per_mass`` writes.
+    """
+    lat, off, arity = m.lattice, m.lattice.offsets, m.lattice.arity
+    strided = STRIDED_MAX_PARENTS if arity <= STRIDED_MAX_ARITY else math.inf
+    leaves = flat[lat.n_internal:]
+    np.multiply(f, m.leaf_mass, out=leaves)
+    lat.sum_up(flat[:lat.n_internal], leaves)
+    np.divide(flat, m.flat_mass, out=flat, where=positive)
+    np.abs(flat, out=flat)
+    for d in range(1, lat.depth + 1):  # top-down: each atom takes its parent's max
+        parents, children = flat[off[d - 1]:off[d]], flat[off[d]:off[d + 1]]
+        if parents.size < strided:
+            runs = children.reshape(-1, arity)
+            np.maximum(parents[:, None], runs, out=runs)
+        else:
+            for k in range(arity):
+                np.maximum(parents, children[k::arity], out=children[k::arity])
+    return leaves
+
+
+def _positive_mass(m: Measure):
+    """The ``positive`` argument of ``_maximal_into``."""
+    return m.flat_mass > 0.0 if m.has_massless_atom else True
+
+
 def maximal_function(f, m: Measure) -> np.ndarray:
     """At each leaf, the largest |average| over all atoms containing it
-    (leaf atoms included)."""
-    lat, off = m.lattice, m.lattice.offsets
-    avg = _averages(leaf_function(lat, f), m)
-    np.abs(avg, out=avg)
-    for d in range(1, lat.depth + 1):  # top-down: each atom takes its parent's max
-        children = avg[off[d]:off[d + 1]].reshape(-1, lat.arity)
-        np.maximum(avg[off[d - 1]:off[d], None], children, out=children)
-    return avg[off[lat.depth]:]
+    (leaf atoms included): one ``_maximal_into`` pass over a fresh flat
+    buffer, whose leaf generation is returned."""
+    f = leaf_function(m.lattice, f)
+    return _maximal_into(np.empty(m.lattice.n_atoms), f, m, _positive_mass(m))
 
 
 def rubio_de_francia(f, m: Measure, p: float, tol: float = 1e-12) -> np.ndarray:
@@ -76,19 +127,29 @@ def rubio_de_francia(f, m: Measure, p: float, tol: float = 1e-12) -> np.ndarray:
     Returns sum over n >= 0 of (2p')^(-n) M^n |f|, truncated at the first term
     whose sup-norm drops below ``tol``.  Terms decay geometrically because
     M^n f <= sup|f|, so the discarded tail is at most tol * 2p'/(2p'-1).
+
+    The iterates live in one flat (n_atoms,) buffer and the terms in one
+    leaf-length buffer, both allocated once per call: each ``_maximal_into``
+    pass reads M^(n-1)|f| from the buffer's leaf generation and leaves M^n|f|
+    there, with the bytes of ``maximal_function``.  An iterate that
+    overflows raises the ValueError that ``maximal_function`` raises on it.
     """
     factor = 1.0 / (2.0 * conjugate(p))  # checks p
     if not 0.0 < tol < math.inf:  # nan fails too
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
     cur = np.abs(leaf_function(m.lattice, f))
     total = cur.copy()
+    flat, term = np.empty(m.lattice.n_atoms), np.empty_like(total)
+    positive = _positive_mass(m)
     scale = 1.0
     # geometric decay guarantees termination; the cap is a safety net only
     for _ in range(100_000):
-        cur = maximal_function(cur, m)
+        cur = _maximal_into(flat, cur, m, positive)
         scale *= factor
-        term = scale * cur
-        if term.size == 0 or float(term.max(initial=0.0)) < tol:
+        top = float(np.multiply(cur, scale, out=term).max())
+        if top < tol:
             break
+        if not math.isfinite(top):  # scale <= 1/2, so cur holds an inf
+            raise ValueError("leaf function entries must be finite")
         total += term
     return total

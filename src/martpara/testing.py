@@ -128,7 +128,9 @@ def _adjoint_cuts(
     term, and the one cut has ratios None."""
     _check_exponents(p, q, r=True)
     r_prime = conjugate(p / q)
-    integ = _edge_terms_adjoint(np.abs(beta._flat) ** q, nu.flat_mass[1:])
+    coeffs = np.abs(beta._flat)
+    coeffs **= q
+    integ = _edge_terms_adjoint(coeffs, nu.flat_mass[1:])
     if np.any((mu.flat_mass[:integ.size] == 0.0) & (integ > 0.0)):
         return [(0, None, None)], r_prime
     terms = _per_mass(integ, mu)

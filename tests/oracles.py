@@ -177,6 +177,23 @@ def naive_maximal_levels(lat: Lattice, f, m: Measure) -> np.ndarray:
     return cur
 
 
+def naive_rubio_de_francia(lat: Lattice, f, m: Measure, p: float, tol: float) -> np.ndarray:
+    """``rubio_de_francia``: the series sum of (2p')^(-n) M^n |f| with
+    ``naive_maximal_levels`` as M, one fresh array per term, stopped at the
+    first term whose max is below ``tol``."""
+    factor = 1.0 / (2.0 * conjugate(p))
+    cur = np.abs(np.asarray(f, dtype=float))
+    total = cur.copy()
+    scale = 1.0
+    while True:
+        cur = naive_maximal_levels(lat, cur, m)
+        scale *= factor
+        term = scale * cur
+        if float(term.max()) < tol:
+            return total
+        total += term
+
+
 def naive_edge_levels(op) -> list[np.ndarray]:
     """Per-generation edge coefficients of the operator's edge chain: the
     flat C of a linear handle, beta for the vector shape."""

@@ -303,12 +303,16 @@ def test_oversized_input_exits_2(tmp_path, capsys):
     assert "mu" in capsys.readouterr().err
     # past some p the separation experiment's values, and the embedding's
     # and the testing constants' powers, overflow: the error names p.  The
-    # testing constants' powers (which the separation experiment also
-    # takes) overflow on huge coefficients too, so their error names both
-    # causes, p with its value and the instance's values
+    # testing constants' powers overflow on huge coefficients too, so their
+    # error names both causes, p with its value and the instance's values;
+    # the separation experiment builds its instance from p, so its error
+    # names p alone
     both = "p={} or the instance's values are too large"
-    runs = [["counterexample", "--p", p, "--nmax", "3"] for p in ("2000", "1e16", "1e308")]
-    for argv in runs + [["embedding", "--p", "1e308"], ["testing", "--p", "1e308", "--q", "2"]]:
+    for p in ("2000", "1e16", "1e308"):
+        assert main(["counterexample", "--p", p, "--nmax", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"p={float(p)} is too large" in err and "instance" not in err, err
+    for argv in (["embedding", "--p", "1e308"], ["testing", "--p", "1e308", "--q", "2"]):
         assert main(argv) == 2
         p = float(argv[2])
         err = capsys.readouterr().err

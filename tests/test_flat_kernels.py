@@ -23,8 +23,10 @@ from martpara import (
     build_lattice,
     maximal_function,
     project_mean_zero,
+    rubio_de_francia,
 )
 from martpara.lattice import sibling_sums
+from martpara.martingale import STRIDED_MAX_PARENTS
 from martpara.measure import _per_mass, safe_divide
 from martpara.paraproduct import _edge_terms, _edge_terms_adjoint, _mean_zero_excess
 from martpara.stopping import _carleson_sup
@@ -42,6 +44,7 @@ from oracles import (
     naive_maximal_levels,
     naive_mean_zero_excess,
     naive_project_mean_zero,
+    naive_rubio_de_francia,
     naive_symbol_error,
 )
 
@@ -211,6 +214,35 @@ def test_maximal_function_matches_per_generation(case):
     lat, mu, _, x = case
     for row in x.reshape(-1, lat.n_leaves):  # it takes one leaf function
         assert same_bytes(maximal_function(row, mu), naive_maximal_levels(lat, row, mu))
+
+
+@pytest.mark.parametrize("arity, depth", [(2, 12), (3, 8), (4, 6), (5, 5)])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_maximal_kernel_matches_per_generation_on_large_trees(arity, depth, zeros):
+    """The trees have generations on both sides of the strided max's size
+    rule (arity 5 is past its arity cap and broadcasts throughout); masses
+    of many magnitudes, with 0.0, -0.0 and a massless subtree or none; leaf
+    values of many magnitudes with -0.0 among them; both tolerances the
+    package uses."""
+    lat = build_lattice(arity, depth)
+    sizes = [lat.level_size(d) for d in range(depth)]
+    assert min(sizes) < STRIDED_MAX_PARENTS <= max(sizes)
+    rng = np.random.default_rng(arity * 100 + depth)
+    n = lat.n_leaves
+    mass = rng.uniform(0.25, 4.0, n) * 10.0 ** rng.integers(-6, 7, n)
+    if zeros:
+        mass[rng.random(n) < 0.2] = 0.0
+        mass[rng.random(n) < 0.2] = -0.0
+        mass[:n // arity ** 2] = 0.0
+    mu = Measure(lat, mass)
+    assert mu.has_massless_atom == zeros
+    f = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    f[rng.random(n) < 0.1] = -0.0
+    assert same_bytes(maximal_function(f, mu), naive_maximal_levels(lat, f, mu))
+    for p in (1.5, 3.0, 4.0):
+        for tol in (1e-12, 1e-13):
+            assert same_bytes(rubio_de_francia(f, mu, p, tol=tol),
+                              naive_rubio_de_francia(lat, f, mu, p, tol))
 
 
 # -- no sibling sum outside the kernel -----------------------------------------

@@ -80,6 +80,16 @@ def test_rubio_de_francia_rejects_a_bad_tol(binary_uniform, tol):
         rubio_de_francia(np.array([1.0, 3.0]), mu, 2.0, tol=tol)
 
 
+def test_rubio_de_francia_raises_on_an_overflowing_average():
+    """f times the masses overflows, so the first iterate holds inf; the
+    series raises rather than run its cap of rounds on it."""
+    mu = Measure(build_lattice(2, 3), np.full(8, 1e10))
+    with np.errstate(over="ignore"):
+        assert np.isinf(maximal_function(np.full(8, 1e300), mu)).all()
+        with pytest.raises(ValueError, match="leaf function entries must be finite"):
+            rubio_de_francia(np.full(8, 1e300), mu, 3.0)
+
+
 @pytest.mark.parametrize("fn", [square_function, reconstruct, maximal_function])
 @pytest.mark.parametrize("shape", [(2, 8), (1, 8)])
 def test_martingale_functions_take_one_leaf_function(fn, shape):
