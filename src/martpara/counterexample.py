@@ -19,7 +19,7 @@ import numpy as np
 from .lattice import Lattice, build_lattice
 from .measure import Measure, _check_exponents
 from .paraproduct import EdgeCoefficients, Symbol, power_apply
-from .testing import adjoint_testing, direct_testing
+from .testing import PowerOverflowError, adjoint_testing, direct_testing
 
 
 def _first_middle_digit(n_leaves: int, depth: int) -> np.ndarray:
@@ -149,10 +149,8 @@ def divergence_report(n_max: int, p: float, r: float) -> list[DivergenceRow]:
                 q_val = chain_energy(inst, n)
             partial = sum(k ** (-2.0 * r) for k in range(1, n + 1))
             lower = 3.0 ** (-p) * 1.5 * partial ** (p / 2.0)
-        # the instance is built from p and r, which it checked, so a
-        # ValueError of the testing constants is their power overflowing,
-        # and p is what is too large
-        except (FloatingPointError, OverflowError, ValueError):
+        # the instance is built from p and r, so p is what is too large
+        except (FloatingPointError, OverflowError, PowerOverflowError):
             raise ValueError(f"p={p} is too large: the values of row n={n} overflow") from None
         if b > cap * (1.0 + 1e-9):
             raise RuntimeError(f"direct constant {b} exceeds the cap {cap} at n={n}")

@@ -10,7 +10,9 @@ The maximal function and the Rubio de Francia series share one kernel
 (``_maximal_into``), which overwrites a flat (n_atoms,) buffer in place:
 the leaf generation takes f times the leaf masses, ``Lattice.sum_up``
 fills the generations above, a divide by the masses and an abs make them
-|averages|, and a top-down max raises every atom to its parent's value.
+|averages|, and a top-down max raises every atom to its parent's value
+(strided on generations of ``STRIDED_MAX_PARENTS`` parents or more,
+broadcast on smaller ones).
 ``maximal_function`` hands it a fresh buffer per call;
 ``rubio_de_francia`` allocates one buffer and one leaf-length term buffer
 per call and feeds each iterate back from the buffer's own leaf
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .lattice import Atom
-from .measure import Measure, _averages, average, conjugate, leaf_function
+from .measure import Measure, _averages, _per_mass, average, conjugate, leaf_function
 
 
 def expectation(f, atom: Atom, m: Measure) -> np.ndarray:
@@ -69,37 +71,29 @@ def reconstruct(f, m: Measure) -> np.ndarray:
 
 
 #: the top-down max runs as ``arity`` strided maxima, one per child
-#: position, on a generation of at least this many parents and at arity at
-#: most ``STRIDED_MAX_ARITY``; elsewhere it broadcasts each parent over its
-#: run of children, in fewer calls (small generations) or with fewer passes
-#: over the children's cache lines (large arity)
+#: position, on a generation of at least this many parents; on smaller ones
+#: it broadcasts each parent over its run of children, in fewer calls
 STRIDED_MAX_PARENTS = 512
-STRIDED_MAX_ARITY = 4
 
 
-def _maximal_into(flat: np.ndarray, f: np.ndarray, m: Measure, positive) -> np.ndarray:
+def _maximal_into(flat: np.ndarray, f: np.ndarray, m: Measure) -> np.ndarray:
     """Overwrite the flat (n_atoms,) buffer ``flat`` with every atom's
-    largest |average| of the finite leaf function ``f`` over the atoms
-    containing it, and return its leaf generation, the maximal function.
-    ``f`` may be that leaf generation itself.  ``positive`` is
-    ``m.flat_mass > 0.0``, or True where no atom is massless.
+    largest |average| of the leaf function ``f`` over the atoms containing
+    it, and return its leaf generation, the maximal function.  ``f`` may be
+    that leaf generation itself.
 
     The sums and divides are those of ``_averages`` and the max is exact, so
-    the bytes are those of the per-generation running max.  A massless
-    atom's integral is +-0.0 (f is finite and every leaf mass below it is
-    +-0.0), so it is left undivided and the abs makes it the 0.0 that
-    ``_per_mass`` writes.
+    the bytes are those of the per-generation running max.
     """
     lat, off, arity = m.lattice, m.lattice.offsets, m.lattice.arity
-    strided = STRIDED_MAX_PARENTS if arity <= STRIDED_MAX_ARITY else math.inf
     leaves = flat[lat.n_internal:]
     np.multiply(f, m.leaf_mass, out=leaves)
     lat.sum_up(flat[:lat.n_internal], leaves)
-    np.divide(flat, m.flat_mass, out=flat, where=positive)
+    _per_mass(flat, m, out=flat)
     np.abs(flat, out=flat)
     for d in range(1, lat.depth + 1):  # top-down: each atom takes its parent's max
         parents, children = flat[off[d - 1]:off[d]], flat[off[d]:off[d + 1]]
-        if parents.size < strided:
+        if parents.size < STRIDED_MAX_PARENTS:
             runs = children.reshape(-1, arity)
             np.maximum(parents[:, None], runs, out=runs)
         else:
@@ -108,17 +102,12 @@ def _maximal_into(flat: np.ndarray, f: np.ndarray, m: Measure, positive) -> np.n
     return leaves
 
 
-def _positive_mass(m: Measure):
-    """The ``positive`` argument of ``_maximal_into``."""
-    return m.flat_mass > 0.0 if m.has_massless_atom else True
-
-
 def maximal_function(f, m: Measure) -> np.ndarray:
     """At each leaf, the largest |average| over all atoms containing it
     (leaf atoms included): one ``_maximal_into`` pass over a fresh flat
     buffer, whose leaf generation is returned."""
     f = leaf_function(m.lattice, f)
-    return _maximal_into(np.empty(m.lattice.n_atoms), f, m, _positive_mass(m))
+    return _maximal_into(np.empty(m.lattice.n_atoms), f, m)
 
 
 def rubio_de_francia(f, m: Measure, p: float, tol: float = 1e-12) -> np.ndarray:
@@ -140,11 +129,10 @@ def rubio_de_francia(f, m: Measure, p: float, tol: float = 1e-12) -> np.ndarray:
     cur = np.abs(leaf_function(m.lattice, f))
     total = cur.copy()
     flat, term = np.empty(m.lattice.n_atoms), np.empty_like(total)
-    positive = _positive_mass(m)
     scale = 1.0
     # geometric decay guarantees termination; the cap is a safety net only
     for _ in range(100_000):
-        cur = _maximal_into(flat, cur, m, positive)
+        cur = _maximal_into(flat, cur, m)
         scale *= factor
         top = float(np.multiply(cur, scale, out=term).max())
         if top < tol:

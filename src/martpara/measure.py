@@ -2,15 +2,16 @@
 
 Degenerate conventions are centralized here: an average over a zero-mass atom
 is 0, and every operator downstream inherits that choice through
-:func:`_per_mass`, which :func:`atom_averages` and the operators' averages
-share.  So is the one exponent check, :func:`_check_exponents`: every
-public function that takes p or q calls it, directly or through
-:func:`conjugate` or :func:`lp_norm`.  Atom masses, integrals and averages
+:func:`_per_mass`, which :func:`atom_averages`, the operators' averages
+and the maximal function share.  So is the one exponent check,
+:func:`_check_exponents`: every public function that takes p or q calls
+it, directly or through :func:`conjugate` or :func:`lp_norm`.  Atom masses, integrals and averages
 are generation-major flat arrays (``Lattice.split``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,6 +52,13 @@ class Measure:
         self.level_mass = lattice.split(flat)
         #: whether some atom has mass 0 (or -0.0), where averages are 0
         self.has_massless_atom = not bool((flat > 0.0).all())
+
+    @functools.cached_property
+    def _mass_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat boolean masks of the atoms with mass > 0 and of the rest,
+        formed on first use by :func:`_per_mass`."""
+        positive = self.flat_mass > 0.0
+        return positive, ~positive
 
     def mass(self, atom: Atom) -> float:
         atom = self.lattice.check_atom(atom)
@@ -97,14 +105,20 @@ def _integrals(f: np.ndarray, m: Measure) -> np.ndarray:
     return m.lattice.flat_sums(f, m.leaf_mass)
 
 
-def _per_mass(vals: np.ndarray, m: Measure) -> np.ndarray:
-    """Flat values divided by the masses of their atoms, 0 on zero-mass
-    atoms: the trailing axis starts at the root and may stop at any atom."""
-    mass = m.flat_mass[:vals.shape[-1]]
+def _per_mass(vals: np.ndarray, m: Measure, out: np.ndarray | None = None) -> np.ndarray:
+    """Flat values divided by the masses of their atoms, 0.0 on zero-mass
+    atoms, in ``out`` (which may be ``vals``) or a new array: the trailing
+    axis starts at the root and may stop at any atom."""
+    k = vals.shape[-1]
+    mass = m.flat_mass[:k]
     if not m.has_massless_atom:
-        return np.divide(vals, mass)
-    out = np.zeros(vals.shape)
-    np.divide(vals, mass, out=out, where=mass > 0.0)
+        return np.divide(vals, mass, out=out)
+    positive, massless = m._mass_masks
+    if out is None:
+        out = np.zeros(vals.shape)
+    else:  # the divide leaves the massless atoms alone
+        np.copyto(out, 0.0, where=massless[:k])
+    np.divide(vals, mass, out=out, where=positive[:k])
     return out
 
 

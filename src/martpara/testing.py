@@ -72,15 +72,20 @@ def _cut_ratios(
         yield d, chain, safe_divide(num, den)
 
 
+class PowerOverflowError(ValueError):
+    """A testing constant's power step overflowed."""
+
+
 @contextmanager
 def _powers_of(p: float) -> Iterator[None]:
     """Reports an overflowing power step of a testing constant, raised under
-    ``np.errstate(over="raise")``, as a ValueError naming its two causes."""
+    ``np.errstate(over="raise")``, as a PowerOverflowError naming its two
+    causes."""
     try:
         yield
     except FloatingPointError:
         cause = f"p={p} or the instance's values are too large"
-        raise ValueError(f"{cause}: the testing powers overflow") from None
+        raise PowerOverflowError(f"{cause}: the testing powers overflow") from None
 
 
 def _sup(cuts: Iterable[Cut], p: float) -> float:

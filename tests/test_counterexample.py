@@ -125,3 +125,17 @@ def test_report_bounds_nmax():
         divergence_report(13, 4.0, 0.3)
     with pytest.raises(ValueError):
         divergence_report(1, 4.0, 0.3)
+
+
+def test_report_relabels_only_the_power_overflow(monkeypatch):
+    """A p too large names p alone; any other ValueError of the testing
+    constants passes through with its own message."""
+    with pytest.raises(ValueError, match=r"^p=2000.0 is too large: the values of row n=3 overflow$"):
+        divergence_report(3, 2000.0, 0.3)
+
+    def other_error(*args):
+        raise ValueError("some other check")
+
+    monkeypatch.setattr("martpara.counterexample.direct_testing", other_error)
+    with pytest.raises(ValueError, match=r"^some other check$"):
+        divergence_report(3, 4.0, 0.3)

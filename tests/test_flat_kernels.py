@@ -220,10 +220,9 @@ def test_maximal_function_matches_per_generation(case):
 @pytest.mark.parametrize("zeros", [False, True])
 def test_maximal_kernel_matches_per_generation_on_large_trees(arity, depth, zeros):
     """The trees have generations on both sides of the strided max's size
-    rule (arity 5 is past its arity cap and broadcasts throughout); masses
-    of many magnitudes, with 0.0, -0.0 and a massless subtree or none; leaf
-    values of many magnitudes with -0.0 among them; both tolerances the
-    package uses."""
+    rule; masses of many magnitudes, with 0.0, -0.0 and a massless subtree
+    or none; leaf values of many magnitudes with -0.0 among them; both
+    tolerances the package uses."""
     lat = build_lattice(arity, depth)
     sizes = [lat.level_size(d) for d in range(depth)]
     assert min(sizes) < STRIDED_MAX_PARENTS <= max(sizes)
