@@ -42,7 +42,7 @@ fixed resolution, 1e-2, the grid of a 4-leaf operator has 159^3 directions
 times up to 8 sign patterns, about 0.03-0.15 s on one core of a 2-core
 machine where every power folds in, up to about 2 s where the scan takes a
 power of neither 1 nor 2 (the 24 operators of the acceptance battery: about
-0.9 s in all).  A block holds at most ``_GRID_VALUES`` = 2^16 values (form
+0.7-0.8 s in all).  A block holds at most ``_GRID_VALUES`` = 2^16 values (form
 rows times directions), so the scan needs about 1 MB.
 """
 
@@ -488,7 +488,7 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
 #: values per block of the grid scan, (form rows + 1 for den^p) x directions,
 #: the rows counted after the folds (8 for a 4-leaf vector kind at (4, 2):
 #: one per sign pattern, so a block holds 45 prefixes); the scan's buffers
-#: take about 1 MB, and the battery's 24 operators scan in about 0.9 s
+#: take about 1 MB, and the battery's 24 operators scan in about 0.7-0.8 s
 _GRID_VALUES = 1 << 16
 _GRID_RESOLUTION = 1e-2  # angle step of the grid
 

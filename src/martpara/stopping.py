@@ -23,9 +23,16 @@ operator as a ledger of checkable identities and inequalities with explicit
 constants.  Its two halves run through one per-half routine that reads
 every per-atom quantity from flat edge terms built once: coefficient x
 f-integral over the parent (``_edge_terms``), coefficient x g-integral over
-the atom, and their product, the pairing term.  A processed atom's local
-function is the masked sum of these terms over the atoms it owns in one
-owner sweep of the processed atoms.
+the atom, and their product, the pairing term.  The local functions of all
+processed atoms come from one top-down chain of these terms that restarts
+from 0.0 under every processed atom, so each one is known on its own leaves
+only: on those it owns the chain, on those of a processed atom selected
+under it the chain at that atom.  Its norm and pairings are sums over
+leaf-length rows, filled with the zero function's elements outside the
+atom and reduced in blocks along the last axis, which gives the bytes of
+the full-length ``lp_norm`` and ``np.sum`` (``_local_sums``).  The ledger's
+order-pinned sums read flat positions sorted by numpy, the order of sorted
+atoms.
 """
 
 from __future__ import annotations
@@ -57,6 +64,11 @@ from .paraproduct import (
     positive_apply,
 )
 from .testing import positive_operator_testing
+
+#: leaf values in one block of ledger rows (one leaf-length row per top), and
+#: the entries a ledger half builds at once: its scratch stays bounded however
+#: many tops it has
+_LEDGER_BLOCK = 1 << 13
 
 
 def _check_nonnegative(lat: Lattice, f) -> np.ndarray:
@@ -147,7 +159,8 @@ def exhausted_members(
     owner sweep from ``top`` reaches and the one from the selected atoms
     leaves without an owner."""
     at = _positions(lat, members)
-    free = (_sweep(lat, [top])[0][at] >= 0) & (_sweep(lat, list(selected))[0][at] < 0)
+    free = ((_sweep(lat, _positions(lat, [top]))[0][at] >= 0)
+            & (_sweep(lat, _positions(lat, selected))[0][at] < 0))
     return set(_atoms(lat, at[free]))
 
 
@@ -185,25 +198,26 @@ class StoppingForest:
 # the owner sweep
 # ---------------------------------------------------------------------------
 
-def _sweep(lat: Lattice, seeds: list[Atom], avgs=None, pick=None):
+def _sweep(lat: Lattice, seeds: np.ndarray, avgs=None, pick=None):
     """One top-down pass giving every atom its owner.
 
     Each atom inherits its parent's owner, the smallest processed atom
-    containing it, and becomes its own owner when it is a seed or when
-    ``pick(d, owner_avg)`` selects it among the depth-``d`` atoms that have an
-    owner (``owner_avg``: the average of each one's inherited owner, from the
-    flat ``avgs``).  Owners are numbered: the seeds in the given order, then
-    the picked atoms in (depth, index) order.  Returns the flat owner ids (-1
-    outside every seed), the owner atoms, per owner the owner it inherited
-    (-1 for seeds) and, when ``avgs`` is given, per owner its average.
+    containing it, and becomes its own owner when it is a seed (given by
+    flat position) or when ``pick(d, owner_avg)`` selects it among the
+    depth-``d`` atoms that have an owner (``owner_avg``: the average of each
+    one's inherited owner, from the flat ``avgs``).  Owners are numbered:
+    the seeds in the given order, then the picked atoms in (depth, index)
+    order.  Returns the flat owner ids (-1 outside every seed), the owners'
+    flat positions, per owner the owner it inherited (-1 for seeds) and,
+    when ``avgs`` is given, per owner its average.
     """
     off, arity = lat.offsets, lat.arity
     owner = np.full(lat.n_atoms, -1)
-    at = _positions(lat, seeds)
-    owner[at] = np.arange(len(seeds))
-    tops = list(seeds)
-    source = [np.full(len(tops), -1)]
-    top_avg = None if avgs is None else avgs[at]
+    owner[seeds] = np.arange(len(seeds))
+    tops = [seeds]
+    count = len(seeds)
+    source = [np.full(count, -1)]
+    top_avg = None if avgs is None else avgs[seeds]
     for d in range(1, lat.depth + 1):
         inherited = np.repeat(owner[off[d - 1]:off[d]], arity)
         own = owner[off[d]:off[d + 1]]
@@ -211,18 +225,18 @@ def _sweep(lat: Lattice, seeds: list[Atom], avgs=None, pick=None):
         if pick is not None:
             inside = inherited >= 0
             picked = np.flatnonzero(inside & pick(d, top_avg[np.where(inside, inherited, 0)]))
-            own[picked] = np.arange(len(tops), len(tops) + picked.size)
+            own[picked] = np.arange(count, count + picked.size)
+            count += picked.size
             source.append(inherited[picked])
             top_avg = np.concatenate([top_avg, avgs[off[d] + picked]])
-            tops.extend(_atoms(lat, off[d] + picked))
-    return owner, tops, np.concatenate(source), top_avg
+            tops.append(off[d] + picked)
+    return owner, np.concatenate(tops), np.concatenate(source), top_avg
 
 
-def _check_disjoint_roots(lat: Lattice, ordered: list[Atom]) -> None:
+def _check_disjoint_roots(lat: Lattice, ordered: list[Atom], at: np.ndarray) -> None:
     """A root inside another inherits an owner; name the first such pair in
-    sorted order, as a pairwise scan would."""
-    owner, *_ = _sweep(lat, ordered)
-    at = _positions(lat, ordered)
+    sorted order, as a pairwise scan would.  ``at``: the roots' flat positions."""
+    owner, *_ = _sweep(lat, at)
     inside = np.where(at > 0, owner[(at - 1) // lat.arity], -1)  # the parent's owner
     pairs = [(ordered[k], r) for k, r in zip(inside.tolist(), ordered) if k >= 0]
     if pairs:
@@ -264,7 +278,8 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
     lat = mu.lattice
     roots = {lat.check_atom(r) for r in roots}
     ordered = sorted(roots)
-    _check_disjoint_roots(lat, ordered)
+    root_at = _positions(lat, ordered)
+    _check_disjoint_roots(lat, ordered, root_at)
     forest = StoppingForest(lattice=lat, roots=roots)
     if not roots:
         return forest
@@ -282,7 +297,7 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
             return member[gen] & (value[gen] >= 2.0 * owner_avg) & (owner_avg != 0.0)
         return member[gen] & (value[gen] > 2.0 * owner_avg)
 
-    owner, tops, source, top_avg = _sweep(lat, ordered, avgs, pick)
+    owner, top_at, source, top_avg = _sweep(lat, root_at, avgs, pick)
     n_roots = len(ordered)
 
     # members that stay with their owner stay below its threshold
@@ -299,9 +314,8 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
             else f"exhausted atom {a!r} exceeds the stopping threshold"
         )
     # the atoms selected under a top cover at most half of its mass
-    top_at = _positions(lat, tops)
     top_mass = mu.flat_mass[top_at]
-    covered = np.bincount(source[n_roots:], weights=top_mass[n_roots:], minlength=len(tops))
+    covered = np.bincount(source[n_roots:], weights=top_mass[n_roots:], minlength=top_at.size)
     if np.any((top_mass > 0.0) & (covered > 0.5 * top_mass * (1.0 + 1e-12))):
         raise RuntimeError(
             "stopping atoms cover more than half of the top atom" if modified
@@ -319,6 +333,7 @@ def _grow_forest(modified: bool, members: Iterable[Atom], f, mu: Measure,
         flipped[key_at] = True
     order = np.lexsort((picked, _scan_positions(lat, flipped)[key_at], source[n_roots:]))
 
+    tops = _atoms(lat, top_at)
     found: list[list[Atom]] = [[] for _ in tops]
     for i in order.tolist():
         found[source[n_roots + i]].append(tops[n_roots + i])
@@ -416,6 +431,112 @@ def carleson_embedding_check(
 
 
 # ---------------------------------------------------------------------------
+# the ledger's local functions
+# ---------------------------------------------------------------------------
+
+def _ledger_chain(lat: Lattice, local_terms: np.ndarray, is_top: np.ndarray,
+                  on_parent: bool) -> np.ndarray:
+    """Flat, the local terms (flat from generation 1) added top-down along
+    every atom's ancestors, from 0.0 again under every processed atom (the
+    flat mask ``is_top``).  At atom a it is the run of the processed atom J
+    above a: ``(0.0 + t_1) + t_2 + ...`` over the atoms from J's child down to
+    a, or with ``on_parent`` the sum at a's parent, ``((run + t_c0) + t_c1) +
+    ...`` one child slot at a time; either is what J's local function holds
+    on a's leaves when a is J's."""
+    off, arity = lat.offsets, lat.arity
+    chain = np.zeros(lat.n_atoms)
+    for d in range(1, lat.depth + 1):
+        run = np.where(is_top[off[d - 1]:off[d]], 0.0, chain[off[d - 1]:off[d]])
+        gen = chain[off[d]:off[d + 1]]
+        if on_parent:
+            for j in range(arity):
+                run += local_terms[off[d] - 1 + j:off[d + 1] - 1:arity]
+            gen[:] = np.repeat(run, arity)
+        else:
+            np.add(np.repeat(run, arity), local_terms[off[d] - 1:off[d + 1] - 1], out=gen)
+    return chain
+
+
+def _local_sums(lat: Lattice, top_at: np.ndarray, local_terms: np.ndarray, on_parent: bool,
+                fn: np.ndarray, m: Measure, e: float) -> np.ndarray:
+    """Per processed atom J (flat positions ``top_at``, ascending): the sum of
+    |local|^e dm, the one of local fn dm, and the latter over the leaves of
+    the processed atoms selected under J, with J's local function ``local``
+    built from the flat ``local_terms`` of the atoms J owns; shape (3, tops).
+
+    J's local function is :func:`_ledger_chain` on the leaves J owns, and on
+    the leaves of each processed atom J' selected under J the chain at J'
+    (the run at J''s parent plus J''s own term, 0.0): J's entries sit on J's
+    own leaves only.  Each row of a block starts as the elements the zero
+    function gives, ``|0.0|^e m`` and ``0.0 fn m`` with their signed zeros,
+    takes its top's entries, and is reduced along the last axis: a full
+    leaf-length row summed in numpy's pairwise order, the bytes ``lp_norm``
+    and ``np.sum`` give for the leaf-length local function.  A block holds at
+    most ``_LEDGER_BLOCK`` values (or one row) and the entries are built for
+    runs of at most ``_LEDGER_BLOCK`` of them (or one top) at a time.
+    """
+    off, arity, n = lat.offsets, lat.arity, lat.n_leaves
+    n_tops = top_at.size
+    is_top = np.zeros(lat.n_atoms, dtype=bool)
+    is_top[top_at] = True
+    chain = _ledger_chain(lat, local_terms, is_top, on_parent)
+    handed = chain[top_at]  # what a top's parent top holds on the top's leaves
+    chain[top_at] = 0.0  # a leaf top owns no term
+    own_leaf = chain[lat.n_internal:]
+
+    # each top's leaves, lo[k] + range(size[k]), and the top it is selected under
+    depth_of = np.searchsorted(off, top_at, side="right") - 1
+    size = arity ** (lat.depth - depth_of)
+    lo = (top_at - np.asarray(off)[depth_of]) * size
+    owner = _sweep(lat, top_at)[0]
+    parent_top = np.full(n_tops, -1)
+    below = top_at > 0
+    parent_top[below] = owner[(top_at[below] - 1) // arity]
+    ends = np.cumsum(size)
+
+    zero_norm = np.abs(0.0) ** e * m.leaf_mass
+    zero_pair = 0.0 * fn * m.leaf_mass
+    zero_union = zero_pair * 0.0
+    rows = min(n_tops, max(1, _LEDGER_BLOCK // n))
+    block = np.empty((rows, n))
+    sums = np.zeros((3, n_tops))
+    c0 = 0
+    while c0 < n_tops:
+        # the entries of tops c0..c1-1 in row order, row r from first[r]
+        before = int(ends[c0 - 1]) if c0 else 0
+        c1 = max(c0 + 1, int(np.searchsorted(ends, before + _LEDGER_BLOCK, side="right")))
+        span = size[c0:c1]
+        first = ends[c0:c1] - span - before
+        count = int(ends[c1 - 1]) - before
+        leaf = np.arange(count) + np.repeat(lo[c0:c1] - first, span)
+        vals = own_leaf[leaf]
+        union = np.zeros(count, dtype=bool)
+        sub = np.flatnonzero((parent_top >= c0) & (parent_top < c1))
+        if sub.size:
+            up, width = parent_top[sub], size[sub]
+            at = np.arange(width.sum()) + np.repeat(
+                first[up - c0] + lo[sub] - lo[up] - (np.cumsum(width) - width), width)
+            vals[at] = np.repeat(handed[sub], width)
+            union[at] = True
+        mass = m.leaf_mass[leaf]
+        weighted = vals * fn[leaf] * mass
+        parts = ((zero_norm, np.abs(vals) ** e * mass), (zero_pair, weighted),
+                 (zero_union, weighted * union))
+        dest = np.repeat(np.arange(c1 - c0) % rows * n, span) + leaf
+        for b0 in range(c0, c1, rows):
+            b1 = min(b0 + rows, c1)
+            e0 = first[b0 - c0]
+            e1 = first[b1 - c0] if b1 < c1 else count
+            rows_b = block[:b1 - b0]
+            for k, (zero, entries) in enumerate(parts):
+                rows_b[...] = zero
+                np.put(rows_b, dest[e0:e1], entries[e0:e1])
+                sums[k, b0:b1] = np.add.reduce(rows_b, axis=-1)
+        c0 = c1
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # splitting and the decomposition replay
 # ---------------------------------------------------------------------------
 
@@ -428,10 +549,16 @@ def split_collections(
     lat = mu.lattice
     f = _check_nonnegative(lat, f)
     g = _check_nonnegative(lat, g)
-    p_prime = conjugate(p)
-    in_first = _averages(f, mu) ** p * mu.flat_mass >= _averages(g, nu) ** p_prime * nu.flat_mass
+    in_first = _first_collection(_averages(f, mu), _averages(g, nu), p, mu, nu)
     return (set(_atoms(lat, np.flatnonzero(in_first))),
             set(_atoms(lat, np.flatnonzero(~in_first))))
+
+
+def _first_collection(avg_f: np.ndarray, avg_g: np.ndarray, p: float, mu: Measure,
+                      nu: Measure) -> np.ndarray:
+    """Flat mask of :func:`split_collections`' first collection, from the
+    flat averages of f w.r.t. mu and of g w.r.t. nu."""
+    return avg_f ** p * mu.flat_mass >= avg_g ** conjugate(p) * nu.flat_mass
 
 
 @dataclass
@@ -546,32 +673,33 @@ def proof_mirror(
     if max(b, b_star) > 1.0 + tol:
         raise ValueError("testing constants exceed 1; rescale the coefficients first")
 
-    first, second = split_collections(f, g, p, mu, nu)
+    avg_f = _averages(f, mu)
+    avg_g = _averages(g, nu)
+    in_first = _first_collection(avg_f, avg_g, p, mu, nu)
+    first_at, second_at = np.flatnonzero(in_first), np.flatnonzero(~in_first)
+    first, second = set(_atoms(lat, first_at)), set(_atoms(lat, second_at))
     pairing_value = pairing(positive_apply(alpha, f, mu), g, nu)
 
-    # flat terms over the non-root atoms: each one's edge coefficient times
-    # the f-integral over its parent (edge_f) and times the g-integral over
-    # itself (edge_g), and their product, its pairing term.  Per-atom reads go
-    # through Python floats (``tolist``), so that every ``** p`` below is a
-    # Python power; those lists are indexed by flat position, 0.0 at the root.
+    # flat terms over the atoms, generation-major and 0.0 at the root: each
+    # atom's edge coefficient (coef) times the f-integral over its parent
+    # (edge_f, from generation 1) and times the g-integral over itself
+    # (edge_g, from generation 1), and their product, its pairing term.
+    # Per-atom reads gather the positions they need and go through Python
+    # floats (``tolist``), so that every ``** p`` below is a Python power.
     off, arity = lat.offsets, lat.arity
     ints_g = _integrals(g, nu)[1:]
     coefs = alpha._flat.reshape(-1)
     edge_f = _edge_terms(alpha._flat, _parent_integrals(f, mu))
     edge_g = coefs * ints_g
-    terms = [0.0] + (edge_f * ints_g).tolist()
-    coef = [0.0] + coefs.tolist()
-    avg_f = _averages(f, mu).tolist()
-    avg_g = _averages(g, nu).tolist()
-    mass_mu = mu.flat_mass.tolist()
-    mass_nu = nu.flat_mass.tolist()
+    terms = np.concatenate(([0.0], edge_f * ints_g))
+    coef = np.concatenate(([0.0], coefs))
 
     # Carleson sequence of the direct-term lemma: one weight per internal atom
     integs = _edge_terms_adjoint(alpha._flat ** p, nu.flat_mass[1:])
     lemma_weights = integs * mu.flat_mass[:lat.n_internal] ** p
     heavy = np.flatnonzero(lemma_weights)
     lemma_embed = sum(
-        w * abs(avg_f[k]) ** p for k, w in zip(heavy.tolist(), lemma_weights[heavy].tolist())
+        w * abs(a) ** p for a, w in zip(avg_f[heavy].tolist(), lemma_weights[heavy].tolist())
     )
     lemma_carleson = _carleson_sup(lemma_weights, mu)
     lemma = [
@@ -579,78 +707,62 @@ def proof_mirror(
         InequalityCheck("lemma-embedding-bound", lemma_embed, p_prime ** p),
     ]
 
-    def half(label, members, forest, own, other, on_parent, direct_bound, interlude):
+    def half(label, member_at, forest, own, other, on_parent, direct_bound, interlude):
         """One half of the splitting: its total, its report and its checks.
 
-        ``own`` is (averages, atom masses, exponent e) of the function and
-        measure the construction ran on, ``other`` (function, measure, e') of
-        the ones it pairs with.  A member owned by a processed atom J (the
-        smallest one containing it, not itself) puts its local term into J's
-        local function: edge_f on its own leaves, or with ``on_parent``
+        ``own`` is (flat averages, flat masses, exponent e) of the function
+        and measure the construction ran on, ``other`` (function, measure,
+        e') of the ones it pairs with.  A member owned by a processed atom J
+        (the smallest one containing it, not itself) puts its local term into
+        J's local function: edge_f on its own leaves, or with ``on_parent``
         edge_g on its parent's leaves.  Its e-norm w.r.t. the other measure
         is checked against 2 avg(J) mass(J)^(1/e).  The direct terms of the
         stopping atoms are bounded via the lemma with the own function's
         y-factor: in the first half the splitting condition gives
         avg_g^{p'} nu <= avg_f^p mu on them.
+
+        The local functions, their norms and pairings come from
+        :func:`_local_sums`, one row per processed atom.
         """
         avg_own, mass_own, e = own
         fn_other, m_other, e_conj = other
-        processed = sorted(forest.processed)
-        owner, tops, *_ = _sweep(lat, processed)
+        processed_at = _positions(lat, forest.processed)
+        top_at = np.sort(processed_at)  # sorted atoms are in flat order
+        tops = _atoms(lat, top_at)
         owned = np.zeros(lat.n_atoms, dtype=bool)
-        owned[_positions(lat, members)] = True
-        owned[_positions(lat, processed)] = False
+        owned[member_at] = True
+        owned[top_at] = False
         local_terms = np.where(owned[1:], edge_g if on_parent else edge_f, 0.0)
-        leaf_owner = owner[lat.n_internal:]
+        sums = _local_sums(lat, top_at, local_terms, on_parent, fn_other, m_other, e)
 
         checks: list[InequalityCheck] = []
         per_plain: dict[Atom, float] = {}
         per_stopped: dict[Atom, float] = {}
         local_sum = 0.0
-        for k, top in enumerate(tops):
-            # J's terms, down its subtree, added along each leaf's ancestor
-            # chain in the order of the sorted atoms: by depth, and on the
-            # parent's leaves siblings one child slot at a time
-            lo, hi = top.index, top.index + 1
-            run = np.zeros(1)
-            for d in range(top.depth + 1, lat.depth + 1):
-                lo, hi = lo * arity, hi * arity
-                gen = slice(off[d] + lo, off[d] + hi)
-                mine = np.where(owner[gen] == k, local_terms[gen.start - 1:gen.stop - 1], 0.0)
-                if on_parent:
-                    for col in mine.reshape(-1, arity).T:
-                        run = run + col
-                    run = np.repeat(run, arity)
-                else:
-                    run = np.repeat(run, arity) + mine
-            local = np.zeros(lat.n_leaves)
-            local[lo:hi] = run
-            at = off[top.depth] + top.index
+        for top, norm_e, contrib, inner, avg_top, mass_top in zip(
+                tops, sums[0], sums[1].tolist(), sums[2].tolist(),
+                avg_own[top_at].tolist(), mass_own[top_at].tolist()):
             checks.append(InequalityCheck(
-                f"{label}-local-norm({top.depth},{top.index})", lp_norm(local, e, m_other),
-                2.0 * avg_own[at] * mass_own[at] ** (1.0 / e),
+                f"{label}-local-norm({top.depth},{top.index})", float(norm_e ** (1.0 / e)),
+                2.0 * avg_top * mass_top ** (1.0 / e),
             ))
-            # indicator of the atoms selected under J: its leaves it does not own
-            union = np.zeros(lat.n_leaves)
-            union[lo:hi] = leaf_owner[lo:hi] != k
-            weighted = local * fn_other * m_other.leaf_mass
-            contrib = float(np.sum(weighted))
-            inner = float(np.sum(weighted * union))
             local_sum += contrib
             per_plain[top] = contrib - inner
             per_stopped[top] = inner
 
         # sum() and += loops are not interchangeable: from Python 3.12 on,
         # sum() of floats is compensated, and the ledger bytes are pinned by
-        # the per-atom oracle in tests/oracles.py
+        # the per-atom oracle in tests/oracles.py.  Sorted atoms are in flat
+        # order.
         stopping = forest.stopping_atoms
+        stop_at = _positions(lat, stopping)
         stopping_sum = 0.0
-        for a in sorted(stopping):
-            stopping_sum += terms[off[a.depth] + a.index]
+        for term in terms[np.sort(stop_at)].tolist():
+            stopping_sum += term
         report = HalfReport(forest, local_sum, stopping_sum, per_plain, per_stopped)
-        total = sum(terms[off[a.depth] + a.index] for a in sorted(members) if a.depth > 0)
-        embed = sum(avg_own[k] ** e * mass_own[k]
-                    for k in _positions(lat, forest.processed).tolist())
+        total = sum(terms[member_at[member_at > 0]].tolist())
+        embed = sum(a ** e * m for a, m in zip(avg_own[processed_at].tolist(),
+                                              mass_own[processed_at].tolist()))
         checks += [
             InequalityCheck(f"{label}-splitting-identity", abs(total - report.total),
                             1e-10 * max(abs(total), 1.0)),
@@ -661,11 +773,14 @@ def proof_mirror(
             *interlude,
         ]
         s2 = x_term = y_term = 0.0
-        for k in _positions(lat, stopping).tolist():
-            up = (k - 1) // arity
-            s2 += terms[k]
-            x_term += avg_f[up] ** p * coef[k] ** p * mass_mu[up] ** p * mass_nu[k]
-            y_term += avg_own[k] ** e * mass_own[k]
+        up = (stop_at - 1) // arity
+        for term, a_f, c, m_up, m_nu, a_own, m_own in zip(
+                terms[stop_at].tolist(), avg_f[up].tolist(), coef[stop_at].tolist(),
+                mu.flat_mass[up].tolist(), nu.flat_mass[stop_at].tolist(),
+                avg_own[stop_at].tolist(), mass_own[stop_at].tolist()):
+            s2 += term
+            x_term += a_f ** p * c ** p * m_up ** p * m_nu
+            y_term += a_own ** e * m_own
         checks += [
             InequalityCheck(f"{label}-direct-hoelder", s2,
                             x_term ** (1.0 / p) * y_term ** (1.0 / p_prime)),
@@ -676,12 +791,12 @@ def proof_mirror(
 
     root = [lat.root]
     t1, half1, checks1 = half(
-        "t1", first, modified_stopping_forest(first, f, mu, root), (avg_f, mass_mu, p),
+        "t1", first_at, modified_stopping_forest(first, f, mu, root), (avg_f, mu.flat_mass, p),
         (g, nu, p_prime), on_parent=False,
         direct_bound=2.0 ** (1.0 / p_prime) * p_prime ** p, interlude=lemma,
     )
     t2, half2, checks2 = half(
-        "t2", second, stopping_forest(second, g, nu, root), (avg_g, mass_nu, p_prime),
+        "t2", second_at, stopping_forest(second, g, nu, root), (avg_g, nu.flat_mass, p_prime),
         (f, mu, p), on_parent=True,
         direct_bound=2.0 ** (1.0 / p_prime) * p_prime * p, interlude=[],
     )

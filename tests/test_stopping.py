@@ -26,6 +26,7 @@ from martpara import (
     stopping_generation,
 )
 import martpara.cli
+import martpara.stopping
 from martpara.lattice import Atom
 from martpara.stopping import exhausted_members
 
@@ -457,6 +458,104 @@ def test_proof_mirror_ledger_is_byte_identical_to_the_set_based_forests():
              for sparsity in (0.0, 0.3)]
     for case in cases:
         assert ledger_view(proof_mirror(*case)) == ledger_view(naive_proof_mirror(*case))
+
+
+def signed_zeros(rng, values, share=0.2):
+    """``values`` with about ``share`` of its entries set to -0.0."""
+    return np.where(rng.random(values.shape) < share, -0.0, values)
+
+
+def flat_ledger_corpus():
+    """Normalized ``proof_mirror`` inputs from depth 1 up and at arity 2-9:
+    mu and nu each with a massless atom (above the leaves from depth 2 on)
+    and, in every other case, 40 % massless leaves; f, g and alpha with
+    -0.0 entries set before normalizing; heavy-tailed or cascading f and g;
+    p = 1.5 and 3."""
+    for arity, depth in ((2, 1), (3, 1), (5, 1), (2, 9), (3, 5), (5, 3), (8, 2), (9, 2), (9, 3)):
+        lat = build_lattice(arity, depth)
+        n = lat.n_leaves
+        width = arity if depth > 1 else 1  # leaves of the massless atom
+        for seed in range(4):
+            rng = np.random.default_rng(1000 * arity + 10 * depth + seed)
+
+            def masses():
+                m = 1.0 - rng.random(n)
+                m[rng.random(n) < 0.4 * (seed % 2)] = 0.0
+                dead = rng.integers(n // width)
+                m[dead * width:(dead + 1) * width] = 0.0
+                return m
+
+            mu, nu = Measure(lat, masses()), Measure(lat, masses())
+            draw = (pareto, cascade)[seed // 2]
+            f, g = signed_zeros(rng, draw(rng, lat)), signed_zeros(rng, draw(rng, lat))
+            alpha = NonnegativeCoefficients(lat, [
+                signed_zeros(rng, np.abs(rng.standard_normal((lat.level_size(d), arity))))
+                for d in range(depth)])
+            for p in (1.5, 3.0):
+                if lp_norm(f, p, mu) > 0.0 and lp_norm(g, conjugate(p), nu) > 0.0:
+                    yield normalize_for_mirror(alpha, f, g, p, mu, nu) + (p, mu, nu)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_flat_ledger_is_byte_identical_on_signed_zeros_massless_atoms_and_wide_trees(
+        monkeypatch, block):
+    """The ledger's local functions, built on each top's own leaves, against
+    the per-atom ledger of tests/oracles.py, on a corpus that holds every
+    feature listed below; with blocks of 64 values most tops take a block
+    and a run of entries of their own."""
+    if block is not None:
+        monkeypatch.setattr(martpara.stopping, "_LEDGER_BLOCK", block)
+    seen = set()
+    for case in flat_ledger_corpus():
+        alpha, f, g, p, mu, nu = case
+        lat = mu.lattice
+        report = proof_mirror(*case)
+        assert ledger_view(report) == ledger_view(naive_proof_mirror(*case))
+        for name, values in (("f", f), ("g", g), ("alpha", alpha._flat)):
+            if np.any((values == 0.0) & np.signbit(values)):
+                seen.add(f"-0.0 in {name}")
+        for name, m in (("mu", mu), ("nu", nu)):
+            if np.any(m.flat_mass[1:lat.n_internal] == 0.0):
+                seen.add(f"massless subtree of {name}")
+        seen.add(f"arity {lat.arity}")
+        if lat.depth == 1:
+            seen.add("depth 1")
+        forests = (report.half1.forest, report.half2.forest)
+        if any(a.depth == lat.depth for forest in forests for a in forest.stopping_atoms):
+            seen.add("stopping leaf")
+        if any(len(forest.generations) >= 3 for forest in forests):
+            seen.add("3 stopping generations")
+    missing = {"-0.0 in f", "-0.0 in g", "-0.0 in alpha", "massless subtree of mu",
+               "massless subtree of nu", "arity 5", "arity 8", "arity 9", "depth 1",
+               "stopping leaf", "3 stopping generations"} - seen
+    assert not missing, missing
+
+
+def test_proof_mirror_norms_tops_in_row_blocks(monkeypatch):
+    """Beyond its two input-norm checks, ``proof_mirror`` may call ``lp_norm``
+    at most once per block of rows, whatever the number of processed atoms:
+    a 2^10 instance with over 100 of them and a 2^3 one with 3 make the same
+    number of calls."""
+    real = martpara.stopping.lp_norm
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(martpara.stopping, "lp_norm", counting)
+    counts = []
+    for case in (mirror_case(2, 10, seed=0, p=1.5), mirror_case(2, 3, seed=0, p=3.0)):
+        calls.clear()
+        report = proof_mirror(*case)
+        n = case[-1].lattice.n_leaves
+        sizes = [len(h.forest.processed) for h in (report.half1, report.half2)]
+        rows = max(1, martpara.stopping._LEDGER_BLOCK // n)
+        assert len(calls) <= 2 + sum(-(-k // rows) for k in sizes)
+        counts.append((sum(sizes), len(calls)))
+    (many, calls_many), (few, calls_few) = counts
+    assert many >= 100 and few <= 3
+    assert calls_many == calls_few
 
 
 def test_proof_mirror_matches_the_oracle_on_the_golden_instance(monkeypatch, capsys):
