@@ -62,6 +62,7 @@ from .measure import (
 )
 from .paraproduct import (
     EdgeCoefficients,
+    _check_lattices,
     _edge_chain,
     _edge_terms_adjoint,
     project_mean_zero,
@@ -91,14 +92,6 @@ _HALVINGS = 0.5 ** np.arange(_FAN_OUT)
 #: an ascent stops converged once a step gains at most this times max(ratio, 1)
 _STEP_TOL = 1e-10
 _EXCHANGE_ROUNDS = 6  # most certificate exchanges in ``equivalence_report``
-
-
-def _check_lattices(**parts) -> None:
-    """Raise a ValueError naming each part's lattice unless they are one."""
-    parts = {name: part for name, part in parts.items() if part is not None}
-    if len({part.lattice for part in parts.values()}) > 1:
-        where = ", ".join(f"{name} on {part.lattice}" for name, part in parts.items())
-        raise ValueError(f"the operator's parts live on different lattices: {where}")
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: C is an array

@@ -4,28 +4,17 @@ The operators come in four flavours, all evaluated in O(atoms) by one
 bottom-up integral pass plus one top-down accumulation pass.  The latter is
 one kernel, ``_edge_chain``: each child atom's edge coefficient times its
 parent's value (``_edge_terms``), summed along every leaf's ancestor chain.
-Its transpose, ``_edge_terms_adjoint``, contracts child values with the
-coefficients back onto the parents; the norm gradients, the adjoint testing
-terms and the lemma weights of the decomposition replay all go through it.
+Its transpose, ``_edge_terms_adjoint``, serves the norm gradients, the
+adjoint testing terms and the lemma weights of the decomposition replay.
 
-Coefficients, averages and sequence fields are generation-major flat arrays
-(``Lattice.split``): the coefficients of the internal atoms form one
-(n_internal, arity) array whose rows' children are the non-root atoms in
-flat order, so each kernel is one elementwise numpy call over every
-generation at once, not one per generation.  The edge terms are flat over
-the non-root atoms, and ``Lattice.chain_sum(terms, 1)`` adds them along
-the chains; ``EdgeCoefficients.level`` and ``SequenceField.level`` are
-views of the flat arrays.
-
-* ``paraproduct_apply``     -- sum over internal atoms of (mu-average of f) * b_I,
-  where b_I are the mean-zero components of a :class:`Symbol`;
-* ``vector_paraproduct``    -- the sequence-valued version, one number per
-  non-root atom;
-* ``power_apply`` / ``shifted_apply`` -- the nonlinear q-power majorant and the
-  positive linear operator that dominates it;
-* ``positive_apply``        -- the general shifted positive operator driven by
-  nonnegative edge coefficients.
-"""
+Everything is a generation-major flat array (``Lattice.split``).  The
+coefficients are one (n_internal, arity) array whose rows' children are the
+non-root atoms in flat order, validated once (``EdgeCoefficients._adopt``);
+the mean-zero check of :class:`Symbol` and the correction of
+:func:`project_mean_zero` are one pass over all its rows.  The only loop
+over the generations is the shape check of a caller's list of levels.  The
+package's one lattice check, ``_check_lattices``, guards every function
+here and in :mod:`martpara.testing` that takes coefficients and measures."""
 
 from __future__ import annotations
 
@@ -40,6 +29,20 @@ from .measure import (
 )
 
 
+def _check_lattices(**parts) -> None:
+    """Raise a ValueError naming each part's lattice unless the parts given
+    (None skips one) live on one lattice: the same object, or equal ones."""
+    lats = {name: part.lattice for name, part in parts.items() if part is not None}
+    if len({id(lat) for lat in lats.values()}) > 1 and len(set(lats.values())) > 1:
+        where = ", ".join(f"{name} on {lat}" for name, lat in lats.items())
+        raise ValueError(f"the operator's parts live on different lattices: {where}")
+
+
+def _generation(lat: Lattice, pos):
+    """Generation of the atom at each flat position of ``pos``."""
+    return np.searchsorted(lat.offsets, pos, side="right") - 1
+
+
 class EdgeCoefficients:
     """One real coefficient per parent->child edge of the lattice.
 
@@ -47,12 +50,11 @@ class EdgeCoefficients:
     0 first: row ``offsets[d] + i`` holds the coefficients from internal atom
     ``(d, i)`` to its children, in child-slot order, and ``level(d)`` is the
     view of generation ``d``, shape ``(arity**d, arity)``.  Missing entries
-    default to 0.
+    default to 0.  Every constructor ends in the one validation, ``_adopt``.
     """
 
     def __init__(self, lattice: Lattice, levels: Optional[Sequence[np.ndarray]] = None):
-        self.lattice = lattice
-        self._flat = np.zeros((lattice.n_internal, lattice.arity))
+        flat = np.zeros((lattice.n_internal, lattice.arity))
         if levels is not None:
             if len(levels) != lattice.depth:
                 raise ValueError(f"expected {lattice.depth} coefficient levels")
@@ -60,24 +62,38 @@ class EdgeCoefficients:
                 arr = np.asarray(lvl, dtype=float)
                 if arr.shape != (lattice.level_size(d), lattice.arity):
                     raise ValueError(f"level {d} has shape {arr.shape}")
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"level {d} has non-finite entries")
-                self.level(d)[...] = arr
+                flat[lattice.offsets[d]:lattice.offsets[d + 1]] = arr
+        self._adopt(lattice, flat)
+
+    @classmethod
+    def _of(cls, lattice: Lattice, flat: np.ndarray):
+        """Coefficients that keep a new flat (n_internal, arity) float array."""
+        return cls.__new__(cls)._adopt(lattice, flat)
+
+    def _adopt(self, lattice: Lattice, flat: np.ndarray) -> "EdgeCoefficients":
+        """Keep ``flat`` after the one validation: finite entries, and no
+        negative ones in :class:`NonnegativeCoefficients`; a fault names its
+        first level."""
+        nonnegative = isinstance(self, NonnegativeCoefficients)
+        for bad, fault in ((~np.isfinite(flat), "level {} has non-finite entries"),
+                           (nonnegative and flat < 0, "negative coefficient at level {}")):
+            if np.any(bad):
+                raise ValueError(fault.format(_generation(lattice, np.argmax(np.any(bad, axis=1)))))
+        self.lattice, self._flat = lattice, flat
+        return self
 
     @classmethod
     def from_dict(cls, lattice: Lattice, entries: Mapping[tuple[int, int, int], float]):
         """Build from a sparse map {(depth, index, child_slot): value}."""
-        levels = [
-            np.zeros((lattice.level_size(d), lattice.arity)) for d in range(lattice.depth)
-        ]
+        flat = np.zeros((lattice.n_internal, lattice.arity))
         for (d, i, k), v in entries.items():
             atom = lattice.check_atom(Atom(d, i))
             if lattice.is_leaf(atom):
                 raise ValueError(f"edge coefficient attached to leaf {atom!r}")
             if not 0 <= k < lattice.arity:
                 raise ValueError(f"child slot {k} out of range")
-            levels[d][i, k] = float(v)
-        return cls(lattice, levels)
+            flat[lattice.offsets[d] + i, k] = float(v)
+        return cls._of(lattice, flat)
 
     def level(self, d: int) -> np.ndarray:
         """Writable view of the generation-``d`` rows of the flat array."""
@@ -95,41 +111,38 @@ class EdgeCoefficients:
         return out
 
     def scaled(self, t: float) -> "EdgeCoefficients":
-        return type(self)(self.lattice, [t * self.level(d) for d in range(self.lattice.depth)])
+        return type(self)._of(self.lattice, t * self._flat)
 
     def absolute(self) -> "NonnegativeCoefficients":
         """The coefficients |b|: those of the positive operator on |beta|."""
-        levels = [np.abs(self.level(d)) for d in range(self.lattice.depth)]
-        return NonnegativeCoefficients(self.lattice, levels)
+        return NonnegativeCoefficients._of(self.lattice, np.abs(self._flat))
 
     def to_dict(self) -> dict[tuple[int, int, int], float]:
-        out = {}
-        for d in range(self.lattice.depth):
-            lvl = self.level(d)
-            for i, k in zip(*np.nonzero(lvl)):
-                out[(d, int(i), int(k))] = float(lvl[i, k])
-        return out
+        """The sparse map of :meth:`from_dict`: every entry but +0.0, so a
+        -0.0 survives a round trip."""
+        rows, slots = np.nonzero((self._flat != 0.0) | np.signbit(self._flat))
+        depths = _generation(self.lattice, rows)
+        index = rows - np.take(self.lattice.offsets, depths)
+        keys = zip(depths.tolist(), index.tolist(), slots.tolist())
+        return dict(zip(keys, self._flat[rows, slots].tolist()))
 
 
 class NonnegativeCoefficients(EdgeCoefficients):
     """Edge coefficients constrained to be >= 0 (shifted positive operators)."""
 
-    def __init__(self, lattice: Lattice, levels: Optional[Sequence[np.ndarray]] = None):
-        super().__init__(lattice, levels)
-        for d in range(lattice.depth):
-            if np.any(self.level(d) < 0):
-                raise ValueError(f"negative coefficient at level {d}")
-
 
 _MEAN_ZERO_RTOL = 1e-9  # tolerance of the Symbol check, relative to sum |b| nu
 
 
-def _mean_zero_excess(lvl: np.ndarray, child_mass: np.ndarray):
-    """Per-atom integral of the component, its tolerance, and where the
-    integral exceeds the tolerance (the check :class:`Symbol` applies)."""
-    arity = lvl.shape[-1]
-    sums = sibling_sums((lvl * child_mass).reshape(-1), arity)
-    caps = _MEAN_ZERO_RTOL * sibling_sums((np.abs(lvl) * child_mass).reshape(-1), arity)
+def _mean_zero_excess(coeffs: np.ndarray, child_mass: np.ndarray):
+    """Per-row integral of the component, its tolerance, and where the
+    integral exceeds it (the check :class:`Symbol` applies)."""
+    arity = coeffs.shape[-1]
+    sums = sibling_sums((coeffs * child_mass).reshape(-1), arity)
+    caps = np.abs(coeffs)
+    caps *= child_mass
+    caps = sibling_sums(caps.reshape(-1), arity)
+    caps *= _MEAN_ZERO_RTOL
     return sums, caps, np.abs(sums) > caps
 
 
@@ -137,25 +150,18 @@ class Symbol:
     """Edge coefficients whose components are martingale differences w.r.t. nu.
 
     The defining constraint -- each component integrates to zero against the
-    reference measure -- is validated here once; the apply routines then treat
-    the symbol as plain coefficients.
+    reference measure -- is validated here once, in one pass over all atoms.
     """
 
     def __init__(self, beta: EdgeCoefficients, nu: Measure):
-        if beta.lattice is not nu.lattice and beta.lattice != nu.lattice:
-            raise ValueError("coefficients and reference measure live on different lattices")
-        self.beta = beta
-        self.nu = nu
-        lat = beta.lattice
-        for d in range(lat.depth):
-            child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
-            sums, caps, bad = _mean_zero_excess(beta.level(d), child_mass)
-            if np.any(bad):
-                i = int(np.nonzero(bad)[0][0])
-                raise ValueError(
-                    f"symbol is not mean-zero at atom ({d}, {i}): "
-                    f"integral {sums[i]:.3e} exceeds tolerance {caps[i]:.3e}"
-                )
+        _check_lattices(beta=beta, nu=nu)
+        self.beta, self.nu, lat = beta, nu, beta.lattice
+        sums, caps, bad = _mean_zero_excess(beta._flat, nu.flat_mass[1:].reshape(-1, lat.arity))
+        if bad.any():
+            row = int(np.argmax(bad))
+            d = _generation(lat, row)
+            raise ValueError(f"symbol is not mean-zero at atom ({d}, {row - lat.offsets[d]}): "
+                             f"integral {sums[row]:.3e} exceeds tolerance {caps[row]:.3e}")
 
     @property
     def lattice(self) -> Lattice:
@@ -166,22 +172,16 @@ class Symbol:
 
 
 class SequenceField:
-    """One real number per non-root atom; output space of the vector paraproduct.
-
-    Wraps one flat array over the non-root atoms, generation 1 first
-    (``Lattice.split`` from generation 1), whose levels are views.  Leading
-    axes are a batch of fields (the vector paraproduct of a batch of leaf
-    functions).
-    """
+    """One real number per non-root atom, the output of the vector
+    paraproduct: one flat array, generation 1 first, whose levels are views.
+    Leading axes are a batch of fields (of a batch of leaf functions)."""
 
     def __init__(self, lattice: Lattice, flat: np.ndarray):
         flat = np.asarray(flat, dtype=float)
         if flat.shape[-1:] != (lattice.n_atoms - 1,):
-            raise ValueError(
-                f"expected {lattice.n_atoms - 1} sequence values, got shape {flat.shape}"
-            )
-        self.lattice = lattice
-        self._flat = flat
+            raise ValueError(f"expected {lattice.n_atoms - 1} sequence values, "
+                             f"got shape {flat.shape}")
+        self.lattice, self._flat = lattice, flat
 
     def level(self, d: int) -> np.ndarray:
         """Values at generation ``d`` (1..depth), a view of the flat array."""
@@ -218,32 +218,36 @@ def _edge_chain(lat: Lattice, coeffs: np.ndarray, parent_vals: np.ndarray) -> np
     return lat.chain_sum(terms, 1)
 
 
+def _parent_values(f, mu: Measure, kernel=_parent_averages, **parts) -> np.ndarray:
+    """The flat parent averages (or ``kernel``'s values) of leaf rows f
+    w.r.t. mu, once the coefficient ``parts`` pass the lattice check."""
+    _check_lattices(**parts, mu=mu)
+    return kernel(_leaf_rows(mu.lattice, f), mu)
+
+
 def paraproduct_apply(symbol: Symbol, f, mu: Measure) -> np.ndarray:
     """Two-weight paraproduct: sum over internal atoms of (mu-average of f)
     times the symbol component, evaluated pointwise on leaves."""
-    f = _leaf_rows(mu.lattice, f)
-    return _edge_chain(symbol.lattice, symbol.beta._flat, _parent_averages(f, mu))
+    return _edge_chain(symbol.lattice, symbol.beta._flat, _parent_values(f, mu, symbol=symbol))
 
 
 def vector_paraproduct(beta: EdgeCoefficients, f, mu: Measure) -> SequenceField:
     """Sequence field s_I = (mu-average of f over parent of I) * coefficient."""
-    f = _leaf_rows(mu.lattice, f)
-    return SequenceField(beta.lattice, _edge_terms(beta._flat, _parent_averages(f, mu)))
+    return SequenceField(beta.lattice, _edge_terms(beta._flat, _parent_values(f, mu, beta=beta)))
 
 
 def sequence_norm(s: SequenceField, p: float, q: float, nu: Measure) -> float:
     """Triebel-Lizorkin style norm: L^p(nu) norm of the pointwise l^q size
     of the field along ancestor chains."""
     _check_exponents(p, q, low=0.0)
-    chain = s.q_power_chain(q)
-    return lp_norm(chain ** (1.0 / q), p, nu)
+    _check_lattices(s=s, nu=nu)
+    return lp_norm(s.q_power_chain(q) ** (1.0 / q), p, nu)
 
 
 def power_apply(beta: EdgeCoefficients, f, q: float, mu: Measure) -> np.ndarray:
     """Nonlinear majorant: sum over internal atoms of |average|^q |b_I|^q."""
     _check_exponents(q=q)
-    f = _leaf_rows(mu.lattice, f)
-    avg_q = np.abs(_parent_averages(f, mu)) ** q
+    avg_q = np.abs(_parent_values(f, mu, beta=beta)) ** q
     return _edge_chain(beta.lattice, np.abs(beta._flat) ** q, avg_q)
 
 
@@ -251,29 +255,25 @@ def shifted_apply(beta: EdgeCoefficients, g, q: float, mu: Measure) -> np.ndarra
     """Shifted positive operator with coefficient functions |b_I|^q:
     sum over internal atoms of (mu-average of g) * |b_I|^q."""
     _check_exponents(q=q)
-    g = _leaf_rows(mu.lattice, g)
-    return _edge_chain(beta.lattice, np.abs(beta._flat) ** q, _parent_averages(g, mu))
+    return _edge_chain(beta.lattice, np.abs(beta._flat) ** q, _parent_values(g, mu, beta=beta))
 
 
 def positive_apply(alpha: NonnegativeCoefficients, f, mu: Measure) -> np.ndarray:
     """General shifted positive operator: sum over internal atoms of
     (integral of f over the atom) * coefficient step function."""
-    f = _leaf_rows(mu.lattice, f)
-    return _edge_chain(alpha.lattice, alpha._flat, _parent_integrals(f, mu))
+    integrals = _parent_values(f, mu, _parent_integrals, alpha=alpha)
+    return _edge_chain(alpha.lattice, alpha._flat, integrals)
 
 
 def bilinear_form(beta: EdgeCoefficients, f, g, mu: Measure) -> np.ndarray:
     """Bilinear version of the q=2 majorant: sum of (avg f)(avg g)|b_I|^2."""
-    avg_f = _parent_averages(_leaf_rows(mu.lattice, f), mu)
-    products = avg_f * _parent_averages(_leaf_rows(mu.lattice, g), mu)
+    products = _parent_values(f, mu, beta=beta) * _parent_values(g, mu)
     return _edge_chain(beta.lattice, beta._flat ** 2, products)
 
 
 def pairing(h, g, nu: Measure) -> float:
     """Bilinear pairing of two leaf functions against nu."""
-    h = leaf_function(nu.lattice, h)
-    g = leaf_function(nu.lattice, g)
-    return float(np.sum(h * g * nu.leaf_mass))
+    return float(np.sum(leaf_function(nu.lattice, h) * leaf_function(nu.lattice, g) * nu.leaf_mass))
 
 
 def project_mean_zero(beta: EdgeCoefficients, nu: Measure) -> Symbol:
@@ -284,40 +284,39 @@ def project_mean_zero(beta: EdgeCoefficients, nu: Measure) -> Symbol:
 
     Where sibling coefficients nearly agree, the corrected values are tiny
     while the rounding error of ``c - mean`` is that of the original values,
-    so :class:`Symbol` would reject the result.  At those atoms only, the
-    correction is recomputed from the differences to the coefficient of the
-    heaviest child: those are exact for nearby values, so the rounding error
-    scales with the corrected values (and equal siblings give exactly 0).
+    so :class:`Symbol` would reject the result.  At those atoms only (of
+    every generation at once) the correction is recomputed from the
+    differences to the coefficient of the heaviest child, exact for nearby
+    values: the rounding error scales with the corrected values (and equal
+    siblings give exactly 0).
     """
-    lat = beta.lattice
-    levels = []
-    for d in range(lat.depth):
-        lvl = beta.level(d)
-        child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
-        active = child_mass > 0
-        n_active = sibling_sums(active.reshape(-1).astype(np.intp), lat.arity)[:, None]
-        totals = nu.level_mass[d]  # the sibling sums of the child masses
-        means = safe_divide(sibling_sums((lvl * child_mass).reshape(-1), lat.arity), totals)
-        out = np.where(active & (n_active > 1), lvl - means[:, None], lvl)
-        out[active & (n_active == 1)] = 0.0
-        bad = _mean_zero_excess(out, child_mass)[2]
-        if np.any(bad):
-            rows = np.nonzero(bad)[0]
-            c, m, act = lvl[rows], child_mass[rows], active[rows]
-            ref = c[np.arange(len(rows)), m.argmax(axis=1)]
-            dev = np.where(act, c - ref[:, None], 0.0)
-            dbar = sibling_sums((dev * m).reshape(-1), lat.arity) / totals[rows]
-            out[rows] = np.where(act, dev - dbar[:, None], c)
-        levels.append(out)
-    return Symbol(EdgeCoefficients(lat, levels), nu)
+    _check_lattices(beta=beta, nu=nu)
+    lat, c = beta.lattice, beta._flat
+    child_mass = nu.flat_mass[1:].reshape(-1, lat.arity)
+    active = child_mass > 0
+    n_active = sibling_sums(active.reshape(-1).astype(np.intp), lat.arity)[:, None]
+    totals = nu.flat_mass[:lat.n_internal]  # the sibling sums of the child masses
+    out = c - safe_divide(sibling_sums((c * child_mass).reshape(-1), lat.arity), totals)[:, None]
+    np.copyto(out, c, where=~(active & (n_active > 1)))
+    out[active & (n_active == 1)] = 0.0
+    del n_active  # freed before the check
+    bad = _mean_zero_excess(out, child_mass)[2]
+    if bad.any():
+        rows = np.nonzero(bad)[0]
+        c, m, act = c[rows], child_mass[rows], active[rows]
+        ref = c[np.arange(len(rows)), m.argmax(axis=1)]
+        dev = np.where(act, c - ref[:, None], 0.0)
+        dbar = sibling_sums((dev * m).reshape(-1), lat.arity) / totals[rows]
+        out[rows] = np.where(act, dev - dbar[:, None], c)
+    return Symbol(EdgeCoefficients._of(lat, out), nu)
 
 
 def positive_from_symbol(beta: EdgeCoefficients, q: float, mu: Measure) -> NonnegativeCoefficients:
     """Edge coefficients mass(I)^(-1) |beta|^q turning the shifted operator
     into an instance of :func:`positive_apply` (zero on massless parents)."""
     _check_exponents(q=q)
-    lat, off = beta.lattice, beta.lattice.offsets
+    _check_lattices(beta=beta, mu=mu)
     coeffs = np.abs(beta._flat)
     coeffs **= q
-    coeffs *= _per_mass(np.ones(lat.n_internal), mu)[:, None]
-    return NonnegativeCoefficients(lat, [coeffs[off[d]:off[d + 1]] for d in range(lat.depth)])
+    coeffs *= _per_mass(np.ones(beta.lattice.n_internal), mu)[:, None]
+    return NonnegativeCoefficients._of(beta.lattice, coeffs)

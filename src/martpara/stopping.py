@@ -641,7 +641,7 @@ def normalize_for_mirror(
     if not math.isfinite(top):
         raise ValueError("testing constants are infinite; instance cannot be normalized")
     if top > 0.0:
-        alpha = NonnegativeCoefficients(lat, [alpha.level(d) / top for d in range(lat.depth)])
+        alpha = NonnegativeCoefficients._of(lat, alpha._flat / top)
     return alpha, f / nf, g / ng
 
 

@@ -32,7 +32,9 @@ import numpy as np
 
 from .lattice import Atom, Lattice
 from .measure import Measure, _check_exponents, _per_mass, conjugate, safe_divide
-from .paraproduct import EdgeCoefficients, NonnegativeCoefficients, Symbol, _edge_terms_adjoint
+from .paraproduct import (
+    EdgeCoefficients, NonnegativeCoefficients, Symbol, _check_lattices, _edge_terms_adjoint,
+)
 
 #: one cut depth d: (d, the chain of depth d, the ratios of the depth-d atoms)
 Cut = tuple[int, Optional[np.ndarray], Optional[np.ndarray]]
@@ -103,6 +105,7 @@ def direct_testing_symbol(symbol: Symbol, p: float, mu: Measure) -> float:
     integrate |sum over internal I inside J of b_I|^p against the symbol's
     reference measure and compare with mu(J)."""
     _check_exponents(p)
+    _check_lattices(symbol=symbol, mu=mu)
     # signed chain: accumulate the raw values, take |.|^p afterwards
     cuts = _cut_ratios(symbol.lattice, symbol.beta._flat, p, symbol.nu.leaf_mass, mu.flat_mass)
     with _powers_of(p):
@@ -117,6 +120,7 @@ def direct_testing(
         B = sup_J [ int_J (sum_{I in J, internal} |b_I|^q)^(p/q) d nu / mu(J) ]^(1/p).
     """
     _check_exponents(p, q)
+    _check_lattices(beta=beta, mu=mu, nu=nu)
     terms = np.abs(beta._flat)
     with _powers_of(p):
         with np.errstate(over="raise"):
@@ -132,6 +136,7 @@ def _adjoint_cuts(
     d nu; a massless I whose component still carries nu-mass has no finite
     term, and the one cut has ratios None."""
     _check_exponents(p, q, r=True)
+    _check_lattices(beta=beta, mu=mu, nu=nu)
     r_prime = conjugate(p / q)
     coeffs = np.abs(beta._flat)
     coeffs **= q
@@ -199,6 +204,7 @@ def positive_operator_testing(
     and the one the decomposition proof consumes.
     """
     p_prime = conjugate(p)  # checks p
+    _check_lattices(alpha=alpha, mu=mu, nu=nu)
     lat = alpha.lattice
     child_terms = alpha._flat * mu.flat_mass[:lat.n_internal, None]
     with _powers_of(p):

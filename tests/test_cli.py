@@ -84,6 +84,12 @@ def test_generate_and_round_trip(tmp_path, capsys):
     twin = tmp_path / "twin.json"
     save_instance(twin, inst)
     assert twin.read_text() == path.read_text()
+    # and so is a reload, -0.0 coefficients included
+    inst.beta.level(1)[2, 0] = -0.0
+    save_instance(twin, inst)
+    again = load_instance(twin)
+    assert np.signbit(again.beta.level(1)[2, 0])
+    assert again.beta._flat.tobytes() == inst.beta._flat.tobytes()
 
 
 def test_testing_subcommand_csv(tmp_path, capsys):

@@ -25,7 +25,7 @@ from martpara import (
     project_mean_zero,
     rubio_de_francia,
 )
-from martpara.lattice import sibling_sums
+from martpara.lattice import Atom, sibling_sums
 from martpara.martingale import STRIDED_MAX_PARENTS
 from martpara.measure import _per_mass, safe_divide
 from martpara.paraproduct import _edge_terms, _edge_terms_adjoint, _mean_zero_excess
@@ -197,6 +197,62 @@ def test_project_mean_zero_matches_per_generation(case, data):
         assert str(exc.value) == error
 
 
+def plain_corrections(lat, levels, nu) -> list[np.ndarray]:
+    """``project_mean_zero``'s corrections c - mean before its fallback, one
+    generation at a time: the rows they leave failing the mean-zero check
+    are the ones the fallback recomputes."""
+    out_levels = []
+    for d, lvl in enumerate(levels):
+        child_mass = nu.level_mass[d + 1].reshape(-1, lat.arity)
+        active = child_mass > 0
+        n_active = active.sum(axis=1, keepdims=True)
+        means = safe_divide((lvl * child_mass).sum(axis=1), nu.level_mass[d])
+        out = np.where(active & (n_active > 1), lvl - means[:, None], lvl)
+        out[active & (n_active == 1)] = 0.0
+        out_levels.append(out)
+    return out_levels
+
+
+@pytest.mark.parametrize("arity,depth", [(2, 8), (3, 5), (8, 3), (9, 3)])
+def test_project_mean_zero_fallback_across_generations(arity, depth):
+    """Siblings within 1e-3 of 1e6 on every third row of each generation
+    make the plain correction fail the check there, so the fallback runs on
+    rows of several generations in one call, from arity 3 up also on rows
+    with massless children (a massless subtree, leaves of mass 0 and -0.0),
+    and beside an atom with a single massed child.  The symbol, and the
+    check's message on the plain corrections, are those of the
+    per-generation oracles, byte for byte, on trees deeper than the
+    hypothesis cases."""
+    lat = build_lattice(arity, depth)
+    rng = np.random.default_rng(arity)
+    mass = rng.uniform(0.5, 1.5, lat.n_leaves)
+    mass[rng.random(lat.n_leaves) < 0.1] = 0.0
+    mass[rng.random(lat.n_leaves) < 0.1] = -0.0
+    mass[lat.leaf_slice(Atom(1, arity - 1))] = 0.0
+    lone = lat.leaf_slice(Atom(depth - 1, 1))
+    mass[lone.start + 1:lone.stop] = 0.0
+    nu = Measure(lat, mass)
+    levels = []
+    for d in range(depth):
+        lvl = rng.standard_normal((lat.level_size(d), arity))
+        lvl[2::3] = 1e6 + rng.uniform(-1e-3, 1e-3, lvl[2::3].shape)
+        levels.append(lvl)
+    plain = plain_corrections(lat, levels, nu)
+    failing = [naive_mean_zero_excess(out, nu.level_mass[d + 1].reshape(-1, arity))[2]
+               for d, out in enumerate(plain)]
+    assert sum(bool(bad.any()) for bad in failing) >= 2
+    massless = [(nu.level_mass[d + 1].reshape(-1, arity) <= 0.0).any(axis=1) for d in range(depth)]
+    # at arity 2 a massless child leaves one massed child, which gets 0
+    assert any((bad & m).any() if arity > 2 else m.any() for bad, m in zip(failing, massless))
+    with pytest.raises(ValueError) as exc:
+        Symbol(EdgeCoefficients(lat, plain), nu)
+    assert str(exc.value) == naive_symbol_error(lat, plain, nu)
+    want = naive_project_mean_zero(lat, levels, nu)
+    assert naive_symbol_error(lat, want, nu) is None
+    got = project_mean_zero(EdgeCoefficients(lat, levels), nu).beta
+    assert same_levels([got.level(d) for d in range(depth)], want)
+
+
 @given(cases(), st.data())
 def test_carleson_sup_matches_per_generation(case, data):
     """Own weight plus the children's totals, weights from the root on as
@@ -358,3 +414,67 @@ def test_the_guard_sees_a_readded_sibling_sum(tmp_path):
     )
     assert sibling_reductions(bad) == [
         "paraproduct.py:2", "paraproduct.py:4", "paraproduct.py:8", "paraproduct.py:10"]
+
+
+# -- no loop over the generations in paraproduct.py ----------------------------
+
+#: names whose reading marks an iterable as one over the generations
+GENERATION_NAMES = {"depth", "levels", "level", "level_mass", "level_size", "offsets", "split"}
+
+
+def generation_loops(path: Path) -> list[str]:
+    """Every ``for`` or ``while`` loop and comprehension in ``path`` whose
+    iterable (or condition) reads one of ``GENERATION_NAMES``, as
+    "enclosing function:line"."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            head = (child.iter if isinstance(child, (ast.For, ast.comprehension))
+                    else child.test if isinstance(child, ast.While) else None)
+            if head is not None and any(
+                    (isinstance(n, ast.Name) and n.id in GENERATION_NAMES)
+                    or (isinstance(n, ast.Attribute) and n.attr in GENERATION_NAMES)
+                    for n in ast.walk(head)):
+                found.append(f"{where}:{head.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return found
+
+
+def test_paraproduct_has_no_loop_over_the_generations():
+    """The coefficient layer runs on its flat (n_internal, arity) array: the
+    only loop over the generations left is the shape check of a caller's
+    list of levels."""
+    found = generation_loops(SRC / "paraproduct.py")
+    assert [hit.split(":")[0] for hit in found] == ["EdgeCoefficients.__init__"], found
+
+
+def test_the_guard_sees_a_readded_generation_loop(tmp_path):
+    bad = tmp_path / "paraproduct.py"
+    bad.write_text(
+        "def check(lat, beta, nu):\n"
+        "    for d in range(lat.depth):\n"
+        "        pass\n"
+        "    sums = [beta.level(d).sum() for d in range(lat.depth)]\n"
+        "    masses = {d: m for d, m in enumerate(nu.level_mass)}\n"
+        "    d = 0\n"
+        "    while d < lat.depth:\n"
+        "        d += 1\n"
+        "    return [lvl for lvl in lat.split(beta)]\n"
+        "class Coeffs:\n"
+        "    def scaled(self, t):\n"
+        "        return Coeffs([t * lvl for lvl in self.levels])\n"
+        "def fine(lat, entries, parts, atom):\n"
+        "    for (d, i, k), v in entries.items():\n"
+        "        pass\n"
+        "    for k, child in enumerate(lat.children(atom)):\n"
+        "        pass\n"
+        "    return [part.lattice for part in parts.values()]\n"
+    )
+    assert generation_loops(bad) == [
+        "check:2", "check:4", "check:5", "check:7", "check:9", "Coeffs.scaled:12"]

@@ -22,6 +22,13 @@ from martpara import (
 )
 from martpara.lattice import Atom
 from martpara.measure import atom_integrals
+from martpara.testing import (
+    adjoint_testing,
+    adjoint_witness_data,
+    direct_testing,
+    direct_testing_symbol,
+    positive_operator_testing,
+)
 
 from helpers import random_setup
 from oracles import (
@@ -282,3 +289,47 @@ def test_paraproduct_reassembles_from_sequence_field(seed):
     assert lp_norm(out, 2.0, nu) == pytest.approx(
         sequence_norm(s, 2.0, 2.0, nu), rel=1e-10, abs=1e-12
     )
+
+
+#: every function that takes coefficients and measures, called with the
+#: coefficient parts (beta, its |beta|, its symbol and a sequence field of
+#: beta) on one lattice and mu, nu and the leaf function on another
+ACROSS_LATTICES = {
+    "paraproduct_apply": lambda c, mu, nu, f: paraproduct_apply(c["symbol"], f, mu),
+    "vector_paraproduct": lambda c, mu, nu, f: vector_paraproduct(c["beta"], f, mu),
+    "power_apply": lambda c, mu, nu, f: power_apply(c["beta"], f, 2.0, mu),
+    "shifted_apply": lambda c, mu, nu, f: shifted_apply(c["beta"], f, 2.0, mu),
+    "positive_apply": lambda c, mu, nu, f: positive_apply(c["alpha"], f, mu),
+    "bilinear_form": lambda c, mu, nu, f: bilinear_form(c["beta"], f, f, mu),
+    "sequence_norm": lambda c, mu, nu, f: sequence_norm(c["field"], 4.0, 2.0, nu),
+    "Symbol": lambda c, mu, nu, f: Symbol(c["symbol"].beta, nu),
+    "project_mean_zero": lambda c, mu, nu, f: project_mean_zero(c["beta"], nu),
+    "positive_from_symbol": lambda c, mu, nu, f: positive_from_symbol(c["beta"], 2.0, mu),
+    "direct_testing_symbol": lambda c, mu, nu, f: direct_testing_symbol(c["symbol"], 4.0, mu),
+    "direct_testing": lambda c, mu, nu, f: direct_testing(c["beta"], 4.0, 2.0, mu, nu),
+    "adjoint_testing": lambda c, mu, nu, f: adjoint_testing(c["beta"], 4.0, 2.0, mu, nu),
+    "adjoint_witness_data": lambda c, mu, nu, f: adjoint_witness_data(c["beta"], 4.0, 2.0, mu, nu),
+    "positive_operator_testing":
+        lambda c, mu, nu, f: positive_operator_testing(c["alpha"], 4.0, mu, nu),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACROSS_LATTICES))
+@pytest.mark.parametrize("home,away", [((2, 3), (6, 1)), ((2, 2), (4, 1)), ((2, 3), (2, 2))])
+def test_parts_on_different_lattices_are_refused(name, home, away):
+    """Coefficients on one lattice and measures on another raise the one
+    lattice check's ValueError, naming both lattices, even where the leaf
+    counts agree (binary depth 2 against arity 4, depth 1); those used to
+    give numbers, and other pairs arrays of the wrong length or an
+    IndexError.  Equal lattices built apart pass."""
+    lat, mu, nu, beta, f = random_setup(*home, seed=0, sparsity=0.0)
+    parts = {"beta": beta, "alpha": beta.absolute(), "symbol": project_mean_zero(beta, nu),
+             "field": vector_paraproduct(beta, f, mu)}
+    _, mu_away, nu_away, _, f_away = random_setup(*away, seed=1, sparsity=0.0)
+    with pytest.raises(ValueError, match=rf"^the operator's parts live on different "
+                                         rf"lattices: \w+ on Lattice\(arity={home[0]}, .*"
+                                         rf"Lattice\(arity={away[0]}, depth={away[1]}\)$"):
+        ACROSS_LATTICES[name](parts, mu_away, nu_away, f_away)
+    twin = build_lattice(*home)
+    assert twin is not lat
+    ACROSS_LATTICES[name](parts, Measure(twin, mu.leaf_mass), Measure(twin, nu.leaf_mass), f)
