@@ -37,17 +37,24 @@ directions under every pattern.  Where the power after that square is 2
 (p = 4; the vector kind at (4, 2) or q = 4; the shifted kind at r = 4) the
 forms are squared on their coefficients, into quartic forms, and the nu
 weights or the chain membership fold in after it; the 4-leaf vector kind at
-(4, 2) then scans one form row per sign pattern instead of six.  At the
-fixed resolution, 1e-2, the grid of a 4-leaf operator has 159^3 directions
-times up to 8 sign patterns, about 0.03-0.15 s on one core of a 2-core
-machine where every power folds in, up to about 2 s where the scan takes a
-power of neither 1 nor 2 (the 24 operators of the acceptance battery: about
-0.7-0.8 s in all).  A block holds at most ``_GRID_VALUES`` = 2^16 values (form
-rows times directions), so the scan needs about 1 MB.
+(4, 2) then scans one form row per sign pattern instead of six.  Only the
+blocks that can hold the maximum are scanned: a bound that holds in
+floating point (the forms' harmonics over the circle, the den's least
+value, the rounding of the score and of the recomputed ratio) shows every
+other block unable to raise it, so the value keeps its bits.  At the fixed
+resolution, 1e-2, the grid of a 4-leaf operator has 159^3 directions times
+up to 8 sign patterns, in 123-2,107 blocks.  The battery's twelve 4-leaf
+operators scan 1-18 blocks of 123 or 2-30 of 562, and its 24 operators take
+about 0.15 s in all on one core of a 2-core machine, where scanning every
+block took 0.7-0.8 s.  Where a power of neither 1 nor 2 is left after the
+folds, only the first bound skips blocks (a 4-leaf shifted kind at r = 3
+scans 187 of 309).  A block holds at most ``_GRID_VALUES`` = 2^16 values
+(form rows times directions), so the scan needs about 1 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -481,7 +488,9 @@ def norm_lower_bound(op: OperatorHandle, cfg: Optional[AscentConfig] = None) -> 
 #: values per block of the grid scan, (form rows + 1 for den^p) x directions,
 #: the rows counted after the folds (8 for a 4-leaf vector kind at (4, 2):
 #: one per sign pattern, so a block holds 45 prefixes); the scan's buffers
-#: take about 1 MB, and the battery's 24 operators scan in about 0.7-0.8 s
+#: take about 1 MB, and the bounds that skip blocks work in chunks of a
+#: quarter of it.  The battery's 24 operators take about 0.15 s (a dense
+#: scan of every block took 0.7-0.8 s)
 _GRID_VALUES = 1 << 16
 _GRID_RESOLUTION = 1e-2  # angle step of the grid
 
@@ -493,7 +502,14 @@ def _product_fold(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     their summed exponents, the m summed exponents in the order they first
     appear, and for each the first pair (i, j) that makes it.  On the n
     variables themselves (``exps`` the identity) these are the pairs i <= j
-    in row-major order."""
+    in row-major order.  Every grid of up to 4 leaves takes the same few, so
+    they are kept, read-only."""
+    return _product_fold_of(exps.shape, exps.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _product_fold_of(shape: tuple, data: bytes):
+    exps = np.frombuffer(data, dtype=np.int64).reshape(shape)
     n = len(exps)
     sums = (exps[:, None, :] + exps[None, :, :]).reshape(n * n, -1)
     _, first, inverse = np.unique(sums, axis=0, return_index=True, return_inverse=True)
@@ -502,7 +518,10 @@ def _product_fold(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     fold = np.zeros((n * n, len(first)))
     fold[np.arange(n * n), rank[inverse.reshape(-1)]] = 1.0
     first = np.sort(first)
-    return fold, sums[first], first // n, first % n
+    out = fold, sums[first], first // n, first % n
+    for array in out:
+        array.setflags(write=False)
+    return out
 
 
 def _operator_matrix(op: OperatorHandle, alive_idx: np.ndarray):
@@ -516,6 +535,403 @@ def _operator_matrix(op: OperatorHandle, alive_idx: np.ndarray):
     if op.linear:
         return np.ascontiguousarray(out.T), None
     return np.ascontiguousarray(out._flat.T), np.ascontiguousarray(ind[1:].T)
+
+
+def _grid_forms(signed: np.ndarray, after: list) -> tuple[np.ndarray, list, list, list, float]:
+    """The forms of every (output, pattern) row of the signed operator
+    ``signed``, (outputs, patterns, k), and the steps of ``after`` they do not
+    fold in, with the exponents of the prefix and trig monomials and the
+    pairs whose products make them (see ``grid_oracle_norm``); last, a bound
+    on the rounding error of the forms relative to the forms of |signed|."""
+    n_out, n_pat, k = signed.shape
+    # The forms are laid out (output, prefix monomial, pattern, trig monomial)
+    # so that each linear map over the outputs is one matrix product.  They
+    # start linear in the prefix coordinates (u_0, ..., u_{k-3}, sigma) and
+    # in (1, cos t, sin t), exactly.
+    forms = np.zeros((n_out, k - 1, n_pat, 3))
+    forms[:, :k - 2, :, 0] = signed[:, :, :k - 2].transpose(0, 2, 1)
+    forms[:, k - 2, :, 1:] = signed[:, :, k - 2:]
+    exps = [np.eye(k - 1, dtype=np.int64), np.eye(3, dtype=np.int64)]
+    pairs = [[], []]  # per square and side, the pairs whose products are the new monomials
+    err = 0.0
+
+    def square(forms: np.ndarray) -> np.ndarray:
+        """The squares of the forms, on the monomials of twice the degree."""
+        nonlocal err
+        n, m, _, t = forms.shape
+        folds = []
+        for side in (0, 1):
+            fold, exps[side], i, j = _product_fold(exps[side])
+            folds.append(fold)
+            pairs[side].append((i, j))
+        outer = forms[:, :, None, :, :, None] * forms[:, None, :, :, None, :]
+        outer = (folds[0].T @ outer.reshape(n, m * m, -1)).reshape(-1, t * t) @ folds[1]
+        # a product doubles the relative error, then two sums of products
+        terms = sum(int(fold.sum(axis=0).max()) for fold in folds)
+        err = 2.0 * err + err * err + _gamma(1 + terms)
+        return outer.reshape(n, len(exps[0]), n_pat, len(exps[1]))
+
+    # Square, then fold the steps after the square into the forms in order:
+    # a power 1 leaves its linear map to fold in, and the first power 2
+    # squares the forms once more before its map folds in.  The steps left
+    # act on the scanned values.
+    forms = square(forms)
+    after = list(after)
+    squared = False
+    while after and (after[0][0] == 1.0 or (after[0][0] == 2.0 and not squared)):
+        power, lin = after.pop(0)
+        if power == 2.0:
+            forms, squared = square(forms), True
+        forms = (lin @ forms.reshape(len(forms), -1)).reshape(len(lin), *forms.shape[1:])
+        err += _gamma(_terms(lin) + 1) * (1.0 + err)
+    return forms, after, exps, pairs, err
+
+
+class _Grid:
+    """The grid of one operator on its alive mu leaves: the operator matrix
+    and the Rayleigh ratio ``ratios``, and where k >= 2 leaves are alive the
+    forms, the trig basis and the blocks that ``_scan_block`` scans (see
+    ``grid_oracle_norm``)."""
+
+    def __init__(self, op: OperatorHandle):
+        lat = op.lattice
+        if lat.n_leaves > 4:
+            raise ValueError(f"oracle supports at most 4 leaves, got {lat.n_leaves}")
+        alive_idx = np.nonzero(op.mu.leaf_mass > 0.0)[0]
+        k = len(alive_idx)
+        if k == 0:
+            raise ValueError("the input measure is identically zero")
+        self.op, self.k = op, k
+        self.mat, self.membership = _operator_matrix(op, alive_idx)
+        self.w = op.mu.leaf_mass[alive_idx]
+        self.v = op.nu.leaf_mass
+        if k == 1:
+            return
+        p = op.p
+        self.npts = npts = int(np.ceil((np.pi / 2.0) / _GRID_RESOLUTION)) + 1
+        theta = np.linspace(0.0, np.pi / 2.0, npts)
+        self.cos_t, self.sin_t = np.cos(theta), np.sin(theta)
+        if op.positive_only:
+            signs = np.ones((k, 1))
+        else:
+            patterns = []
+            for bits in range(2 ** (k - 1)):
+                s = [1.0] + [1.0 if (bits >> b) & 1 == 0 else -1.0 for b in range(k - 1)]
+                patterns.append(s)
+            signs = np.array(patterns).T  # (k, n_pat)
+        self.signs = signs
+        self.n_pat = signs.shape[1]
+
+        # The operator is scaled by a power of two so that the squares stay
+        # in range, which leaves the order of the points as it is.  The steps
+        # after the square: a power, then a linear map over the outputs.
+        self.scale = np.ldexp(1.0, -np.frexp(np.abs(self.mat).max())[1])
+        if not op.linear:
+            self.steps = [(op.q / 2.0, self.membership), (p / op.q, self.v[None, :])]
+        else:
+            self.steps = [(p / 2.0, self.v[None, :])]
+        forms, self.after, exps, pairs, _ = _grid_forms(
+            (self.scale * self.mat)[:, None, :] * signs.T, self.steps)  # (output, pattern, leaf)
+        self.prefix_pairs = pairs[0]
+        self.trig_exps = exps[1]
+        self.n_rows = len(forms) * self.n_pat
+        self.n_terms = len(exps[1])
+        self.forms = forms.reshape(len(forms), len(exps[0]), self.n_pat * self.n_terms)
+        basis = np.stack([np.ones(npts), self.cos_t, self.sin_t])
+        for left, right in pairs[1]:
+            basis = basis[left] * basis[right]
+        self.basis = basis
+        self.den_tail = self.w[k - 2] * self.cos_t ** p + self.w[k - 1] * self.sin_t ** p
+
+        # Directions in C order over the k - 1 angles.  A block is a run of
+        # prefixes times every value of the last angle.  Each coordinate is
+        # the product of sines and a cosine taken left to right, so a
+        # direction does not depend on the block it falls in.
+        self.n_pre = npts ** (k - 2)
+        self.per_block = min(self.n_pre, max(1, _GRID_VALUES // ((self.n_rows + 1) * npts)))
+        self.n_blocks = -(-self.n_pre // self.per_block)
+
+    def ratios(self, X: np.ndarray) -> np.ndarray:
+        op, w, v = self.op, self.w, self.v
+        den = (w[:, None] * np.abs(X) ** op.p).sum(axis=0) ** (1.0 / op.p)
+        out = self.mat @ X
+        if not op.linear:
+            chain = self.membership @ np.abs(out) ** op.q
+            num = (v[:, None] * chain ** (op.p / op.q)).sum(axis=0) ** (1.0 / op.p)
+        else:
+            num = (v[:, None] * np.abs(out) ** op.p).sum(axis=0) ** (1.0 / op.p)
+        res = np.zeros_like(num)
+        np.divide(num, den, out=res, where=den > 0)
+        return res
+
+    def prefixes(self, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coordinates of the prefixes ``pre``, (k - 1, len(pre)), the
+        last one sigma; sigma alone; and the prefix monomials."""
+        k, npts = self.k, self.npts
+        u = np.empty((k - 1, len(pre)))
+        sin_prod = np.ones(len(pre))
+        for a in range(k - 2):
+            i_a = pre // npts ** (k - 3 - a) % npts
+            u[a] = sin_prod * self.cos_t[i_a]
+            sin_prod = sin_prod * self.sin_t[i_a]
+        u[k - 2] = sin_prod
+        mono = u
+        for left, right in self.prefix_pairs:
+            mono = mono[left] * mono[right]
+        return u, sin_prod, mono
+
+
+def _scan_block(g: _Grid, block: int, buf: np.ndarray) -> tuple[float, float]:
+    """Score every point of one block of the grid in ``buf`` and return the
+    best score and the ratio of the best point, recomputed by ``ratios``."""
+    k, p, npts = g.k, g.op.p, g.npts
+    lo = block * g.per_block
+    pre = np.arange(lo, min(lo + g.per_block, g.n_pre))
+    u, sin_prod, mono = g.prefixes(pre)
+    vals = buf[:len(pre) * g.n_rows * npts].reshape(-1, npts)
+    np.matmul((mono.T @ g.forms).reshape(-1, g.n_terms), g.basis, out=vals)
+    vals = vals.reshape(len(g.forms), -1)
+    for power, lin in g.after:
+        if power == 2.0:  # np.square: about 3x faster than np.power(., 2.0)
+            np.square(vals, out=vals)
+        else:  # rounding may leave a square below 0: clamp before the power
+            np.power(np.maximum(vals, 0.0, out=vals), power, out=vals)
+        vals = lin @ vals
+    den_p = np.multiply.outer(sin_prod ** p, g.den_tail)
+    den_p += (g.w[:k - 2] @ u[:k - 2] ** p)[:, None]
+    score = vals.reshape(len(pre), g.n_pat, npts)
+    score *= np.divide(1.0, den_p, out=den_p, where=den_p > 0.0)[:, None, :]  # 0 where den = 0
+    j, pat, i = np.unravel_index(score.argmax(), score.shape)
+    x = np.concatenate([u[:k - 2, j], [sin_prod[j] * g.cos_t[i], sin_prod[j] * g.sin_t[i]]])
+    return float(score[j, pat, i]), float(g.ratios((x * g.signs[:, pat])[:, None])[0])
+
+
+# -- the bounds that let the scan skip blocks --------------------------------
+#
+# Rounding is bounded in Higham's model (Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Sec. 3.1): a sum of n products is off by at most
+# gamma_n times the sum of their absolute values, gamma_n = n u / (1 - n u),
+# u = 2^-53.  Every error below is relative to the *absolute* chain: the same
+# steps run on |scale * mat| and nonnegative directions, which dominates
+# every partial result.  libm's cos, sin, pow and hypot count as two units.
+# A power c >= 1 multiplies such a relative error e by c (1 + e)^(c-1); a
+# power c < 1 turns it into e^c.  Underflow adds at most u times the least
+# normal number per operation, so that number joins every absolute chain.
+
+_U = 2.0 ** -53
+#: samples of the full circle per degree of the polynomial that
+#: ``_Bounds.below`` checks: the Taylor remainder between samples is then
+#: D^2 (pi / M)^2 / 2 = 0.5% of the polynomial's sup norm (Bernstein)
+_SAMPLES_PER_DEGREE = 32
+
+
+def _gamma(n: float) -> float:
+    return n * _U / (1.0 - n * _U)
+
+
+def _terms(lin: np.ndarray) -> int:
+    """The most nonzero terms in a sum of the linear map ``lin``."""
+    return int((lin != 0.0).sum(axis=1).max())
+
+
+def _through(err: float, steps: list) -> float:
+    """The relative error ``err`` of the values before ``steps`` (each a power
+    and a nonnegative linear map) after them, each step rounded too."""
+    for power, lin in steps:
+        if power >= 1.0:
+            err = power * err * (1.0 + err) ** (power - 1.0)
+        else:
+            err = err ** power
+        err = err + _gamma(2) + _gamma(_terms(lin) + 1) * (1.0 + err)
+    return err
+
+
+def _harmonics(exps: np.ndarray) -> np.ndarray:
+    """The exact map from the trig monomials cos^a t sin^b t, (a, b) the last
+    two columns of ``exps``, to their harmonics: (monomials, 2, D + 1), the
+    coefficients of cos(jt) and then of sin(jt), j = 0..D.  With z = e^(it),
+    cos^a sin^b = (z + 1/z)^a (z - 1/z)^b / (2^(a+b) i^b), whose integer
+    z-coefficients pair into cos(jt) for even b and into sin(jt) for odd b;
+    every coefficient is a dyadic rational, so the map is exact.  The
+    absolute values of a row sum to at most 1, the sup norm of the monomial
+    being at most 1."""
+    degree = int(exps[:, -2:].sum(axis=1).max())
+    out = np.zeros((len(exps), 2, degree + 1))
+    for row, (a, b) in enumerate(exps[:, -2:]):
+        n = int(a + b)
+        poly = np.ones(1, dtype=np.int64)  # z-coefficients of z^-n .. z^n
+        for factor in [[1, 0, 1]] * int(a) + [[-1, 0, 1]] * int(b):
+            poly = np.convolve(poly, factor)
+        half = poly[n:] * ((-1) ** (int(b) // 2) / 2.0 ** n)  # z^0 .. z^n
+        if b % 2 == 0:
+            out[row, 0, :n + 1] = half
+            out[row, 0, 1:n + 1] *= 2.0
+        else:
+            out[row, 1, 1:n + 1] = 2.0 * half[1:]
+    return out
+
+
+class _Bounds:
+    """Upper bounds on the grid's scores, per block, that hold in floating
+    point (see ``grid_oracle_norm``)."""
+
+    def __init__(self, g: _Grid):
+        self.g = g
+        k, p, rows = g.k, g.op.p, len(g.forms)
+        # one base pattern per sign group: its four signs of the last two
+        # coordinates map t to t, -t, pi - t and pi + t, so a bound over the
+        # whole circle covers the group
+        self.n_grp = n_grp = max(1, g.n_pat // 4)
+        harm = _harmonics(g.trig_exps)
+        self.degree = deg = harm.shape[-1] - 1
+        forms = g.forms.reshape(rows, -1, g.n_pat, g.n_terms)[:, :, :n_grp]
+        n_mono = forms.shape[1]
+        self.fh = np.ascontiguousarray(  # (rows, groups x 2 x (D + 1), prefix monomials)
+            (forms @ harm.reshape(g.n_terms, -1)).transpose(0, 2, 3, 1).reshape(rows, -1, n_mono))
+        abs_forms, _, _, _, forms_err = _grid_forms(np.abs(g.scale * g.mat)[:, None, :], g.steps)
+        self.abs_sums = abs_forms.sum(axis=-1).reshape(rows, n_mono)
+
+        # The bound of a prefix (with t free) against the exact score of the
+        # scaled matrix: the forms' own error; the prefix monomials (products
+        # of k - 1 coordinates) and two sums of products, both in the scan
+        # and through the harmonic map; the trig basis (products, and a
+        # circle of radius 1 +- 2u); the hypots and their sum; and two units
+        # for the absolute chain's own rounding.
+        self.err_poly = forms_err + _gamma(
+            2 * (n_mono + g.n_terms + 2 ** len(g.prefix_pairs) * (k - 1)) + 5 * deg + 5)
+        # The den, sigma^p times the least of its tail plus its prefix part,
+        # against both the scan's and the exact one: the tail's sum of powers,
+        # sigma (a product of k - 2 sines) to the p, the prefix part's sum.
+        self.den_err = _gamma(2 * k + 8 + math.ceil(p) * k)
+        # The ratio ``ratios`` recomputes against the exact score: its
+        # direction (coordinates within gamma_{k-1} of the grid's) times the
+        # matrix, the chain of steps, then in the p-th power domain its
+        # quotient of two roots and the den's sum of powers.
+        first, lin = g.steps[0]
+        err_ratio = _through(_gamma(2 * k), [(2.0 * first, lin)] + g.steps[1:])
+        err_ratio += _gamma((k + 5) * math.ceil(p) + 2 * k + 8) * (1.0 + err_ratio)
+        # The scan's score against the exact one: the polynomial's error
+        # through the steps left, the den's, the quotient's.
+        err_score = _through(self.err_poly, g.after) + self.den_err + _gamma(3)
+
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            block, self.estimate, scale_max = self._pass()
+            # both errors against the largest absolute score, rounded up
+            self.margin = (err_ratio + err_score) * scale_max * (1.0 + _gamma(4))
+            self.bound = np.nan_to_num(block + self.margin, nan=np.inf)
+        # ``below`` needs the den as a trig polynomial of the forms' degree,
+        # which holds where every step folds (p = 2 or 4)
+        self.provable = not g.after and p == deg
+        self.samples = _SAMPLES_PER_DEGREE * deg
+        # blocks per call of ``below``: its coefficients fill an eighth of
+        # _GRID_VALUES, its samples a quarter at a time
+        self.batch = max(1, _GRID_VALUES // (8 * g.per_block * self.fh.shape[1]))
+        if self.provable:
+            pair = _harmonics(np.array([[deg, 0], [0, deg]]))
+            self.den_harm = (g.w[k - 2] * pair[0] + g.w[k - 1] * pair[1])[..., None]
+            # their rounding, which the harmonics' own sums need not bound
+            # (w cos^2 + w sin^2 cancels in cos 2t): each harmonic row of a
+            # monomial sums to at most 1 in absolute value
+            self.den_harm_err = _gamma(2) * (g.w[k - 2] + g.w[k - 1])
+            turns = np.outer(np.arange(deg + 1), np.arange(self.samples)) % self.samples
+            angles = 2.0 * np.pi * turns / self.samples
+            self.circle = np.concatenate([np.cos(angles), np.sin(angles)], axis=0).T  # (M, 2 (D + 1))
+
+    def _prefix_data(self, pre: np.ndarray):
+        """Harmonics (rows, groups, 2, D + 1, prefixes), absolute chains
+        (rows, prefixes), sigma^p and the den's prefix part of ``pre``."""
+        g, p = self.g, self.g.op.p
+        u, sin_prod, mono = g.prefixes(pre)
+        harm = (self.fh @ mono).reshape(len(g.forms), self.n_grp, 2, self.degree + 1, len(pre))
+        absolute = self.abs_sums @ mono + np.finfo(float).tiny
+        return harm, absolute, sin_prod ** p, g.w[:g.k - 2] @ u[:g.k - 2] ** p
+
+    def _pass(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Every block's bound, without the ratio's margin, and its estimate;
+        and the largest absolute score of the grid (a prefix's absolute chain
+        over the den's least value)."""
+        g = self.g
+        rows, per, p = len(g.forms), g.per_block, g.op.p
+        # a chunk's harmonics take a quarter of _GRID_VALUES, so with the
+        # samples and the hypots beside them the pass stays within the scan's memory
+        chunk = per * max(1, _GRID_VALUES // (4 * per * self.fh.shape[1] * rows))
+        den_min = g.den_tail.min()
+        up = 1.0 + _gamma(6)  # the scan's quotient rounded up, the bound's down
+        # the estimate samples the circle at as many angles as there are harmonics
+        n_est = 2 * (self.degree + 1)
+        angles = 2.0 * np.pi * np.arange(n_est) / n_est
+        order = np.outer(np.arange(self.degree + 1), angles)
+        circle = np.concatenate([np.cos(order), np.sin(order)], axis=0).T
+        den_est = g.w[g.k - 2] * np.abs(np.cos(angles)) ** p + g.w[g.k - 1] * np.abs(np.sin(angles)) ** p
+        block, estimate = np.empty(g.n_blocks), np.empty(g.n_blocks)
+        scale_max = 0.0
+        for lo in range(0, g.n_pre, chunk):
+            pre = np.arange(lo, min(lo + chunk, g.n_pre))
+            harm, absolute, sigma_p, head = self._prefix_data(pre)
+            amp = np.abs(harm[:, :, 0, 0]) + np.hypot(harm[:, :, 0, 1:], harm[:, :, 1, 1:]).sum(axis=2)
+            num = (amp + self.err_poly * absolute[:, None]).reshape(rows, -1)
+            vals = (circle @ harm.reshape(rows, self.n_grp, n_est, -1)).reshape(rows, -1)
+            for power, lin in g.after:  # the scan's step rounded up, the bound's down
+                grow = 1.0 + _gamma(2 * _terms(lin) + 6)
+                num = lin @ num ** power * grow
+                absolute = lin @ absolute ** power * grow
+                vals = lin @ np.maximum(vals, 0.0) ** power
+            den = (sigma_p * den_min + head) * (1.0 - self.den_err)
+            top = num.reshape(self.n_grp, len(pre)).max(axis=0) / den * up
+            scale_max = max(scale_max, float((absolute[0] / den).max() * up))
+            vals = vals.reshape(self.n_grp, n_est, -1)
+            vals /= sigma_p * den_est[:, None] + head
+            est = vals.max(axis=(0, 1))
+            for out, per_pre in ((block, top), (estimate, est)):
+                per_pre = np.concatenate([per_pre, np.full(-len(pre) % per, -np.inf)])
+                out[lo // per:lo // per + len(per_pre) // per] = per_pre.reshape(-1, per).max(axis=1)
+        return block, estimate, scale_max
+
+    def level(self, best: float) -> float:
+        """The score of the ratio ``best``, rounded down; -inf past the
+        range, where nothing is skipped."""
+        with np.errstate(over="ignore"):
+            level = float((self.g.scale * best) ** self.g.op.p) * (1.0 - _gamma(2))
+        return level if level < np.inf else -np.inf
+
+    def below(self, blocks: np.ndarray, level: float) -> np.ndarray:
+        """Whether each of ``blocks`` is proved to hold no point whose score
+        or ``(scale ratio)^p`` reaches ``level``: per prefix and group, the
+        trig polynomial F = num - L den, L = level less the margin, is < 0 on
+        the whole circle.  F is sampled at M = 32 D points; between samples
+        it exceeds the best sample by at most D^2 (pi/M)^2 / 2 times its sup
+        norm (F' = 0 at its maximum; Bernstein: |F''| <= D^2 sup |F|).  Where
+        the den is no polynomial nothing is proved."""
+        g = self.g
+        # the polynomial den against the exact one: its coefficients, and
+        # the circle of radius 1 +- 2u to the p
+        target = (level - self.margin) * (1.0 - self.den_err - _gamma(2 * self.degree + 4))
+        if not (self.provable and len(blocks) and 0.0 < target < np.inf):
+            return np.zeros(len(blocks), dtype=bool)
+        deg, per = self.degree, g.per_block
+        pre = (blocks[:, None] * per + np.arange(per)).reshape(-1)
+        keep = pre < g.n_pre
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            harm, absolute, sigma_p, head = self._prefix_data(pre[keep])
+            num = harm[0]  # (groups, 2, D + 1, prefixes)
+            den = sigma_p * self.den_harm
+            den[0, 0] += head
+            f = num - target * den
+            size = np.abs(num).sum(axis=(1, 2)) + target * np.abs(den).sum(axis=(0, 1))
+            spread = np.abs(f).sum(axis=(1, 2))
+            f = f.reshape(self.n_grp, 2 * (deg + 1), -1)
+            step = max(1, _GRID_VALUES // (4 * f.shape[0] * f.shape[2]))
+            top = np.full((self.n_grp, f.shape[2]), -np.inf)
+            for lo in range(0, self.samples, step):
+                np.maximum(top, (self.circle[lo:lo + step] @ f).max(axis=1), out=top)
+            # the remainder; the sums at the samples, each table entry within
+            # 15 units (its angle 2 pi r / M rounded, then cos or sin)
+            slack = (0.5 * (deg * np.pi / self.samples) ** 2 + _gamma(2 * deg + 20)) * spread
+            slack += _gamma(4) * size + self.err_poly * absolute[0]
+            slack += target * sigma_p * self.den_harm_err
+            proved = np.full(len(pre), True)
+            proved[keep] = (top + slack * (1.0 + _gamma(6)) < 0.0).all(axis=0)
+        return proved.reshape(len(blocks), per).all(axis=1)
 
 
 def grid_oracle_norm(op: OperatorHandle) -> float:
@@ -538,140 +954,45 @@ def grid_oracle_norm(op: OperatorHandle) -> float:
     into degree 4 in both sets of monomials, before its map folds in.  The
     steps left act on the scanned values.  A block of prefixes takes one
     product with the forms and one with the trig basis, in a buffer of at
-    most ``_GRID_VALUES`` values; den^p is a per-prefix constant plus
-    sigma^p (w cos^p t + w' sin^p t).
+    most ``_GRID_VALUES`` values (``_scan_block``); den^p is a per-prefix
+    constant plus sigma^p (w cos^p t + w' sin^p t).
     The returned value is the ratio of each block's best point, rebuilt from
     the left-to-right direction products and recomputed by ``ratios``,
     maximised over the blocks, so it is a sound lower bound.
+
+    Only the blocks that can raise that maximum are scanned, so the value
+    keeps its bits.  Per prefix, each form's harmonics in t (an exact dyadic
+    map, ``_harmonics``) bound it over the whole circle by |a_0| + sum_j
+    hypot(a_j, b_j); that bound, carried through the steps left (each
+    monotone) and divided by the den's least value, plus the rounding of the
+    scan's score and of ``ratios``, bounds every score of a block and every
+    (scale ratio)^p at its points (``_Bounds``).  The blocks are visited by
+    a sampled estimate of their best score; a block whose bound lies below
+    the best ratio so far, as a score, cannot raise the maximum, and nor can
+    one that ``_Bounds.below`` proves below it, where num - L den is a trig
+    polynomial (p = 2 or 4 with every step folded).  Skipped blocks would
+    only have re-scored smaller ratios, so the maximum is the dense scan's
+    to the bit.
     """
-    lat = op.lattice
-    if lat.n_leaves > 4:
-        raise ValueError(f"oracle supports at most 4 leaves, got {lat.n_leaves}")
-    alive_idx = np.nonzero(op.mu.leaf_mass > 0.0)[0]
-    k = len(alive_idx)
-    if k == 0:
-        raise ValueError("the input measure is identically zero")
-    mat, membership = _operator_matrix(op, alive_idx)
-    w = op.mu.leaf_mass[alive_idx]
-    v = op.nu.leaf_mass
-    p = op.p
-
-    def ratios(X: np.ndarray) -> np.ndarray:
-        den = (w[:, None] * np.abs(X) ** op.p).sum(axis=0) ** (1.0 / op.p)
-        out = mat @ X
-        if not op.linear:
-            chain = membership @ np.abs(out) ** op.q
-            num = (v[:, None] * chain ** (op.p / op.q)).sum(axis=0) ** (1.0 / op.p)
-        else:
-            num = (v[:, None] * np.abs(out) ** op.p).sum(axis=0) ** (1.0 / op.p)
-        res = np.zeros_like(num)
-        np.divide(num, den, out=res, where=den > 0)
-        return res
-
-    if k == 1:
-        X = np.ones((1, 1))
-        return float(ratios(X).max())
-
-    npts = int(np.ceil((np.pi / 2.0) / _GRID_RESOLUTION)) + 1
-    theta = np.linspace(0.0, np.pi / 2.0, npts)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    if op.positive_only:
-        signs = np.ones((k, 1))
-    else:
-        patterns = []
-        for bits in range(2 ** (k - 1)):
-            s = [1.0] + [1.0 if (bits >> b) & 1 == 0 else -1.0 for b in range(k - 1)]
-            patterns.append(s)
-        signs = np.array(patterns).T  # (k, n_pat)
-    n_pat = signs.shape[1]
-
-    # The forms of every (output, pattern) row, laid out (output, prefix
-    # monomial, pattern, trig monomial) so that each linear map over the
-    # outputs is one matrix product.  They start linear in the prefix
-    # coordinates (u_0, ..., u_{k-3}, sigma) and in (1, cos t, sin t).  The
-    # operator is scaled by a power of two so that the squares stay in
-    # range, which leaves the order of the points as it is.
-    scale = np.ldexp(1.0, -np.frexp(np.abs(mat).max())[1])
-    signed = (scale * mat)[:, None, :] * signs.T  # (output, pattern, leaf)
-    forms = np.zeros((len(mat), k - 1, n_pat, 3))
-    forms[:, :k - 2, :, 0] = signed[:, :, :k - 2].transpose(0, 2, 1)
-    forms[:, k - 2, :, 1:] = signed[:, :, k - 2:]
-    exps = [np.eye(k - 1, dtype=np.int64), np.eye(3, dtype=np.int64)]
-    pairs = [[], []]  # per square and side, the pairs whose products are the new monomials
-
-    def square(forms: np.ndarray) -> np.ndarray:
-        """The squares of the forms, on the monomials of twice the degree."""
-        n, m, _, t = forms.shape
-        folds = []
-        for side in (0, 1):
-            fold, exps[side], i, j = _product_fold(exps[side])
-            folds.append(fold)
-            pairs[side].append((i, j))
-        outer = forms[:, :, None, :, :, None] * forms[:, None, :, :, None, :]
-        outer = (folds[0].T @ outer.reshape(n, m * m, -1)).reshape(-1, t * t) @ folds[1]
-        return outer.reshape(n, len(exps[0]), n_pat, len(exps[1]))
-
-    # Square, then fold the steps after the square into the forms in order:
-    # a power 1 leaves its linear map to fold in, and the first power 2
-    # squares the forms once more before its map folds in.  The steps left
-    # act on the scanned values.
-    forms = square(forms)
-    if not op.linear:
-        after = [(op.q / 2.0, membership), (p / op.q, v[None, :])]
-    else:
-        after = [(p / 2.0, v[None, :])]
-    squared = False
-    while after and (after[0][0] == 1.0 or (after[0][0] == 2.0 and not squared)):
-        power, lin = after.pop(0)
-        if power == 2.0:
-            forms, squared = square(forms), True
-        forms = (lin @ forms.reshape(len(forms), -1)).reshape(len(lin), *forms.shape[1:])
-    n_rows = len(forms) * n_pat
-    n_terms = len(exps[1])
-    forms = forms.reshape(len(forms), len(exps[0]), n_pat * n_terms)
-    basis = np.stack([np.ones(npts), cos_t, sin_t])
-    for left, right in pairs[1]:
-        basis = basis[left] * basis[right]
-    den_tail = w[k - 2] * cos_t ** p + w[k - 1] * sin_t ** p
-
-    # Directions in C order over the k - 1 angles.  A block is a run of
-    # prefixes times every value of the last angle.  Each coordinate is the
-    # product of sines and a cosine taken left to right, so a direction does
-    # not depend on the block it falls in.
-    n_pre = npts ** (k - 2)
-    per_block = min(n_pre, max(1, _GRID_VALUES // ((n_rows + 1) * npts)))
-    buf = np.empty(per_block * n_rows * npts)
-
+    g = _Grid(op)
+    if g.k == 1:
+        return float(g.ratios(np.ones((1, 1))).max())
+    if not g.mat.any():  # every ratio is 0.0
+        return 0.0
+    if g.n_blocks == 1:
+        return max(0.0, _scan_block(g, 0, np.empty(g.per_block * g.n_rows * g.npts))[1])
+    bounds = _Bounds(g)
+    buf = np.empty(g.per_block * g.n_rows * g.npts)
+    order = np.argsort(-np.nan_to_num(bounds.estimate, nan=np.inf), kind="stable")
     best = 0.0
-    for lo in range(0, n_pre, per_block):
-        pre = np.arange(lo, min(lo + per_block, n_pre))
-        u = np.empty((k - 1, len(pre)))  # the prefix coordinates, then sigma
-        sin_prod = np.ones(len(pre))
-        for a in range(k - 2):
-            i_a = pre // npts ** (k - 3 - a) % npts
-            u[a] = sin_prod * cos_t[i_a]
-            sin_prod = sin_prod * sin_t[i_a]
-        u[k - 2] = sin_prod
-        mono = u
-        for left, right in pairs[0]:
-            mono = mono[left] * mono[right]
-        vals = buf[:len(pre) * n_rows * npts].reshape(-1, npts)
-        np.matmul((mono.T @ forms).reshape(-1, n_terms), basis, out=vals)
-        vals = vals.reshape(len(forms), -1)
-        for power, lin in after:
-            if power == 2.0:  # np.square: about 3x faster than np.power(., 2.0)
-                np.square(vals, out=vals)
-            else:  # rounding may leave a square below 0: clamp before the power
-                np.power(np.maximum(vals, 0.0, out=vals), power, out=vals)
-            vals = lin @ vals
-        den_p = np.multiply.outer(sin_prod ** p, den_tail)
-        den_p += (w[:k - 2] @ u[:k - 2] ** p)[:, None]
-        score = vals.reshape(len(pre), n_pat, npts)
-        score *= np.divide(1.0, den_p, out=den_p, where=den_p > 0.0)[:, None, :]  # 0 where den = 0
-        j, pat, i = np.unravel_index(score.argmax(), score.shape)
-        x = np.concatenate([u[:k - 2, j], [sin_prod[j] * cos_t[i], sin_prod[j] * sin_t[i]]])
-        best = max(best, float(ratios((x * signs[:, pat])[:, None])[0]))
-    return best
+    while True:
+        level = bounds.level(best)
+        order = order[~(bounds.bound[order] < level)]
+        take, order = np.split(order, [bounds.batch if best > 0.0 else 1])
+        if not len(take):
+            return best
+        for block in take[~bounds.below(take, level)]:
+            best = max(best, _scan_block(g, block, buf)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -155,13 +155,31 @@ class Symbol:
 
     def __init__(self, beta: EdgeCoefficients, nu: Measure):
         _check_lattices(beta=beta, nu=nu)
-        self.beta, self.nu, lat = beta, nu, beta.lattice
-        sums, caps, bad = _mean_zero_excess(beta._flat, nu.flat_mass[1:].reshape(-1, lat.arity))
+        self.beta, self.nu = beta, nu
+        self._check(slice(None))
+
+    @classmethod
+    def _rechecked(cls, beta: EdgeCoefficients, nu: Measure, rows: np.ndarray) -> "Symbol":
+        """The symbol of ``beta``, on nu's lattice, whose internal atoms
+        outside ``rows`` already passed the check (``project_mean_zero``'s
+        plain correction): only ``rows`` are checked again."""
+        symbol = cls.__new__(cls)
+        symbol.beta, symbol.nu = beta, nu
+        symbol._check(rows)
+        return symbol
+
+    def _check(self, rows) -> None:
+        """Raise, naming the first, where an internal atom of ``rows`` (an
+        index into the flat rows) is not nu-mean-zero."""
+        lat = self.beta.lattice
+        child_mass = self.nu.flat_mass[1:].reshape(-1, lat.arity)
+        sums, caps, bad = _mean_zero_excess(self.beta._flat[rows], child_mass[rows])
         if bad.any():
-            row = int(np.argmax(bad))
+            at = int(np.argmax(bad))
+            row = int(np.arange(lat.n_internal)[rows][at])
             d = _generation(lat, row)
             raise ValueError(f"symbol is not mean-zero at atom ({d}, {row - lat.offsets[d]}): "
-                             f"integral {sums[row]:.3e} exceeds tolerance {caps[row]:.3e}")
+                             f"integral {sums[at]:.3e} exceeds tolerance {caps[at]:.3e}")
 
     @property
     def lattice(self) -> Lattice:
@@ -300,15 +318,21 @@ def project_mean_zero(beta: EdgeCoefficients, nu: Measure) -> Symbol:
     np.copyto(out, c, where=~(active & (n_active > 1)))
     out[active & (n_active == 1)] = 0.0
     del n_active  # freed before the check
-    bad = _mean_zero_excess(out, child_mass)[2]
-    if bad.any():
-        rows = np.nonzero(bad)[0]
-        c, m, act = c[rows], child_mass[rows], active[rows]
-        ref = c[np.arange(len(rows)), m.argmax(axis=1)]
-        dev = np.where(act, c - ref[:, None], 0.0)
-        dbar = sibling_sums((dev * m).reshape(-1), lat.arity) / totals[rows]
-        out[rows] = np.where(act, dev - dbar[:, None], c)
-    return Symbol(EdgeCoefficients._of(lat, out), nu)
+    rows = np.nonzero(_mean_zero_excess(out, child_mass)[2])[0]
+    if len(rows):
+        out[rows] = _exact_corrections(c[rows], child_mass[rows], active[rows], totals[rows])
+    # the other rows passed the check just now
+    return Symbol._rechecked(EdgeCoefficients._of(lat, out), nu, rows)
+
+
+def _exact_corrections(c: np.ndarray, m: np.ndarray, act: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``project_mean_zero``'s correction of the rows ``c`` (child masses
+    ``m``, massed children ``act``, their sums ``totals``) from the
+    differences to the coefficient of the heaviest child."""
+    ref = c[np.arange(len(c)), m.argmax(axis=1)]
+    dev = np.where(act, c - ref[:, None], 0.0)
+    dbar = sibling_sums((dev * m).reshape(-1), c.shape[-1]) / totals
+    return np.where(act, dev - dbar[:, None], c)
 
 
 def positive_from_symbol(beta: EdgeCoefficients, q: float, mu: Measure) -> NonnegativeCoefficients:

@@ -20,6 +20,7 @@ from martpara import (
     shifted_apply,
     vector_paraproduct,
 )
+from martpara import paraproduct
 from martpara.lattice import Atom
 from martpara.measure import atom_integrals
 from martpara.testing import (
@@ -86,6 +87,35 @@ def test_project_mean_zero_nearly_equal_siblings(row, masses):
     # the correction moves every massed slot by the same amount
     shift = got - np.array(row)
     assert np.allclose(shift, shift[0], rtol=0.0, atol=1e-15)
+
+
+def test_project_mean_zero_rechecks_its_fallback_rows(monkeypatch):
+    """The rows that pass the check after the plain correction are not
+    checked again; the rows the fallback recomputes are, so a fallback row
+    that is not mean-zero raises the message of the full Symbol check."""
+    lat = build_lattice(2, 2)
+    nu = Measure(lat, [0.3, 0.9, 0.5, 0.7])
+    beta = EdgeCoefficients(lat, [np.array([[0.2, -0.4]]),
+                                  np.array([[1.0, 1.0 + 1e-13], [0.3, 0.1]])])
+    good = project_mean_zero(beta, nu).beta._flat
+    exact, calls = paraproduct._exact_corrections, []
+
+    def corrupted(c, m, act, totals):
+        calls.append(len(c))
+        out = exact(c, m, act, totals)
+        out[0, 0] += 1.0
+        return out
+
+    monkeypatch.setattr(paraproduct, "_exact_corrections", corrupted)
+    with pytest.raises(ValueError) as exc:
+        project_mean_zero(beta, nu)
+    assert calls == [1]  # atom (1, 0) alone takes the fallback
+    bad = good.copy()
+    bad[1, 0] += 1.0
+    with pytest.raises(ValueError) as full:
+        Symbol(EdgeCoefficients(lat, [bad[:1], bad[1:]]), nu)
+    assert str(exc.value) == str(full.value)
+    assert "atom (1, 0)" in str(exc.value)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
